@@ -14,11 +14,11 @@
 #include "util/math.h"
 #include "util/thread_pool.h"
 
-// The explicit-SIMD reduction paths target x86-64 with GCC/Clang function
-// multiversioning (`target` attributes keep the rest of the TU at the
-// baseline ISA); other platforms run the scalar path, which the dispatch
-// clamps to automatically.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// The explicit-SIMD paths target x86-64 with GCC: their bodies are GCC
+// vector extensions compiled under `#pragma GCC target` regions. Other
+// compilers and platforms run the scalar path, which the dispatch clamps
+// to automatically.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define PROBSYN_SIMD_X86 1
 #include <immintrin.h>
 #endif
@@ -37,7 +37,14 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // on the dispatched path. Scalar forms use four independent accumulators
 // (breaks the loop-carried minsd chain, gives the auto-vectorizer lanes);
 // vector forms use four independent SIMD accumulators for the same reason.
+//
+// The vector min-reductions finish each remainder through these scalar
+// bodies while their vector minimum is still live, so the bodies are
+// always inlined: the copy inside a vector function is compiled for its
+// ISA, and no call runs baseline SSE code while the upper vector state is
+// dirty (on an AVX-512 Xeon that stall measured ~200 ns per call).
 
+[[gnu::always_inline]] inline
 double ScalarMinPlusConst(const double* a, std::size_t n, double add) {
   double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
   std::size_t i = 0;
@@ -52,6 +59,7 @@ double ScalarMinPlusConst(const double* a, std::size_t n, double add) {
   return m;
 }
 
+[[gnu::always_inline]] inline
 double ScalarMinPlusPairs(const double* a, const double* b, std::size_t n) {
   double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
   std::size_t i = 0;
@@ -66,6 +74,7 @@ double ScalarMinPlusPairs(const double* a, const double* b, std::size_t n) {
   return m;
 }
 
+[[gnu::always_inline]] inline
 double ScalarMinPlusReverse(const double* a, const double* b, std::size_t n) {
   double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
   std::size_t i = 0;
@@ -82,6 +91,7 @@ double ScalarMinPlusReverse(const double* a, const double* b, std::size_t n) {
   return m;
 }
 
+[[gnu::always_inline]] inline
 double ScalarMinMaxPairs(const double* a, const double* b, std::size_t n) {
   double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
   std::size_t i = 0;
@@ -96,6 +106,7 @@ double ScalarMinMaxPairs(const double* a, const double* b, std::size_t n) {
   return m;
 }
 
+[[gnu::always_inline]] inline
 double ScalarApproxQuadColumn(const double* prev, const double* a,
                               const double* b, const double* c,
                               const double* v, std::size_t n, double a_hi,
@@ -118,6 +129,7 @@ double ScalarApproxQuadColumn(const double* prev, const double* a,
   return m;
 }
 
+[[gnu::always_inline]] inline
 double ScalarStreamingMergeColumn(const double* error, const double* sum_mean,
                                   const double* sum_second,
                                   const double* position, std::size_t n,
@@ -184,6 +196,7 @@ void ScalarStreamingBatchSweep(const double* error, const double* sum_mean,
   }
 }
 
+[[gnu::always_inline]] inline
 double ScalarMinArray(const double* a, std::size_t n) {
   double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
   std::size_t i = 0;
@@ -200,389 +213,32 @@ double ScalarMinArray(const double* a, std::size_t n) {
 
 #ifdef PROBSYN_SIMD_X86
 
-__attribute__((target("avx2"))) inline double HorizontalMin256(__m256d v) {
-  __m128d lo = _mm256_castpd256_pd128(v);
-  __m128d hi = _mm256_extractf128_pd(v, 1);
-  __m128d m = _mm_min_pd(lo, hi);
-  m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
-  return _mm_cvtsd_f64(m);
-}
+// The AVX2 and AVX-512 paths are generated from one source: the vector
+// bodies in dp_kernels_vector.inc, compiled once per ISA inside a target
+// region (kLanes doubles per vector). The region, not a per-file -m flag,
+// keeps every other function of the library at the baseline ISA.
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+constexpr std::size_t kLanes = 4;
+#include "core/dp_kernels_vector.inc"
+}  // namespace avx2
+#pragma GCC pop_options
 
-__attribute__((target("avx2"))) double Avx2MinPlusConst(const double* a,
-                                                        std::size_t n,
-                                                        double add) {
-  const __m256d vadd = _mm256_set1_pd(add);
-  __m256d m0 = _mm256_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    m0 = _mm256_min_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i), vadd));
-    m1 = _mm256_min_pd(m1, _mm256_add_pd(_mm256_loadu_pd(a + i + 4), vadd));
-    m2 = _mm256_min_pd(m2, _mm256_add_pd(_mm256_loadu_pd(a + i + 8), vadd));
-    m3 = _mm256_min_pd(m3, _mm256_add_pd(_mm256_loadu_pd(a + i + 12), vadd));
-  }
-  for (; i + 4 <= n; i += 4) {
-    m0 = _mm256_min_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i), vadd));
-  }
-  double m = HorizontalMin256(
-      _mm256_min_pd(_mm256_min_pd(m0, m1), _mm256_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i] + add);
-  return m;
-}
-
-__attribute__((target("avx2"))) double Avx2MinPlusPairs(const double* a,
-                                                        const double* b,
-                                                        std::size_t n) {
-  __m256d m0 = _mm256_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    m0 = _mm256_min_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                         _mm256_loadu_pd(b + i)));
-    m1 = _mm256_min_pd(m1, _mm256_add_pd(_mm256_loadu_pd(a + i + 4),
-                                         _mm256_loadu_pd(b + i + 4)));
-    m2 = _mm256_min_pd(m2, _mm256_add_pd(_mm256_loadu_pd(a + i + 8),
-                                         _mm256_loadu_pd(b + i + 8)));
-    m3 = _mm256_min_pd(m3, _mm256_add_pd(_mm256_loadu_pd(a + i + 12),
-                                         _mm256_loadu_pd(b + i + 12)));
-  }
-  for (; i + 4 <= n; i += 4) {
-    m0 = _mm256_min_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                         _mm256_loadu_pd(b + i)));
-  }
-  double m = HorizontalMin256(
-      _mm256_min_pd(_mm256_min_pd(m0, m1), _mm256_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i] + b[i]);
-  return m;
-}
-
-__attribute__((target("avx2"))) double Avx2MinPlusReverse(const double* a,
-                                                          const double* b,
-                                                          std::size_t n) {
-  // b walks downward: lane i of the reversed load of b[-i-3 .. -i] pairs
-  // with a[i + 3 - lane]; reversing with vpermpd keeps the adds
-  // elementwise identical to the scalar loop.
-  __m256d m0 = _mm256_set1_pd(kInfinity), m1 = m0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256d r0 = _mm256_permute4x64_pd(
-        _mm256_loadu_pd(b - static_cast<std::ptrdiff_t>(i) - 3),
-        _MM_SHUFFLE(0, 1, 2, 3));
-    __m256d r1 = _mm256_permute4x64_pd(
-        _mm256_loadu_pd(b - static_cast<std::ptrdiff_t>(i) - 7),
-        _MM_SHUFFLE(0, 1, 2, 3));
-    m0 = _mm256_min_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i), r0));
-    m1 = _mm256_min_pd(m1, _mm256_add_pd(_mm256_loadu_pd(a + i + 4), r1));
-  }
-  double m = HorizontalMin256(_mm256_min_pd(m0, m1));
-  for (; i < n; ++i) {
-    m = std::min(m, a[i] + b[-static_cast<std::ptrdiff_t>(i)]);
-  }
-  return m;
-}
-
-__attribute__((target("avx2"))) double Avx2MinMaxPairs(const double* a,
-                                                       const double* b,
-                                                       std::size_t n) {
-  __m256d m0 = _mm256_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    m0 = _mm256_min_pd(m0, _mm256_max_pd(_mm256_loadu_pd(a + i),
-                                         _mm256_loadu_pd(b + i)));
-    m1 = _mm256_min_pd(m1, _mm256_max_pd(_mm256_loadu_pd(a + i + 4),
-                                         _mm256_loadu_pd(b + i + 4)));
-    m2 = _mm256_min_pd(m2, _mm256_max_pd(_mm256_loadu_pd(a + i + 8),
-                                         _mm256_loadu_pd(b + i + 8)));
-    m3 = _mm256_min_pd(m3, _mm256_max_pd(_mm256_loadu_pd(a + i + 12),
-                                         _mm256_loadu_pd(b + i + 12)));
-  }
-  for (; i + 4 <= n; i += 4) {
-    m0 = _mm256_min_pd(m0, _mm256_max_pd(_mm256_loadu_pd(a + i),
-                                         _mm256_loadu_pd(b + i)));
-  }
-  double m = HorizontalMin256(
-      _mm256_min_pd(_mm256_min_pd(m0, m1), _mm256_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, std::max(a[i], b[i]));
-  return m;
-}
-
-__attribute__((target("avx2"))) double Avx2MinArray(const double* a,
-                                                    std::size_t n) {
-  __m256d m0 = _mm256_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    m0 = _mm256_min_pd(m0, _mm256_loadu_pd(a + i));
-    m1 = _mm256_min_pd(m1, _mm256_loadu_pd(a + i + 4));
-    m2 = _mm256_min_pd(m2, _mm256_loadu_pd(a + i + 8));
-    m3 = _mm256_min_pd(m3, _mm256_loadu_pd(a + i + 12));
-  }
-  for (; i + 4 <= n; i += 4) {
-    m0 = _mm256_min_pd(m0, _mm256_loadu_pd(a + i));
-  }
-  double m = HorizontalMin256(
-      _mm256_min_pd(_mm256_min_pd(m0, m1), _mm256_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i]);
-  return m;
-}
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+namespace avx512 {
+constexpr std::size_t kLanes = 8;
+#include "core/dp_kernels_vector.inc"
+}  // namespace avx512
+#pragma GCC pop_options
 
 // GCC's AVX-512 intrinsics (_mm512_min_pd and friends) expand through
 // _mm512_undefined_pd(), which trips bogus -W(maybe-)uninitialized
-// diagnostics under -O3 (GCC PR105593); silence them for this block only.
+// diagnostics under -O3 (GCC PR105593); silence them for this kernel only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-__attribute__((target("avx2"))) double Avx2ApproxQuadColumn(
-    const double* prev, const double* a, const double* b, const double* c,
-    const double* v, std::size_t n, double a_hi, double b_hi, double c_hi,
-    double v_hi, double* values) {
-  const __m256d va_hi = _mm256_set1_pd(a_hi);
-  const __m256d vb_hi = _mm256_set1_pd(b_hi);
-  const __m256d vc_hi = _mm256_set1_pd(c_hi);
-  const __m256d vv_hi = _mm256_set1_pd(v_hi);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vneg_tol = _mm256_set1_pd(-1e-6);
-  __m256d acc = _mm256_set1_pd(kInfinity);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum_c = _mm256_sub_pd(vc_hi, _mm256_loadu_pd(c + i));
-    const __m256d sum_b = _mm256_sub_pd(vb_hi, _mm256_loadu_pd(b + i));
-    const __m256d sum_a = _mm256_sub_pd(va_hi, _mm256_loadu_pd(a + i));
-    __m256d esos = _mm256_mul_pd(sum_b, sum_b);
-    if (v != nullptr) {
-      esos = _mm256_add_pd(
-          esos, _mm256_sub_pd(vv_hi, _mm256_loadu_pd(v + i)));
-    }
-    __m256d cost = _mm256_sub_pd(sum_a, _mm256_div_pd(esos, sum_c));
-    const __m256d tiny_negative =
-        _mm256_and_pd(_mm256_cmp_pd(cost, vzero, _CMP_LT_OQ),
-                      _mm256_cmp_pd(cost, vneg_tol, _CMP_GT_OQ));
-    cost = _mm256_blendv_pd(cost, vzero, tiny_negative);
-    // Degenerate bucket (no workload weight): cost pinned to zero, as the
-    // scalar evaluator's early return does.
-    cost = _mm256_blendv_pd(cost, vzero,
-                            _mm256_cmp_pd(sum_c, vzero, _CMP_LE_OQ));
-    const __m256d value = _mm256_add_pd(_mm256_loadu_pd(prev + i), cost);
-    _mm256_storeu_pd(values + i, value);
-    acc = _mm256_min_pd(acc, value);
-  }
-  double m = HorizontalMin256(acc);
-  for (; i < n; ++i) {
-    const double sum_c = c_hi - c[i];
-    const double sum_b = b_hi - b[i];
-    const double sum_a = a_hi - a[i];
-    double esos = sum_b * sum_b;
-    if (v != nullptr) esos += v_hi - v[i];
-    double cost = sum_a - esos / sum_c;
-    cost = (cost < 0.0 && cost > -1e-6) ? 0.0 : cost;
-    if (sum_c <= 0.0) cost = 0.0;
-    const double value = prev[i] + cost;
-    values[i] = value;
-    m = std::min(m, value);
-  }
-  return m;
-}
-
-__attribute__((target("avx2"))) double Avx2StreamingMergeColumn(
-    const double* error, const double* sum_mean, const double* sum_second,
-    const double* position, std::size_t n, double count, double total_mean,
-    double total_second, double* values) {
-  const __m256d vcount = _mm256_set1_pd(count);
-  const __m256d vtotal_mean = _mm256_set1_pd(total_mean);
-  const __m256d vtotal_second = _mm256_set1_pd(total_second);
-  const __m256d vinf = _mm256_set1_pd(kInfinity);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vneg_tol = _mm256_set1_pd(-1e-6);
-  __m256d acc = vinf;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_loadu_pd(position + i);
-    const __m256d width = _mm256_sub_pd(vcount, p);
-    const __m256d mean =
-        _mm256_sub_pd(vtotal_mean, _mm256_loadu_pd(sum_mean + i));
-    const __m256d second =
-        _mm256_sub_pd(vtotal_second, _mm256_loadu_pd(sum_second + i));
-    __m256d cost = _mm256_sub_pd(
-        second, _mm256_div_pd(_mm256_mul_pd(mean, mean), width));
-    // ClampTinyNegative: -tol < cost < 0 snaps to zero.
-    const __m256d tiny_negative =
-        _mm256_and_pd(_mm256_cmp_pd(cost, vzero, _CMP_LT_OQ),
-                      _mm256_cmp_pd(cost, vneg_tol, _CMP_GT_OQ));
-    cost = _mm256_blendv_pd(cost, vzero, tiny_negative);
-    __m256d v = _mm256_add_pd(_mm256_loadu_pd(error + i), cost);
-    // Guard: candidates at or past the current position are unusable.
-    v = _mm256_blendv_pd(v, vinf, _mm256_cmp_pd(p, vcount, _CMP_GE_OQ));
-    _mm256_storeu_pd(values + i, v);
-    acc = _mm256_min_pd(acc, v);
-  }
-  double m = HorizontalMin256(acc);
-  for (; i < n; ++i) {
-    const double width = count - position[i];
-    const double mean = total_mean - sum_mean[i];
-    const double second = total_second - sum_second[i];
-    double cost = second - mean * mean / width;
-    cost = (cost < 0.0 && cost > -1e-6) ? 0.0 : cost;
-    const double v =
-        position[i] >= count ? kInfinity : error[i] + cost;
-    values[i] = v;
-    m = std::min(m, v);
-  }
-  return m;
-}
-
-__attribute__((target("avx512f"))) inline double HorizontalMin512(__m512d v) {
-  return _mm512_reduce_min_pd(v);
-}
-
-__attribute__((target("avx512f"))) double Avx512ApproxQuadColumn(
-    const double* prev, const double* a, const double* b, const double* c,
-    const double* v, std::size_t n, double a_hi, double b_hi, double c_hi,
-    double v_hi, double* values) {
-  const __m512d va_hi = _mm512_set1_pd(a_hi);
-  const __m512d vb_hi = _mm512_set1_pd(b_hi);
-  const __m512d vc_hi = _mm512_set1_pd(c_hi);
-  const __m512d vv_hi = _mm512_set1_pd(v_hi);
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vneg_tol = _mm512_set1_pd(-1e-6);
-  __m512d acc = _mm512_set1_pd(kInfinity);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d sum_c = _mm512_sub_pd(vc_hi, _mm512_loadu_pd(c + i));
-    const __m512d sum_b = _mm512_sub_pd(vb_hi, _mm512_loadu_pd(b + i));
-    const __m512d sum_a = _mm512_sub_pd(va_hi, _mm512_loadu_pd(a + i));
-    __m512d esos = _mm512_mul_pd(sum_b, sum_b);
-    if (v != nullptr) {
-      esos = _mm512_add_pd(
-          esos, _mm512_sub_pd(vv_hi, _mm512_loadu_pd(v + i)));
-    }
-    __m512d cost = _mm512_sub_pd(sum_a, _mm512_div_pd(esos, sum_c));
-    const __mmask8 tiny_negative =
-        _mm512_cmp_pd_mask(cost, vzero, _CMP_LT_OQ) &
-        _mm512_cmp_pd_mask(cost, vneg_tol, _CMP_GT_OQ);
-    cost = _mm512_mask_blend_pd(tiny_negative, cost, vzero);
-    cost = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(sum_c, vzero, _CMP_LE_OQ),
-                                cost, vzero);
-    const __m512d value = _mm512_add_pd(_mm512_loadu_pd(prev + i), cost);
-    _mm512_storeu_pd(values + i, value);
-    acc = _mm512_min_pd(acc, value);
-  }
-  double m = HorizontalMin512(acc);
-  for (; i < n; ++i) {
-    const double sum_c = c_hi - c[i];
-    const double sum_b = b_hi - b[i];
-    const double sum_a = a_hi - a[i];
-    double esos = sum_b * sum_b;
-    if (v != nullptr) esos += v_hi - v[i];
-    double cost = sum_a - esos / sum_c;
-    cost = (cost < 0.0 && cost > -1e-6) ? 0.0 : cost;
-    if (sum_c <= 0.0) cost = 0.0;
-    const double value = prev[i] + cost;
-    values[i] = value;
-    m = std::min(m, value);
-  }
-  return m;
-}
-
-__attribute__((target("avx512f"))) double Avx512StreamingMergeColumn(
-    const double* error, const double* sum_mean, const double* sum_second,
-    const double* position, std::size_t n, double count, double total_mean,
-    double total_second, double* values) {
-  const __m512d vcount = _mm512_set1_pd(count);
-  const __m512d vtotal_mean = _mm512_set1_pd(total_mean);
-  const __m512d vtotal_second = _mm512_set1_pd(total_second);
-  const __m512d vinf = _mm512_set1_pd(kInfinity);
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vneg_tol = _mm512_set1_pd(-1e-6);
-  __m512d acc = vinf;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d p = _mm512_loadu_pd(position + i);
-    const __m512d width = _mm512_sub_pd(vcount, p);
-    const __m512d mean =
-        _mm512_sub_pd(vtotal_mean, _mm512_loadu_pd(sum_mean + i));
-    const __m512d second =
-        _mm512_sub_pd(vtotal_second, _mm512_loadu_pd(sum_second + i));
-    __m512d cost = _mm512_sub_pd(
-        second, _mm512_div_pd(_mm512_mul_pd(mean, mean), width));
-    const __mmask8 tiny_negative =
-        _mm512_cmp_pd_mask(cost, vzero, _CMP_LT_OQ) &
-        _mm512_cmp_pd_mask(cost, vneg_tol, _CMP_GT_OQ);
-    cost = _mm512_mask_blend_pd(tiny_negative, cost, vzero);
-    __m512d v = _mm512_add_pd(_mm512_loadu_pd(error + i), cost);
-    v = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(p, vcount, _CMP_GE_OQ), v,
-                             vinf);
-    _mm512_storeu_pd(values + i, v);
-    acc = _mm512_min_pd(acc, v);
-  }
-  double m = HorizontalMin512(acc);
-  for (; i < n; ++i) {
-    const double width = count - position[i];
-    const double mean = total_mean - sum_mean[i];
-    const double second = total_second - sum_second[i];
-    double cost = second - mean * mean / width;
-    cost = (cost < 0.0 && cost > -1e-6) ? 0.0 : cost;
-    const double v =
-        position[i] >= count ? kInfinity : error[i] + cost;
-    values[i] = v;
-    m = std::min(m, v);
-  }
-  return m;
-}
-
-// Batched streaming sweep, 4 pushes per ymm register: lane j of the
-// vectors is push count0+g+j, candidates stream one at a time with their
-// column scalars entering as broadcasts. Uses the reference hardware
-// divide and clamp elementwise (no reciprocal table, no fallback), so
-// every element matches ScalarStreamingBatchLane bit-for-bit; the argmin
-// blends on strict less-than, which keeps the FIRST index of the minimum
-// exactly like the scalar scan.
-__attribute__((target("avx2"))) void Avx2StreamingBatchSweep(
-    const double* error, const double* sum_mean, const double* sum_second,
-    const double* position, const std::int64_t* /*neg_position*/,
-    std::size_t n, const double* total_mean, const double* total_second,
-    std::size_t count0, const double* /*recips*/, std::size_t num_pushes,
-    double* best, std::int64_t* best_index) {
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vneg_tol = _mm256_set1_pd(-1e-6);
-  const __m256i one = _mm256_set1_epi64x(1);
-  std::size_t g = 0;
-  for (; g + 4 <= num_pushes; g += 4) {
-    alignas(32) double lane_count[4];
-    for (int l = 0; l < 4; ++l) {
-      lane_count[l] = static_cast<double>(count0 + g + l);
-    }
-    const __m256d tp = _mm256_load_pd(lane_count);
-    const __m256d tm = _mm256_loadu_pd(total_mean + g);
-    const __m256d ts = _mm256_loadu_pd(total_second + g);
-    __m256d acc = _mm256_set1_pd(kInfinity);
-    __m256i aidx = _mm256_set1_epi64x(-1);
-    __m256i iv = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m256d mean = _mm256_sub_pd(tm, _mm256_broadcast_sd(sum_mean + i));
-      const __m256d second =
-          _mm256_sub_pd(ts, _mm256_broadcast_sd(sum_second + i));
-      const __m256d width = _mm256_sub_pd(tp, _mm256_broadcast_sd(position + i));
-      __m256d cost = _mm256_sub_pd(
-          second, _mm256_div_pd(_mm256_mul_pd(mean, mean), width));
-      const __m256d tiny_negative =
-          _mm256_and_pd(_mm256_cmp_pd(cost, vzero, _CMP_LT_OQ),
-                        _mm256_cmp_pd(cost, vneg_tol, _CMP_GT_OQ));
-      cost = _mm256_blendv_pd(cost, vzero, tiny_negative);
-      const __m256d v = _mm256_add_pd(_mm256_broadcast_sd(error + i), cost);
-      const __m256d lt = _mm256_cmp_pd(v, acc, _CMP_LT_OQ);
-      acc = _mm256_blendv_pd(acc, v, lt);
-      // lt is all-ones per 64-bit lane, so the byte blend selects whole
-      // lane indices.
-      aidx = _mm256_blendv_epi8(aidx, iv, _mm256_castpd_si256(lt));
-      iv = _mm256_add_epi64(iv, one);
-    }
-    _mm256_storeu_pd(best + g, acc);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(best_index + g), aidx);
-  }
-  for (; g < num_pushes; ++g) {
-    ScalarStreamingBatchLane(error, sum_mean, sum_second, position, n,
-                             static_cast<double>(count0 + g), total_mean[g],
-                             total_second[g], &best[g], &best_index[g]);
-  }
-}
 
 // Batched streaming sweep, 8 pushes per zmm register. The hot loop is
 // division- and clamp-free: lane widths for one candidate are 8
@@ -654,121 +310,10 @@ __attribute__((target("avx512f"))) void Avx512StreamingBatchSweep(
       }
     }
   }
-  for (; g < num_pushes; ++g) {
-    ScalarStreamingBatchLane(error, sum_mean, sum_second, position, n,
-                             static_cast<double>(count0 + g), total_mean[g],
-                             total_second[g], &best[g], &best_index[g]);
-  }
-}
-
-__attribute__((target("avx512f"))) double Avx512MinPlusConst(const double* a,
-                                                             std::size_t n,
-                                                             double add) {
-  const __m512d vadd = _mm512_set1_pd(add);
-  __m512d m0 = _mm512_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    m0 = _mm512_min_pd(m0, _mm512_add_pd(_mm512_loadu_pd(a + i), vadd));
-    m1 = _mm512_min_pd(m1, _mm512_add_pd(_mm512_loadu_pd(a + i + 8), vadd));
-    m2 = _mm512_min_pd(m2, _mm512_add_pd(_mm512_loadu_pd(a + i + 16), vadd));
-    m3 = _mm512_min_pd(m3, _mm512_add_pd(_mm512_loadu_pd(a + i + 24), vadd));
-  }
-  for (; i + 8 <= n; i += 8) {
-    m0 = _mm512_min_pd(m0, _mm512_add_pd(_mm512_loadu_pd(a + i), vadd));
-  }
-  double m = HorizontalMin512(
-      _mm512_min_pd(_mm512_min_pd(m0, m1), _mm512_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i] + add);
-  return m;
-}
-
-__attribute__((target("avx512f"))) double Avx512MinPlusPairs(const double* a,
-                                                             const double* b,
-                                                             std::size_t n) {
-  __m512d m0 = _mm512_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    m0 = _mm512_min_pd(m0, _mm512_add_pd(_mm512_loadu_pd(a + i),
-                                         _mm512_loadu_pd(b + i)));
-    m1 = _mm512_min_pd(m1, _mm512_add_pd(_mm512_loadu_pd(a + i + 8),
-                                         _mm512_loadu_pd(b + i + 8)));
-    m2 = _mm512_min_pd(m2, _mm512_add_pd(_mm512_loadu_pd(a + i + 16),
-                                         _mm512_loadu_pd(b + i + 16)));
-    m3 = _mm512_min_pd(m3, _mm512_add_pd(_mm512_loadu_pd(a + i + 24),
-                                         _mm512_loadu_pd(b + i + 24)));
-  }
-  for (; i + 8 <= n; i += 8) {
-    m0 = _mm512_min_pd(m0, _mm512_add_pd(_mm512_loadu_pd(a + i),
-                                         _mm512_loadu_pd(b + i)));
-  }
-  double m = HorizontalMin512(
-      _mm512_min_pd(_mm512_min_pd(m0, m1), _mm512_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i] + b[i]);
-  return m;
-}
-
-__attribute__((target("avx512f"))) double Avx512MinPlusReverse(
-    const double* a, const double* b, std::size_t n) {
-  const __m512i rev = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  __m512d m0 = _mm512_set1_pd(kInfinity), m1 = m0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512d r0 = _mm512_permutexvar_pd(
-        rev, _mm512_loadu_pd(b - static_cast<std::ptrdiff_t>(i) - 7));
-    __m512d r1 = _mm512_permutexvar_pd(
-        rev, _mm512_loadu_pd(b - static_cast<std::ptrdiff_t>(i) - 15));
-    m0 = _mm512_min_pd(m0, _mm512_add_pd(_mm512_loadu_pd(a + i), r0));
-    m1 = _mm512_min_pd(m1, _mm512_add_pd(_mm512_loadu_pd(a + i + 8), r1));
-  }
-  double m = HorizontalMin512(_mm512_min_pd(m0, m1));
-  for (; i < n; ++i) {
-    m = std::min(m, a[i] + b[-static_cast<std::ptrdiff_t>(i)]);
-  }
-  return m;
-}
-
-__attribute__((target("avx512f"))) double Avx512MinMaxPairs(const double* a,
-                                                            const double* b,
-                                                            std::size_t n) {
-  __m512d m0 = _mm512_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    m0 = _mm512_min_pd(m0, _mm512_max_pd(_mm512_loadu_pd(a + i),
-                                         _mm512_loadu_pd(b + i)));
-    m1 = _mm512_min_pd(m1, _mm512_max_pd(_mm512_loadu_pd(a + i + 8),
-                                         _mm512_loadu_pd(b + i + 8)));
-    m2 = _mm512_min_pd(m2, _mm512_max_pd(_mm512_loadu_pd(a + i + 16),
-                                         _mm512_loadu_pd(b + i + 16)));
-    m3 = _mm512_min_pd(m3, _mm512_max_pd(_mm512_loadu_pd(a + i + 24),
-                                         _mm512_loadu_pd(b + i + 24)));
-  }
-  for (; i + 8 <= n; i += 8) {
-    m0 = _mm512_min_pd(m0, _mm512_max_pd(_mm512_loadu_pd(a + i),
-                                         _mm512_loadu_pd(b + i)));
-  }
-  double m = HorizontalMin512(
-      _mm512_min_pd(_mm512_min_pd(m0, m1), _mm512_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, std::max(a[i], b[i]));
-  return m;
-}
-
-__attribute__((target("avx512f"))) double Avx512MinArray(const double* a,
-                                                         std::size_t n) {
-  __m512d m0 = _mm512_set1_pd(kInfinity), m1 = m0, m2 = m0, m3 = m0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    m0 = _mm512_min_pd(m0, _mm512_loadu_pd(a + i));
-    m1 = _mm512_min_pd(m1, _mm512_loadu_pd(a + i + 8));
-    m2 = _mm512_min_pd(m2, _mm512_loadu_pd(a + i + 16));
-    m3 = _mm512_min_pd(m3, _mm512_loadu_pd(a + i + 24));
-  }
-  for (; i + 8 <= n; i += 8) {
-    m0 = _mm512_min_pd(m0, _mm512_loadu_pd(a + i));
-  }
-  double m = HorizontalMin512(
-      _mm512_min_pd(_mm512_min_pd(m0, m1), _mm512_min_pd(m2, m3)));
-  for (; i < n; ++i) m = std::min(m, a[i]);
-  return m;
+  ScalarStreamingBatchSweep(error, sum_mean, sum_second, position,
+                            neg_position, n, total_mean + g,
+                            total_second + g, count0 + g, recips,
+                            num_pushes - g, best + g, best_index + g);
 }
 
 #pragma GCC diagnostic pop
@@ -808,22 +353,22 @@ constexpr SimdOps kScalarOps{SimdPath::kScalar,
                              ScalarStreamingBatchSweep};
 #ifdef PROBSYN_SIMD_X86
 constexpr SimdOps kAvx2Ops{SimdPath::kAvx2,
-                           Avx2MinPlusConst,
-                           Avx2MinPlusPairs,
-                           Avx2MinPlusReverse,
-                           Avx2MinMaxPairs,
-                           Avx2MinArray,
-                           Avx2ApproxQuadColumn,
-                           Avx2StreamingMergeColumn,
-                           Avx2StreamingBatchSweep};
+                           avx2::MinPlusConst,
+                           avx2::MinPlusPairs,
+                           avx2::MinPlusReverse,
+                           avx2::MinMaxPairs,
+                           avx2::MinArray,
+                           avx2::ApproxQuadColumn,
+                           avx2::StreamingMergeColumn,
+                           avx2::StreamingBatchSweep};
 constexpr SimdOps kAvx512Ops{SimdPath::kAvx512,
-                             Avx512MinPlusConst,
-                             Avx512MinPlusPairs,
-                             Avx512MinPlusReverse,
-                             Avx512MinMaxPairs,
-                             Avx512MinArray,
-                             Avx512ApproxQuadColumn,
-                             Avx512StreamingMergeColumn,
+                             avx512::MinPlusConst,
+                             avx512::MinPlusPairs,
+                             avx512::MinPlusReverse,
+                             avx512::MinMaxPairs,
+                             avx512::MinArray,
+                             avx512::ApproxQuadColumn,
+                             avx512::StreamingMergeColumn,
                              Avx512StreamingBatchSweep};
 #endif
 

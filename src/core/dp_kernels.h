@@ -148,11 +148,12 @@ void SimdStreamingBatchSweep(const double* error, const double* sum_mean,
 /// Packed traceback decision of one restricted-wavelet-DP cell: the keep
 /// flag for the node's coefficient plus the budgets granted to its two
 /// children. uint16 budgets cap the padded domain at 65536, matching the
-/// solver's own state-key limits.
+/// solver's own state-key limits. No member initializers: the arena leaves
+/// new entries unwritten, and the level fill writes each before it is read.
 struct WaveletDpDecision {
-  bool keep = false;
-  std::uint16_t left_budget = 0;
-  std::uint16_t right_budget = 0;
+  bool keep;
+  std::uint16_t left_budget;
+  std::uint16_t right_budget;
 };
 
 /// Persistent shared-suffix store of streaming boundary chains
@@ -238,16 +239,44 @@ class StreamChainStore {
   Stats stats_;
 };
 
+namespace arena_internal {
+
+// std::allocator whose value-initialization is default-initialization, so
+// resize() leaves new trivial elements unwritten instead of zero-filling.
+template <typename T>
+class DefaultInitAllocator : public std::allocator<T> {
+ public:
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+}  // namespace arena_internal
+
 /// Flat arena of the restricted wavelet DP (core/wavelet_dp.cc): per-state
 /// `best` tables and traceback decisions stored contiguously, indexed
 /// directly by (level, node, ancestor-decision mask) — no hash memo, no
 /// per-state vectors, no rehash-unstable references. Buffers grow but
 /// never shrink, so repeated solves through one arena allocate nothing in
 /// steady state; `grow_events` counts capacity growths (a pool-stats hook
-/// the zero-allocation tests assert on).
+/// the zero-allocation tests assert on). `best` and `decision` are not
+/// zero-filled when they grow: their pages are first touched by the
+/// polled, parallel level fill, so a cancel is seen while they fault in.
 struct WaveletDpArena {
-  std::vector<double> best;                  ///< Concatenated best tables.
-  std::vector<WaveletDpDecision> decision;   ///< Parallel to `best`.
+  /// Concatenated best tables.
+  std::vector<double, arena_internal::DefaultInitAllocator<double>> best;
+  /// Parallel to `best`.
+  std::vector<WaveletDpDecision,
+              arena_internal::DefaultInitAllocator<WaveletDpDecision>>
+      decision;
   std::vector<std::size_t> level_base;       ///< Arena offset per tree level.
   std::vector<double> contribution;          ///< mu[j] * leaf scale, per node.
   std::size_t grow_events = 0;  ///< Buffer growths since construction.

@@ -89,8 +89,9 @@ Status SynopsisOptions::Validate() const {
   if (HasWorkload()) {
     double total = 0.0;
     for (double w : workload) {
-      if (!(w >= 0.0)) {
-        return Status::InvalidArgument("workload weights must be nonnegative");
+      if (!std::isfinite(w) || w < 0.0) {
+        return Status::InvalidArgument(
+            "workload weights must be finite and nonnegative");
       }
       total += w;
     }

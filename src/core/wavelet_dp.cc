@@ -19,10 +19,15 @@ namespace {
 // Grow-only resize with pool-stats accounting: once a leased arena has
 // served a solve of a given shape, later solves of that shape (or smaller)
 // perform zero allocations — WaveletDpArena::grow_events stays flat, which
-// the zero-allocation tests assert.
-template <typename T>
-void GrowTo(std::vector<T>& v, std::size_t size, std::size_t& grow_events) {
-  if (size > v.capacity()) ++grow_events;
+// the zero-allocation tests assert. Every solve rewrites its buffers in
+// full, so a growth drops the old contents instead of copying them.
+template <typename T, typename Allocator>
+void GrowTo(std::vector<T, Allocator>& v, std::size_t size,
+            std::size_t& grow_events) {
+  if (size > v.capacity()) {
+    ++grow_events;
+    v.clear();
+  }
   v.resize(size);
 }
 

@@ -72,26 +72,17 @@ std::string FormatSolver(const char* route, ThreadPool* pool) {
 std::string FormatKernelSolver(const char* route, const char* kernel_name,
                                ThreadPool* pool, const char* memo = nullptr,
                                std::size_t lanes = 0) {
-  char par[24] = "";
-  if (lanes > 0) std::snprintf(par, sizeof(par), ",par=%zu", lanes);
-  char labels[112];
-  if (memo != nullptr) {
-    std::snprintf(labels, sizeof(labels), "kernel=%s,memo=%s,simd=%s%s",
-                  kernel_name, memo, SimdPathName(ActiveSimdPath()), par);
-  } else {
-    std::snprintf(labels, sizeof(labels), "kernel=%s,simd=%s%s", kernel_name,
-                  SimdPathName(ActiveSimdPath()), par);
-  }
-  char buffer[176];
+  std::string out = std::string(route) + "[kernel=" + kernel_name;
+  if (memo != nullptr) out += std::string(",memo=") + memo;
+  out += std::string(",simd=") + SimdPathName(ActiveSimdPath());
   if (lanes > 0) {
-    std::snprintf(buffer, sizeof(buffer), "%s[%s]", route, labels);
+    out += ",par=" + std::to_string(lanes);
   } else if (pool != nullptr) {
-    std::snprintf(buffer, sizeof(buffer), "%s[%s,parallel=%zu]", route,
-                  labels, pool->num_threads() + 1);
+    out += ",parallel=" + std::to_string(pool->num_threads() + 1);
   } else {
-    std::snprintf(buffer, sizeof(buffer), "%s[%s,sequential]", route, labels);
+    out += ",sequential";
   }
-  return buffer;
+  return out + "]";
 }
 
 std::string FormatApproxDpSolver(DpKernelKind kernel, double epsilon) {
@@ -964,6 +955,19 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
     results[i] = std::move(result).value();
     results[i].solver += degraded[i];
     results[i].timing.plan_seconds = plan_seconds;
+  }
+
+  // Inputs whose magnitudes overflow double arithmetic (moment sums past
+  // DBL_MAX, where Inf - Inf gives NaN) make the solvers' costs
+  // non-finite, and the DPs and SIMD reductions are only specified for
+  // NaN-free data; never return such a synopsis as OK.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!std::isfinite(results[i].cost)) {
+      return Status::InvalidArgument(
+          "request " + std::to_string(i) + " (" + results[i].solver +
+          ") produced a non-finite cost (" + std::to_string(results[i].cost) +
+          "); the input's magnitudes overflow double arithmetic");
+    }
   }
   return results;
 }

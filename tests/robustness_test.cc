@@ -485,5 +485,30 @@ TEST(Robustness, PlanTimeDegradationIsolatesGroupMembers) {
   ExpectNoLeakedLeases(engine);
 }
 
+// Frequencies of 1e200 overflow the SSE moment prefix sums, and Inf - Inf
+// makes the cost NaN. The engine used to return that synopsis as OK (one
+// bucket for a two-bucket request, "expected SSE = -nan"); it must fail
+// with a Status instead.
+TEST(Robustness, NonFiniteCostIsNeverReturnedOk) {
+  const ValuePdfInput input(
+      std::vector<ValuePdf>(4, ValuePdf::PointMass(1e200)));
+  SynopsisEngine engine;
+  for (HistogramMethod method :
+       {HistogramMethod::kOptimal, HistogramMethod::kApprox}) {
+    SynopsisRequest request;
+    request.method = method;
+    request.budget = 2;
+    request.options.metric = ErrorMetric::kSse;
+    auto result = engine.Build(input, request);
+    ASSERT_FALSE(result.ok())
+        << HistogramMethodName(method) << " returned cost " << result->cost;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("non-finite cost"),
+              std::string::npos)
+        << result.status();
+  }
+  ExpectNoLeakedLeases(engine);
+}
+
 }  // namespace
 }  // namespace probsyn

@@ -65,7 +65,9 @@ TEST(ShardedPlanTest, PlanShardsPartitionsEvenly) {
       std::size_t min_w = n, max_w = 0;
       for (std::size_t k = 0; k < s; ++k) {
         ASSERT_LT(plan[k].begin, plan[k].end) << "empty shard";
-        if (k > 0) EXPECT_EQ(plan[k].begin, plan[k - 1].end);
+        if (k > 0) {
+          EXPECT_EQ(plan[k].begin, plan[k - 1].end);
+        }
         min_w = std::min(min_w, plan[k].end - plan[k].begin);
         max_w = std::max(max_w, plan[k].end - plan[k].begin);
       }

@@ -223,6 +223,9 @@ TEST(Workload, RejectsInvalidWorkloads) {
   options.workload = {1.0, -0.5, 1.0};
   EXPECT_FALSE(MakeBucketOracle(input, options).ok());
 
+  options.workload = {1.0, std::numeric_limits<double>::infinity(), 1.0};
+  EXPECT_FALSE(MakeBucketOracle(input, options).ok());
+
   options.workload = {0.0, 0.0, 0.0};
   EXPECT_FALSE(MakeBucketOracle(input, options).ok());
 
