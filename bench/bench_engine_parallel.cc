@@ -1,7 +1,11 @@
 // SynopsisEngine tentpole benchmarks:
 //
-//   (a) exact-DP kernels — the reference virtual-dispatch solver vs the
-//       specialized devirtualized kernel (core/dp_kernels.h) at 1..8 lanes,
+// kernel = 0 rows time the textbook solvers of tests/reference
+// (probsyn_reference), the parity baselines the library's kernels are
+// bit-identical to; kernel = 1 rows time the library.
+//
+//   (a) exact-DP kernels — the textbook DP (virtual sweeps + scalar scan)
+//       vs the specialized devirtualized kernel (core/dp_kernels.h) at 1..8 lanes,
 //       n up to 4096, B = 64. The acceptance bar for the kernel subsystem
 //       is >= 2x single-thread at n = 4096, B = 64 on the O(1) SSE oracle
 //       (kernel=1 vs kernel=0 rows at lanes = 1); the bench reports
@@ -11,23 +15,24 @@
 //       per cell with O(log j).
 //   (c) engine batching — a 15-budget cost-vs-B sweep served as one batch
 //       (one oracle, one DP, one workspace) vs 15 independent Build calls.
-//   (d) approximate-DP point-cost kernels — reference virtual Cost() per
-//       candidate vs the devirtualized evaluator (SSE's inlined prefix
-//       subtractions, SAE's inlined convex search), kernel = 0 vs 1.
+//   (d) approximate-DP point-cost kernels — the generic path's virtual
+//       Cost() per candidate (kernel = 0, through a forwarding oracle) vs
+//       the devirtualized evaluator (SSE's inlined prefix subtractions,
+//       SAE's inlined convex search, kernel = 1).
 //   (e) wavelet budget-split kernels — the restricted and unrestricted
-//       coefficient-tree DPs with the reference scalar split scan
-//       (kernel = 0) vs MinBudgetSplit's chunked min-reduction / monotone
-//       bisection (kernel = 1).
+//       coefficient-tree DPs with MinBudgetSplit's chunked min-reduction /
+//       monotone bisection (kernel = 1 rows only: the split scan is no
+//       longer selectable, so there is no kernel = 0 row).
 //   (f) warm-started SAE sweeps — the exact DP over AbsCumulativeOracle,
 //       whose FlatSweep carries the previous cell's optimal grid index
-//       (kernel = 1) vs the reference virtual route running the same warm
-//       sweep through the adapter (kernel = 0): the remaining gap is pure
-//       dispatch overhead; compare against the PR 2 baseline for the
-//       cold-restart cost this PR removed.
+//       (kernel = 1) vs the textbook DP running the same warm sweep
+//       through the virtual adapter (kernel = 0): the remaining gap is
+//       dispatch overhead plus the scalar cell scan. What warm starts
+//       themselves save (against cold restarts) is in docs/benchmarks.md.
 //   (g) streaming merge kernels — the one-pass builder's per-item
-//       candidate minimization with the reference compare-and-copy scan
-//       (kernel = 0) vs the point-cost kernel (hoisted snapshot columns +
-//       SIMD min-reduction + single winner-chain copy, kernel = 1).
+//       candidate minimization with the textbook compare-and-copy scan
+//       (kernel = 0) vs the library builder (hoisted snapshot columns +
+//       SIMD min-reduction + persistent chains, kernel = 1).
 //   (h) 2-D guillotine DP kernels — the per-(rectangle, budget) recursive
 //       scalar solver (kernel = 0) vs the budget-vector memo with
 //       SIMD budget-split min-reductions (kernel = 1).
@@ -38,7 +43,7 @@
 //       row — on a multi-core host real_time drops, on a single-core CI
 //       box only cpu_time tells the story, as with the exact-DP rows).
 //   (j) streaming Push latency — whole-stream time at a wide layer count
-//       (B = 32), where the reference path's per-push winner-chain copies
+//       (B = 32), where the textbook scan's per-push winner-chain copies
 //       are O(B^2) and the persistent chain store's are O(B); compare
 //       kernel = 0 vs 1 and against the B = 16 series (g).
 //   (k) sharded construction — the engine's sharded route
@@ -74,6 +79,7 @@
 #include "core/wavelet_dp.h"
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
+#include "reference/reference_solvers.h"
 #include "stream/streaming_histogram.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -92,10 +98,10 @@ SynopsisOptions SseOptions() {
   return options;
 }
 
-// (a)/(b) The O(B n^2) exact DP: reference scalar solver (kernelized = 0)
-// vs specialized kernel (kernelized = 1), sequential (lanes = 1) vs
-// parallel. A reused workspace keeps steady-state allocation at zero, as
-// the engine does.
+// (a)/(b) The O(B n^2) exact DP: the textbook DP (kernelized = 0, one lane,
+// allocating its own tables) vs the specialized kernel (kernelized = 1),
+// sequential (lanes = 1) vs parallel. A reused workspace keeps the
+// kernel's steady-state allocation at zero, as the engine does.
 void RunExactDp(benchmark::State& state, DpCombiner combiner) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t lanes = static_cast<std::size_t>(state.range(1));
@@ -111,14 +117,17 @@ void RunExactDp(benchmark::State& state, DpCombiner combiner) {
   DpKernelOptions options;
   options.pool = lanes > 1 ? &pool : nullptr;
   options.workspace = &workspace;
-  options.kernel =
-      kernelized ? DpKernelKind::kAuto : DpKernelKind::kReference;
 
   for (auto _ : state) {
-    HistogramDpResult dp = SolveHistogramDpWithKernel(*bundle->oracle,
-                                                      kBuckets, combiner,
-                                                      options);
-    benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+    if (kernelized) {
+      HistogramDpResult dp = SolveHistogramDpWithKernel(
+          *bundle->oracle, kBuckets, combiner, options);
+      benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+    } else {
+      reference::ExactDpTables dp =
+          reference::SolveExactDp(*bundle->oracle, kBuckets, combiner);
+      benchmark::DoNotOptimize(dp.err.back());
+    }
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["lanes"] = static_cast<double>(lanes);
@@ -136,7 +145,8 @@ void BM_ExactDpMaxCombiner(benchmark::State& state) {
 }
 
 // (d) The approximate DP's sparse candidate evaluations: virtual Cost()
-// (kernelized = 0) vs the devirtualized point-cost kernel (kernelized = 1).
+// through a forwarding oracle's generic path (kernelized = 0) vs the
+// devirtualized point-cost kernel (kernelized = 1).
 void RunApproxDp(benchmark::State& state, ErrorMetric metric) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool kernelized = state.range(1) != 0;
@@ -150,13 +160,13 @@ void RunApproxDp(benchmark::State& state, ErrorMetric metric) {
   auto bundle = MakeBucketOracle(input, options);
   PROBSYN_CHECK(bundle.ok());
 
-  ApproxDpKernelOptions kernel_options;
-  kernel_options.kernel =
-      kernelized ? DpKernelKind::kAuto : DpKernelKind::kReference;
+  const reference::ForwardingOracle generic(*bundle->oracle);
+  const BucketCostOracle& oracle =
+      kernelized ? *bundle->oracle
+                 : static_cast<const BucketCostOracle&>(generic);
   std::size_t evaluations = 0;
   for (auto _ : state) {
-    auto result = SolveApproxHistogramDpWithKernel(
-        *bundle->oracle, kBuckets, kEpsilon, kernel_options);
+    auto result = SolveApproxHistogramDp(oracle, kBuckets, kEpsilon);
     PROBSYN_CHECK(result.ok());
     evaluations = result->oracle_evaluations;
     benchmark::DoNotOptimize(result->cost);
@@ -176,29 +186,25 @@ void BM_ApproxDpSae(benchmark::State& state) {
   RunApproxDp(state, ErrorMetric::kSae);
 }
 
-// (e) Wavelet coefficient-tree DPs: reference scalar budget-split scans
-// (kernelized = 0) vs the MinBudgetSplit kernels (kernelized = 1). kMae
+// (e) Wavelet coefficient-tree DPs through the MinBudgetSplit kernels. kMae
 // exercises the max-combiner bisection, kSse the chunked sum reduction.
+// The third argument is always 1: it keeps the row names of the series
+// from when it also had split-scan (kernel = 0) rows.
 void RunWaveletRestricted(benchmark::State& state, ErrorMetric metric) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t coeffs = static_cast<std::size_t>(state.range(1));
-  const bool kernelized = state.range(2) != 0;
 
   ValuePdfInput input = MakeInput(n);
   SynopsisOptions options;
   options.metric = metric;
-  const WaveletSplitKernel kernel = kernelized
-                                        ? WaveletSplitKernel::kBudgetSplit
-                                        : WaveletSplitKernel::kReference;
   for (auto _ : state) {
-    auto result =
-        BuildRestrictedWaveletDp(input, coeffs, options, 2048, kernel);
+    auto result = BuildRestrictedWaveletDp(input, coeffs, options);
     PROBSYN_CHECK(result.ok());
     benchmark::DoNotOptimize(result->cost);
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["B"] = static_cast<double>(coeffs);
-  state.counters["kernel"] = kernelized ? 1.0 : 0.0;
+  state.counters["kernel"] = static_cast<double>(state.range(2));
 }
 
 void BM_WaveletRestrictedDpMae(benchmark::State& state) {
@@ -226,7 +232,6 @@ void RunWaveletRestrictedParallel(benchmark::State& state,
   DpWorkspace workspace;
   for (auto _ : state) {
     auto result = BuildRestrictedWaveletDp(input, coeffs, options, 2048,
-                                           WaveletSplitKernel::kAuto,
                                            &workspace,
                                            lanes > 1 ? &pool : nullptr);
     PROBSYN_CHECK(result.ok());
@@ -246,22 +251,28 @@ void BM_WaveletRestrictedDpParallelSae(benchmark::State& state) {
   RunWaveletRestrictedParallel(state, ErrorMetric::kSae);
 }
 
-// (g) Streaming merge kernels: reference compare-and-copy candidate scan
-// vs the point-cost kernel over hoisted snapshot columns.
+// (g) Streaming merge kernels: the textbook compare-and-copy candidate scan
+// vs the library builder over hoisted snapshot columns.
 void BM_StreamingMerge(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool kernelized = state.range(1) != 0;
   const std::size_t kBuckets = 16;
   const double kEpsilon = 0.1;
   ValuePdfInput input = MakeInput(n);
-  const StreamingKernel kernel = kernelized ? StreamingKernel::kPointCost
-                                            : StreamingKernel::kReference;
-  for (auto _ : state) {
-    StreamingHistogramBuilder builder(kBuckets, kEpsilon, kernel);
+  auto stream = [&input](auto& builder) {
     for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     benchmark::DoNotOptimize(result->cost);
+  };
+  for (auto _ : state) {
+    if (kernelized) {
+      StreamingHistogramBuilder builder(kBuckets, kEpsilon);
+      stream(builder);
+    } else {
+      reference::StreamingBuilder builder(kBuckets, kEpsilon);
+      stream(builder);
+    }
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["B"] = static_cast<double>(kBuckets);
@@ -269,9 +280,9 @@ void BM_StreamingMerge(benchmark::State& state) {
   state.counters["kernel"] = kernelized ? 1.0 : 0.0;
 }
 
-// (j) Streaming Push latency at a wide layer count: the reference path
+// (j) Streaming Push latency at a wide layer count: the textbook scan
 // copies each layer's winner chain per push (O(B^2) snapshots), the
-// point-cost path takes one persistent-chain operation per layer (O(B)).
+// library builder takes one persistent-chain operation per layer (O(B)).
 // items_per_second is the push throughput.
 void BM_StreamingPushLatency(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -279,16 +290,20 @@ void BM_StreamingPushLatency(benchmark::State& state) {
   const bool kernelized = state.range(2) != 0;
   const double kEpsilon = 0.1;
   ValuePdfInput input = MakeInput(n);
-  const StreamingKernel kernel = kernelized ? StreamingKernel::kPointCost
-                                            : StreamingKernel::kReference;
-  DpWorkspace workspace;
-  for (auto _ : state) {
-    StreamingHistogramBuilder builder(buckets, kEpsilon, kernel,
-                                      kernelized
-                                          ? &workspace.stream_chains()
-                                          : nullptr);
+  auto push_all = [&input](auto& builder) {
     for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
     benchmark::DoNotOptimize(builder.breakpoints());
+  };
+  DpWorkspace workspace;
+  for (auto _ : state) {
+    if (kernelized) {
+      StreamingHistogramBuilder builder(buckets, kEpsilon,
+                                        &workspace.stream_chains());
+      push_all(builder);
+    } else {
+      reference::StreamingBuilder builder(buckets, kEpsilon);
+      push_all(builder);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
   state.counters["n"] = static_cast<double>(n);
@@ -307,12 +322,12 @@ void BM_Guillotine2dDp(benchmark::State& state) {
        .seed = 20090402});
   auto grid = ProbGrid2D::Create(side, side, flat.items());
   PROBSYN_CHECK(grid.ok());
-  const Guillotine2DKernel kernel = kernelized
-                                        ? Guillotine2DKernel::kMinScan
-                                        : Guillotine2DKernel::kReference;
   for (auto _ : state) {
-    auto result = BuildOptimalGuillotineHistogram2D(
-        grid.value(), SseOptions(), kBuckets, 4096, kernel);
+    auto result =
+        kernelized ? BuildOptimalGuillotineHistogram2D(grid.value(),
+                                                       SseOptions(), kBuckets)
+                   : reference::BuildGuillotineHistogram2D(
+                         grid.value(), SseOptions(), kBuckets);
     PROBSYN_CHECK(result.ok());
     benchmark::DoNotOptimize(result->cost);
   }
@@ -321,18 +336,16 @@ void BM_Guillotine2dDp(benchmark::State& state) {
   state.counters["kernel"] = kernelized ? 1.0 : 0.0;
 }
 
+// The third argument is always 1, as in RunWaveletRestricted.
 void RunWaveletUnrestricted(benchmark::State& state, ErrorMetric metric) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t coeffs = static_cast<std::size_t>(state.range(1));
-  const bool kernelized = state.range(2) != 0;
 
   ValuePdfInput input = MakeInput(n);
   SynopsisOptions options;
   options.metric = metric;
   UnrestrictedWaveletOptions dp_options;
   dp_options.grid_points = 33;
-  dp_options.kernel = kernelized ? WaveletSplitKernel::kBudgetSplit
-                                 : WaveletSplitKernel::kReference;
   for (auto _ : state) {
     auto result =
         BuildUnrestrictedWaveletDp(input, coeffs, options, dp_options);
@@ -342,7 +355,7 @@ void RunWaveletUnrestricted(benchmark::State& state, ErrorMetric metric) {
   state.counters["n"] = static_cast<double>(n);
   state.counters["B"] = static_cast<double>(coeffs);
   state.counters["q"] = static_cast<double>(dp_options.grid_points);
-  state.counters["kernel"] = kernelized ? 1.0 : 0.0;
+  state.counters["kernel"] = static_cast<double>(state.range(2));
 }
 
 void BM_WaveletUnrestrictedDpMae(benchmark::State& state) {
@@ -354,8 +367,9 @@ void BM_WaveletUnrestrictedDpSse(benchmark::State& state) {
 }
 
 // (f) Exact DP over the warm-started SAE oracle (both kernel = 0/1 rows
-// run warm FlatSweeps; compare either against the PR 2 BENCH_baseline.json
-// rows to see the cold-restart cost this PR removed).
+// run warm FlatSweeps — kernel = 0 through the textbook DP's virtual
+// sweeps; docs/benchmarks.md records what warm starts save against cold
+// restarts).
 void BM_ExactDpSaeWarmSweep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool kernelized = state.range(1) != 0;
@@ -368,14 +382,17 @@ void BM_ExactDpSaeWarmSweep(benchmark::State& state) {
   PROBSYN_CHECK(bundle.ok());
 
   DpWorkspace workspace;
-  DpKernelOptions dp_options;
-  dp_options.workspace = &workspace;
-  dp_options.kernel =
-      kernelized ? DpKernelKind::kAuto : DpKernelKind::kReference;
   for (auto _ : state) {
-    HistogramDpResult dp = SolveHistogramDpWithKernel(
-        *bundle->oracle, kBuckets, bundle->combiner, dp_options);
-    benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+    if (kernelized) {
+      HistogramDpResult dp = SolveHistogramDpWithKernel(
+          *bundle->oracle, kBuckets, bundle->combiner,
+          {.workspace = &workspace});
+      benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+    } else {
+      reference::ExactDpTables dp = reference::SolveExactDp(
+          *bundle->oracle, kBuckets, bundle->combiner);
+      benchmark::DoNotOptimize(dp.err.back());
+    }
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["B"] = static_cast<double>(kBuckets);
@@ -566,14 +583,11 @@ BENCHMARK(probsyn::BM_ApproxDpSae)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_WaveletRestrictedDpMae)
-    ->Args({128, 64, 0})
     ->Args({128, 64, 1})
-    ->Args({1024, 64, 0})
     ->Args({1024, 64, 1})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_WaveletRestrictedDpSae)
-    ->Args({1024, 64, 0})
     ->Args({1024, 64, 1})
     ->Unit(benchmark::kMillisecond);
 
@@ -605,12 +619,10 @@ BENCHMARK(probsyn::BM_Guillotine2dDp)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_WaveletUnrestrictedDpMae)
-    ->Args({256, 128, 0})
     ->Args({256, 128, 1})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_WaveletUnrestrictedDpSse)
-    ->Args({256, 128, 0})
     ->Args({256, 128, 1})
     ->Unit(benchmark::kMillisecond);
 

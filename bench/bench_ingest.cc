@@ -76,8 +76,7 @@ void BM_IngestPushSingle(benchmark::State& state) {
   latency.reserve(kItems);
   for (auto _ : state) {
     latency.clear();
-    StreamingHistogramBuilder builder(kBuckets, kEpsilon,
-                                      StreamingKernel::kAuto, &store);
+    StreamingHistogramBuilder builder(kBuckets, kEpsilon, &store);
     for (const ValuePdf& pdf : input.items()) {
       const auto start = std::chrono::steady_clock::now();
       builder.Push(pdf);
@@ -100,8 +99,7 @@ void BM_IngestPushBatch(benchmark::State& state) {
   const std::span<const ValuePdf> items(input.items().data(), kItems);
   for (auto _ : state) {
     latency.clear();
-    StreamingHistogramBuilder builder(kBuckets, kEpsilon,
-                                      StreamingKernel::kAuto, &store);
+    StreamingHistogramBuilder builder(kBuckets, kEpsilon, &store);
     for (std::size_t offset = 0; offset < kItems; offset += block) {
       const std::size_t take = std::min(block, kItems - offset);
       const auto start = std::chrono::steady_clock::now();

@@ -420,36 +420,15 @@ const SimdOps& Ops() {
   return *ops;
 }
 
-double Combine(DpCombiner combiner, double prefix, double bucket) {
-  return combiner == DpCombiner::kSum ? prefix + bucket
-                                      : std::max(prefix, bucket);
-}
-
-// One DP cell for layer b >= 2: err[b-1][j] over splits l < j plus the
-// inherit transition. `prev` is layer b-2 (budget b-1), `cost[s]` is
-// Cost([s, j]). This scalar scan defines the reference semantics every
-// fast path below must reproduce bit-exactly: the winning choice is the
-// FIRST split attaining the candidate minimum, and the inherit transition
-// wins all ties against splits.
-inline void ComputeCellReference(DpCombiner combiner, const double* prev,
-                                 const double* cost, std::size_t j,
-                                 double* err_out, std::int64_t* choice_out) {
-  // Start from "b-1 buckets were already enough".
-  double best = prev[j];
-  std::int64_t best_choice = HistogramDpResult::kInheritChoice;
-  for (std::size_t l = 0; l < j; ++l) {
-    double v = Combine(combiner, prev[l], cost[l + 1]);
-    if (v < best) {
-      best = v;
-      best_choice = static_cast<std::int64_t>(l);
-    }
-  }
-  *err_out = best;
-  *choice_out = best_choice;
-}
+// The DP cells for layer b >= 2: err[b-1][j] over splits l < j plus the
+// inherit transition, where `prev` is layer b-2 (budget b-1) and `cost[s]`
+// is Cost([s, j]). Every cell reproduces the textbook scalar scan of
+// equation (2) bit-exactly: the winning choice is the FIRST split attaining
+// the candidate minimum, and the inherit transition wins all ties against
+// splits (tests/reference holds that scan; the parity tests compare).
 
 // kSum fast cell: chunked branch-free min-reduction through the
-// runtime-dispatched SIMD primitives, then the reference tie-break — the
+// runtime-dispatched SIMD primitives, then the textbook tie-break — the
 // first split attaining the minimum — resolved inside the FIRST chunk
 // attaining it. Floating-point min is exact whatever the accumulation
 // order (and lane count), so the chunked minimum is bit-equal to the
@@ -524,7 +503,7 @@ inline double ChunkMaxMin(const SimdOps& ops, const double* prev,
 //     crossing neighborhood (the paper's O(log j) behavior, plus O(j/512)
 //     bound probes); on adversarial data this degrades gracefully to the
 //     vectorized scan, never to a wrong answer.
-//  3. reference tie-break: first chunk whose lower bound admits m
+//  3. textbook tie-break: first chunk whose lower bound admits m
 //     (strict >) is equality-scanned for the first split attaining m.
 inline void ComputeCellMaxFast(const SimdOps& ops, const double* prev,
                                const double* cost, std::size_t j,
@@ -589,34 +568,38 @@ inline void ComputeCellMaxFast(const SimdOps& ops, const double* prev,
   *choice_out = HistogramDpResult::kInheritChoice;
 }
 
-template <bool kFastCells>
-inline void ComputeCellKernel(const SimdOps& ops, DpCombiner combiner,
-                              const double* prev, const double* cost,
-                              std::size_t j, const double* prev_cmin,
-                              const double* cost_cmin, double* err_out,
-                              std::int64_t* choice_out) {
-  if constexpr (kFastCells) {
-    if (combiner == DpCombiner::kSum) {
-      ComputeCellSumFast(ops, prev, cost, j, err_out, choice_out);
-    } else {
-      ComputeCellMaxFast(ops, prev, cost, j, prev_cmin, cost_cmin, err_out,
-                         choice_out);
-    }
-  } else {
-    ComputeCellReference(combiner, prev, cost, j, err_out, choice_out);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Cost-column fillers: cost[s] = Cost([s, j]).cost and rep[s] = its optimal
-// representative, for s = 0..j. One filler per specialized kernel; each
-// reproduces the corresponding oracle's Cost()/Extend() arithmetic verbatim
-// (same expression sequence over the same arrays), which is what makes the
-// kernels bit-identical to the virtual-dispatch reference.
+// Per-oracle kernels. Each serves both DPs: Fill(j, cost, rep) writes the
+// exact DP's cost column — cost[s] = Cost([s, j]).cost and rep[s] its
+// optimal representative, for s = 0..j — and Cost(s, e) evaluates one
+// candidate bucket of the approximate DP (cost part only; that DP re-costs
+// its final buckets through the oracle itself). Each reproduces its
+// oracle's Cost()/Extend() arithmetic verbatim (same expression sequence
+// over the same arrays), which is what makes the kernels bit-identical to
+// the oracle's own virtual sweep and Cost(): equal cost bits make the
+// approximate DP's every comparison, class boundary, and traceback equal
+// too.
 
-// Virtual-dispatch baseline (and the route for oracle types without a
-// specialized kernel).
-struct ReferenceFiller {
+// Dense per-layer gather of the candidate columns consumed by the fused
+// bulk evaluators (SimdApproxQuadColumn): prev-layer errors and the
+// oracle's prefix rows at the candidate positions, contiguous so whole
+// candidate columns evaluate in vector lanes (the sparse candidate set
+// defeats vectorization when probed in place).
+struct ApproxCandidateGather {
+  std::vector<double> prev, a, b, c, v;
+
+  void Resize(std::size_t n, bool with_v) {
+    prev.resize(n);
+    a.resize(n);
+    b.resize(n);
+    c.resize(n);
+    if (with_v) v.resize(n);
+  }
+};
+
+// kGeneric: the virtual sweep and Cost() themselves, for oracle types
+// defined outside the library (BucketCostOracle is a public interface).
+struct GenericKernel {
   const BucketCostOracle* oracle;
 
   void Fill(std::size_t j, double* cost, double* rep) const {
@@ -628,10 +611,18 @@ struct ReferenceFiller {
       if (s == 0) break;
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    return oracle->Cost(s, e).cost;
+  }
 };
 
-// SseMomentOracle::Cost over hoisted raw cumulative arrays.
-struct SseMomentFiller {
+// SseMomentOracle::Cost over hoisted raw cumulative arrays. Bulk-capable:
+// the approximate DP runs whole candidate columns through the fused
+// quadratic column kernel, bit-identical to Cost() per candidate.
+struct SseMomentKernel {
+  static constexpr bool kBulkColumn = true;
+
   const double* weight;    // weight_prefix().cumulative()
   const double* mean;      // mean_prefix().cumulative()
   const double* second;    // second_prefix().cumulative()
@@ -665,10 +656,46 @@ struct SseMomentFiller {
       cost[s] = ClampTinyNegative(c, 1e-6);
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    const double sum_weight = weight[e + 1] - weight[s];
+    if (sum_weight <= 0.0) return 0.0;
+    const double sum_mean = mean[e + 1] - mean[s];
+    const double sum_second = second[e + 1] - second[s];
+    double expected_square_of_sum = sum_mean * sum_mean;
+    if (world_mean) expected_square_of_sum += variance[e + 1] - variance[s];
+    const double c = sum_second - expected_square_of_sum / sum_weight;
+    return ClampTinyNegative(c, 1e-6);
+  }
+
+  void Gather(const std::vector<std::size_t>& candidates,
+              const double* prev_row, ApproxCandidateGather& gather) const {
+    gather.Resize(candidates.size(), world_mean);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const std::size_t l = candidates[i];
+      gather.prev[i] = prev_row[l];
+      gather.a[i] = second[l + 1];
+      gather.b[i] = mean[l + 1];
+      gather.c[i] = weight[l + 1];
+      if (world_mean) gather.v[i] = variance[l + 1];
+    }
+  }
+
+  double BulkMin(const ApproxCandidateGather& gather, std::size_t valid,
+                 std::size_t j, double* values) const {
+    return SimdApproxQuadColumn(
+        gather.prev.data(), gather.a.data(), gather.b.data(),
+        gather.c.data(), world_mean ? gather.v.data() : nullptr, valid,
+        second[j + 1], mean[j + 1], weight[j + 1],
+        world_mean ? variance[j + 1] : 0.0, values);
+  }
 };
 
-// SsreOracle::Cost over hoisted raw X/Y/Z cumulative arrays.
-struct SsreFiller {
+// SsreOracle::Cost over hoisted raw X/Y/Z cumulative arrays. Bulk-capable
+// like the SSE kernel (same quadratic shape).
+struct SsreKernel {
+  static constexpr bool kBulkColumn = true;
+
   const double* x;
   const double* y;
   const double* z;
@@ -692,15 +719,51 @@ struct SsreFiller {
       cost[s] = ClampTinyNegative(c, 1e-6);
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    const double zs = z[e + 1] - z[s];
+    if (zs <= 0.0) return 0.0;
+    const double xs = x[e + 1] - x[s];
+    const double ys = y[e + 1] - y[s];
+    const double c = xs - ys * ys / zs;
+    return ClampTinyNegative(c, 1e-6);
+  }
+
+  void Gather(const std::vector<std::size_t>& candidates,
+              const double* prev_row, ApproxCandidateGather& gather) const {
+    gather.Resize(candidates.size(), /*with_v=*/false);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const std::size_t l = candidates[i];
+      gather.prev[i] = prev_row[l];
+      gather.a[i] = x[l + 1];
+      gather.b[i] = y[l + 1];
+      gather.c[i] = z[l + 1];
+    }
+  }
+
+  double BulkMin(const ApproxCandidateGather& gather, std::size_t valid,
+                 std::size_t j, double* values) const {
+    return SimdApproxQuadColumn(gather.prev.data(), gather.a.data(),
+                                gather.b.data(), gather.c.data(), nullptr,
+                                valid, x[j + 1], y[j + 1], z[j + 1], 0.0,
+                                values);
+  }
 };
 
-// AbsCumulativeOracle: drive the concrete warm-started FlatSweep directly —
-// the identical hint-carrying convex search the oracle's own StartSweep
-// runs (core/abs_oracle.cc), minus the virtual adapter. Warm starts shave
-// the cold search's O(log |V|) probes to O(1) on most cells; parity with
-// the reference path holds by construction because both sides run the same
-// FlatSweep probe sequence.
-struct AbsFiller {
+// AbsCumulativeOracle. Fill drives the concrete warm-started FlatSweep
+// directly — the identical hint-carrying convex search the oracle's own
+// StartSweep runs (core/abs_oracle.cc), minus the virtual adapter. Warm
+// starts shave the cold search's O(log |V|) probes to O(1) on most cells;
+// parity with the virtual sweep holds by construction because both sides
+// run the same FlatSweep probe sequence.
+//
+// Cost deliberately runs the COLD search (no warm hints): the oracle's
+// virtual Cost() searches cold, and a warm-accepted optimum can land on a
+// different grid index when rounding splits a cost plateau into several
+// equal-valued pits — legal as an answer, fatal for bit parity. Its win is
+// the inlined probe loop (OptimalGridIndex without a hint runs the
+// identical probe sequence as the std::function-based Cost()).
+struct AbsKernel {
   const AbsCumulativeOracle* oracle;
 
   void Fill(std::size_t j, double* cost, double* rep) const {
@@ -712,12 +775,18 @@ struct AbsFiller {
       if (s == 0) break;
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    const std::size_t best =
+        oracle->OptimalGridIndex(s, e, AbsCumulativeOracle::kNoHint);
+    return std::max(0.0, oracle->CostAtGridIndex(s, e, best));
+  }
 };
 
 // MaxErrorOracle: per-bucket envelope minimization is irreducibly
 // O(n_b log(n_b |V|)); the kernel's win is the devirtualized concrete call
 // (the class is final) and skipping the per-column sweep allocation.
-struct MaxErrorFiller {
+struct MaxErrorKernel {
   const MaxErrorOracle* oracle;
 
   void Fill(std::size_t j, double* cost, double* rep) const {
@@ -727,11 +796,17 @@ struct MaxErrorFiller {
       rep[s] = c.representative;
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    return oracle->Cost(s, e).cost;
+  }
 };
 
-// SseTupleWorldMeanOracle: drive the concrete FlatSweep directly — the
-// identical incremental sum_q2 arithmetic, minus the virtual adapter.
-struct TupleSseFiller {
+// SseTupleWorldMeanOracle: Fill drives the concrete FlatSweep directly —
+// the identical incremental sum_q2 arithmetic, minus the virtual adapter;
+// Cost is the devirtualized concrete call (its per-bucket work is
+// irreducible).
+struct TupleSseKernel {
   const SseTupleWorldMeanOracle* oracle;
 
   void Fill(std::size_t j, double* cost, double* rep) const {
@@ -743,7 +818,46 @@ struct TupleSseFiller {
       if (s == 0) break;
     }
   }
+
+  double Cost(std::size_t s, std::size_t e) const {
+    return oracle->Cost(s, e).cost;
+  }
 };
+
+// The one place that maps an oracle's dynamic type to its kernel: calls
+// run(kind, kernel) with the kernel of the library class the oracle
+// belongs to, or with the generic kernel (kGeneric) for any other type.
+// Both DPs dispatch through here, so one cast chain both picks the kernel
+// and builds it.
+template <typename Run>
+decltype(auto) DispatchOnOracle(const BucketCostOracle& oracle, Run&& run) {
+  if (const auto* sse = dynamic_cast<const SseMomentOracle*>(&oracle)) {
+    return run(DpKernelKind::kSseMoment,
+               SseMomentKernel{sse->weight_prefix().cumulative().data(),
+                               sse->mean_prefix().cumulative().data(),
+                               sse->second_prefix().cumulative().data(),
+                               sse->variance_prefix().cumulative().data(),
+                               sse->raw_mean_prefix().cumulative().data(),
+                               sse->variant() == SseVariant::kWorldMean});
+  }
+  if (const auto* ssre = dynamic_cast<const SsreOracle*>(&oracle)) {
+    return run(DpKernelKind::kSsre,
+               SsreKernel{ssre->x_prefix().cumulative().data(),
+                          ssre->y_prefix().cumulative().data(),
+                          ssre->z_prefix().cumulative().data()});
+  }
+  if (const auto* abs = dynamic_cast<const AbsCumulativeOracle*>(&oracle)) {
+    return run(DpKernelKind::kAbsCumulative, AbsKernel{abs});
+  }
+  if (const auto* max = dynamic_cast<const MaxErrorOracle*>(&oracle)) {
+    return run(DpKernelKind::kMaxError, MaxErrorKernel{max});
+  }
+  if (const auto* tuple =
+          dynamic_cast<const SseTupleWorldMeanOracle*>(&oracle)) {
+    return run(DpKernelKind::kTupleSse, TupleSseKernel{tuple});
+  }
+  return run(DpKernelKind::kGeneric, GenericKernel{&oracle});
+}
 
 // ---------------------------------------------------------------------------
 // The DP driver, shared by every kernel. Sequential and blocked-parallel
@@ -762,8 +876,8 @@ struct DpTables {
   std::vector<double>& cost_cmin;
 };
 
-template <bool kFastCells, typename Filler>
-Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
+template <typename Kernel>
+Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
              DpCombiner combiner, ThreadPool* pool, const ExecContext* ctx,
              DpTables ws) {
   const SimdOps& ops = Ops();  // one dispatch resolution per solve
@@ -774,10 +888,10 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
   std::int64_t* choice = ws.choice.data();
   double* rep = ws.rep.data();
 
-  // The fast kMax cell consumes chunk-minimum lower bounds of the err rows
-  // and of each cost column (see ComputeCellMaxFast); maintain them only
-  // when that cell runs.
-  const bool track_bounds = kFastCells && combiner == DpCombiner::kMax;
+  // The kMax cell consumes chunk-minimum lower bounds of the err rows and
+  // of each cost column (see ComputeCellMaxFast); maintain them only when
+  // that cell runs.
+  const bool track_bounds = combiner == DpCombiner::kMax;
   const std::size_t nchunks = NumChunks(n);
   double* layer_cmin = nullptr;
   if (track_bounds) {
@@ -812,11 +926,13 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
                          const double* repcol, const double* costcol_cmin) {
     double* err_cell = &err[(b - 1) * n + j];
     std::int64_t* choice_cell = &choice[(b - 1) * n + j];
-    const double* prev_cmin =
-        track_bounds ? &layer_cmin[(b - 2) * nchunks] : nullptr;
-    ComputeCellKernel<kFastCells>(ops, combiner, &err[(b - 2) * n], costcol,
-                                  j, prev_cmin, costcol_cmin, err_cell,
-                                  choice_cell);
+    const double* prev = &err[(b - 2) * n];
+    if (track_bounds) {
+      ComputeCellMaxFast(ops, prev, costcol, j, &layer_cmin[(b - 2) * nchunks],
+                         costcol_cmin, err_cell, choice_cell);
+    } else {
+      ComputeCellSumFast(ops, prev, costcol, j, err_cell, choice_cell);
+    }
     // Cache the traceback bucket's representative so ExtractHistogram never
     // calls back into the oracle. Inherit cells end no bucket at j.
     rep[(b - 1) * n + j] =
@@ -840,7 +956,7 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
       if ((j & 15u) == 0 && StopRequested(ctx)) {
         return ctx->StopStatus("exact-dp", "column", j, n);
       }
-      filler.Fill(j, costcol, repcol);
+      kernel.Fill(j, costcol, repcol);
       if (track_bounds) fill_cost_cmin(costcol, j, cost_cmin);
       first_layer(j, costcol, repcol);
       if (track_bounds) update_layer_cmin(0, j);
@@ -865,12 +981,12 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
   // waiting — ThreadPool chunks may run sequentially in any order, so a
   // chunk that spins on another chunk's progress can livelock:
   //
-  //  * max-combiner fast cells (track_bounds): each cell is an O(log n)
+  //  * max-combiner cells (track_bounds): each cell is an O(log n)
   //    bisection, asymptotically free next to its column's O(n) fill, so
   //    all layers' cells plus the chunk-minimum maintenance they consume
   //    run sequentially on the caller. One fan-out per block total.
-  //  * sum combiners and the reference kernel (O(j)-scan cells): a
-  //    staggered diagonal schedule. The block's columns split into `lanes`
+  //  * sum combiners (O(j)-reduction cells): a staggered diagonal
+  //    schedule. The block's columns split into `lanes`
   //    contiguous ranges and the cap-1 layers into batches of `tbatch`
   //    consecutive layers; in diagonal d, lane k computes batch d - k over
   //    its own columns (layers ascending). Cell (b, j) needs layer b-1 at
@@ -905,7 +1021,7 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
             }
             double* costcol = &cost_block[(j - j0) * n];
             double* repcol = &rep_block[(j - j0) * n];
-            filler.Fill(j, costcol, repcol);
+            kernel.Fill(j, costcol, repcol);
             if (track_bounds) {
               fill_cost_cmin(costcol, j, &cost_cmin_block[(j - j0) * nchunks]);
             }
@@ -962,169 +1078,13 @@ Status RunDp(const Filler& filler, std::size_t n, std::size_t cap,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Approximate-DP point-cost kernels. The (1 + eps) DP evaluates a sparse
-// candidate set, so instead of column fillers each kernel exposes one
-// devirtualized Cost(s, e) evaluation reproducing the oracle's arithmetic
-// verbatim — bit-identical cost values make the shared driver's every
-// comparison, class boundary, and traceback identical to the reference.
-//
-// AbsCumulativeOracle deliberately runs the COLD search here (no warm
-// hints, unlike its FlatSweep): the reference path evaluates candidates
-// through the cold virtual Cost(), and a warm-accepted optimum can land on
-// a different grid index when rounding splits a cost plateau into several
-// equal-valued pits — legal as an answer, fatal for bit parity. The win is
-// the inlined probe loop (no std::function per probe).
-
-// Dense per-layer gather of the candidate columns consumed by the fused
-// bulk evaluators (SimdApproxQuadColumn): prev-layer errors and the
-// oracle's prefix rows at the candidate positions, contiguous so whole
-// candidate columns evaluate in vector lanes (the sparse candidate set
-// defeats vectorization when probed in place).
-struct ApproxCandidateGather {
-  std::vector<double> prev, a, b, c, v;
-
-  void Resize(std::size_t n, bool with_v) {
-    prev.resize(n);
-    a.resize(n);
-    b.resize(n);
-    c.resize(n);
-    if (with_v) v.resize(n);
-  }
-};
-
-struct ReferencePointCost {
-  const BucketCostOracle* oracle;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    return oracle->Cost(s, e).cost;
-  }
-};
-
-// SseMomentOracle::Cost over hoisted raw cumulative arrays (cost part only;
-// the approximate DP re-costs final buckets through the oracle itself).
-// Bulk-capable: whole candidate columns run through the fused quadratic
-// column kernel, bit-identical to Cost() per candidate.
-struct SseMomentPointCost {
-  static constexpr bool kBulkColumn = true;
-
-  const double* weight;
-  const double* mean;
-  const double* second;
-  const double* variance;
-  bool world_mean;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    const double sum_weight = weight[e + 1] - weight[s];
-    if (sum_weight <= 0.0) return 0.0;
-    const double sum_mean = mean[e + 1] - mean[s];
-    const double sum_second = second[e + 1] - second[s];
-    double expected_square_of_sum = sum_mean * sum_mean;
-    if (world_mean) expected_square_of_sum += variance[e + 1] - variance[s];
-    const double c = sum_second - expected_square_of_sum / sum_weight;
-    return ClampTinyNegative(c, 1e-6);
-  }
-
-  void Gather(const std::vector<std::size_t>& candidates,
-              const double* prev_row, ApproxCandidateGather& gather) const {
-    gather.Resize(candidates.size(), world_mean);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::size_t l = candidates[i];
-      gather.prev[i] = prev_row[l];
-      gather.a[i] = second[l + 1];
-      gather.b[i] = mean[l + 1];
-      gather.c[i] = weight[l + 1];
-      if (world_mean) gather.v[i] = variance[l + 1];
-    }
-  }
-
-  double BulkMin(const ApproxCandidateGather& gather, std::size_t valid,
-                 std::size_t j, double* values) const {
-    return SimdApproxQuadColumn(
-        gather.prev.data(), gather.a.data(), gather.b.data(),
-        gather.c.data(), world_mean ? gather.v.data() : nullptr, valid,
-        second[j + 1], mean[j + 1], weight[j + 1],
-        world_mean ? variance[j + 1] : 0.0, values);
-  }
-};
-
-// SsreOracle::Cost over hoisted raw X/Y/Z cumulative arrays. Bulk-capable
-// like the SSE kernel (same quadratic shape).
-struct SsrePointCost {
-  static constexpr bool kBulkColumn = true;
-
-  const double* x;
-  const double* y;
-  const double* z;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    const double zs = z[e + 1] - z[s];
-    if (zs <= 0.0) return 0.0;
-    const double xs = x[e + 1] - x[s];
-    const double ys = y[e + 1] - y[s];
-    const double c = xs - ys * ys / zs;
-    return ClampTinyNegative(c, 1e-6);
-  }
-
-  void Gather(const std::vector<std::size_t>& candidates,
-              const double* prev_row, ApproxCandidateGather& gather) const {
-    gather.Resize(candidates.size(), /*with_v=*/false);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::size_t l = candidates[i];
-      gather.prev[i] = prev_row[l];
-      gather.a[i] = x[l + 1];
-      gather.b[i] = y[l + 1];
-      gather.c[i] = z[l + 1];
-    }
-  }
-
-  double BulkMin(const ApproxCandidateGather& gather, std::size_t valid,
-                 std::size_t j, double* values) const {
-    return SimdApproxQuadColumn(gather.prev.data(), gather.a.data(),
-                                gather.b.data(), gather.c.data(), nullptr,
-                                valid, x[j + 1], y[j + 1], z[j + 1], 0.0,
-                                values);
-  }
-};
-
-// AbsCumulativeOracle's cold convex search with the probe lambda inlined
-// (OptimalGridIndex without a hint runs the identical probe sequence as
-// the std::function-based Cost()).
-struct AbsPointCost {
-  const AbsCumulativeOracle* oracle;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    const std::size_t best =
-        oracle->OptimalGridIndex(s, e, AbsCumulativeOracle::kNoHint);
-    return std::max(0.0, oracle->CostAtGridIndex(s, e, best));
-  }
-};
-
-// MaxErrorOracle / SseTupleWorldMeanOracle: the classes are final, so the
-// concrete call devirtualizes; their per-bucket work is irreducible.
-struct MaxErrorPointCost {
-  const MaxErrorOracle* oracle;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    return oracle->Cost(s, e).cost;
-  }
-};
-
-struct TupleSsePointCost {
-  const SseTupleWorldMeanOracle* oracle;
-
-  double Cost(std::size_t s, std::size_t e) const {
-    return oracle->Cost(s, e).cost;
-  }
-};
-
-// The approximate-DP driver, shared by every point-cost kernel: identical
+// The approximate-DP driver, shared by every kernel: identical
 // control flow, comparisons, and evaluation counting in every
 // configuration, so bit-identical cost evaluations imply bit-identical
 // histograms, costs, and oracle_evaluations.
-template <typename CostFn>
+template <typename Kernel>
 StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
-                                            const CostFn& cost_fn,
+                                            const Kernel& kernel,
                                             std::size_t max_buckets,
                                             double epsilon,
                                             DpKernelKind kind,
@@ -1149,7 +1109,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
 
   std::vector<double> prev(n), cur(n);
   for (std::size_t j = 0; j < n; ++j) {
-    prev[j] = cost_fn.Cost(0, j);
+    prev[j] = kernel.Cost(0, j);
     ++evaluations;
   }
   // Layer values at the full domain (ApproxHistogramResult::cost_curve):
@@ -1165,7 +1125,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
   // SIMD kernel; the search-backed kernels keep the one-pass
   // compare-per-candidate scan (materializing buys nothing when each
   // evaluation is itself a search or a virtual call).
-  constexpr bool kBulk = requires { CostFn::kBulkColumn; };
+  constexpr bool kBulk = requires { Kernel::kBulkColumn; };
   std::vector<std::size_t> candidates;
   [[maybe_unused]] ApproxCandidateGather gather;
   [[maybe_unused]] std::vector<double> candidate_values;
@@ -1189,7 +1149,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
     if (n >= 1) candidates.push_back(n - 1);
 
     if constexpr (kBulk) {
-      cost_fn.Gather(candidates, prev.data(), gather);
+      kernel.Gather(candidates, prev.data(), gather);
       candidate_values.resize(candidates.size());
     }
     std::size_t valid = 0;  // candidates with l < j; monotone in j
@@ -1201,12 +1161,12 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
       double best = prev[j];  // Inherit: fewer buckets already optimal.
       std::int64_t best_choice = kInherit;
       if constexpr (kBulk) {
-        // Fused column evaluation + SIMD min, then the reference
+        // Fused column evaluation + SIMD min, then the textbook
         // tie-break: first candidate attaining the minimum, inherit
         // winning all ties (strict <) — identical to the sequential
         // compare-per-candidate scan, since FP min is exact in any order.
         const double m =
-            cost_fn.BulkMin(gather, valid, j, candidate_values.data());
+            kernel.BulkMin(gather, valid, j, candidate_values.data());
         evaluations += valid;
         if (m < best) {
           best = m;
@@ -1220,7 +1180,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
       } else {
         for (std::size_t i = 0; i < valid; ++i) {
           const std::size_t l = candidates[i];
-          const double v = prev[l] + cost_fn.Cost(l + 1, j);
+          const double v = prev[l] + kernel.Cost(l + 1, j);
           ++evaluations;
           if (v < best) {
             best = v;
@@ -1229,7 +1189,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
         }
       }
       if (j >= 1) {
-        const double v = prev[j - 1] + cost_fn.Cost(j, j);
+        const double v = prev[j - 1] + kernel.Cost(j, j);
         ++evaluations;
         if (v < best) {
           best = v;
@@ -1415,25 +1375,6 @@ DpWorkspacePool::Stats DpWorkspacePool::stats() const {
   return stats_;
 }
 
-DpKernelKind SelectDpKernel(const BucketCostOracle& oracle) {
-  if (dynamic_cast<const SseMomentOracle*>(&oracle) != nullptr) {
-    return DpKernelKind::kSseMoment;
-  }
-  if (dynamic_cast<const SsreOracle*>(&oracle) != nullptr) {
-    return DpKernelKind::kSsre;
-  }
-  if (dynamic_cast<const AbsCumulativeOracle*>(&oracle) != nullptr) {
-    return DpKernelKind::kAbsCumulative;
-  }
-  if (dynamic_cast<const MaxErrorOracle*>(&oracle) != nullptr) {
-    return DpKernelKind::kMaxError;
-  }
-  if (dynamic_cast<const SseTupleWorldMeanOracle*>(&oracle) != nullptr) {
-    return DpKernelKind::kTupleSse;
-  }
-  return DpKernelKind::kReference;
-}
-
 HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
                                              std::size_t max_buckets,
                                              DpCombiner combiner,
@@ -1453,69 +1394,15 @@ HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
     ws = result.owned_.get();
   }
 
-  const DpKernelKind kind = options.kernel == DpKernelKind::kAuto
-                                ? SelectDpKernel(oracle)
-                                : options.kernel;
-  ThreadPool* pool = options.pool;
-  const ExecContext* ctx = options.context;
   DpTables tables{ws->err_,      ws->choice_,    ws->rep_,
                   ws->cost_cols_, ws->rep_cols_, ws->layer_cmin_,
                   ws->cost_cmin_};
-  Status run_status;
-  switch (kind) {
-    case DpKernelKind::kReference: {
-      ReferenceFiller filler{&oracle};
-      run_status = RunDp<false>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kSseMoment: {
-      const auto* sse = dynamic_cast<const SseMomentOracle*>(&oracle);
-      PROBSYN_CHECK(sse != nullptr);
-      SseMomentFiller filler{sse->weight_prefix().cumulative().data(),
-                             sse->mean_prefix().cumulative().data(),
-                             sse->second_prefix().cumulative().data(),
-                             sse->variance_prefix().cumulative().data(),
-                             sse->raw_mean_prefix().cumulative().data(),
-                             sse->variant() == SseVariant::kWorldMean};
-      run_status = RunDp<true>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kSsre: {
-      const auto* ssre = dynamic_cast<const SsreOracle*>(&oracle);
-      PROBSYN_CHECK(ssre != nullptr);
-      SsreFiller filler{ssre->x_prefix().cumulative().data(),
-                        ssre->y_prefix().cumulative().data(),
-                        ssre->z_prefix().cumulative().data()};
-      run_status = RunDp<true>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kAbsCumulative: {
-      const auto* abs = dynamic_cast<const AbsCumulativeOracle*>(&oracle);
-      PROBSYN_CHECK(abs != nullptr);
-      AbsFiller filler{abs};
-      run_status = RunDp<true>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kMaxError: {
-      const auto* max = dynamic_cast<const MaxErrorOracle*>(&oracle);
-      PROBSYN_CHECK(max != nullptr);
-      MaxErrorFiller filler{max};
-      run_status = RunDp<true>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kTupleSse: {
-      const auto* tuple = dynamic_cast<const SseTupleWorldMeanOracle*>(&oracle);
-      PROBSYN_CHECK(tuple != nullptr);
-      TupleSseFiller filler{tuple};
-      run_status = RunDp<true>(filler, n, cap, combiner, pool, ctx, tables);
-      break;
-    }
-    case DpKernelKind::kAuto:
-      PROBSYN_CHECK(false);  // resolved above
-  }
-
-  result.kernel_ = kind;
-  result.status_ = std::move(run_status);
+  result.status_ = DispatchOnOracle(
+      oracle, [&](DpKernelKind kind, const auto& kernel) {
+        result.kernel_ = kind;
+        return RunDp(kernel, n, cap, combiner, options.pool, options.context,
+                     tables);
+      });
   result.err_ = ws->err_.data();
   result.choice_ = ws->choice_.data();
   result.rep_ = ws->rep_.data();
@@ -1525,61 +1412,11 @@ HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
     const ApproxDpKernelOptions& options) {
-  const DpKernelKind kind = options.kernel == DpKernelKind::kAuto
-                                ? SelectDpKernel(oracle)
-                                : options.kernel;
-  switch (kind) {
-    case DpKernelKind::kReference: {
-      ReferencePointCost cost_fn{&oracle};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kSseMoment: {
-      const auto* sse = dynamic_cast<const SseMomentOracle*>(&oracle);
-      PROBSYN_CHECK(sse != nullptr);
-      SseMomentPointCost cost_fn{sse->weight_prefix().cumulative().data(),
-                                 sse->mean_prefix().cumulative().data(),
-                                 sse->second_prefix().cumulative().data(),
-                                 sse->variance_prefix().cumulative().data(),
-                                 sse->variant() == SseVariant::kWorldMean};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kSsre: {
-      const auto* ssre = dynamic_cast<const SsreOracle*>(&oracle);
-      PROBSYN_CHECK(ssre != nullptr);
-      SsrePointCost cost_fn{ssre->x_prefix().cumulative().data(),
-                            ssre->y_prefix().cumulative().data(),
-                            ssre->z_prefix().cumulative().data()};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kAbsCumulative: {
-      const auto* abs = dynamic_cast<const AbsCumulativeOracle*>(&oracle);
-      PROBSYN_CHECK(abs != nullptr);
-      AbsPointCost cost_fn{abs};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kMaxError: {
-      const auto* max = dynamic_cast<const MaxErrorOracle*>(&oracle);
-      PROBSYN_CHECK(max != nullptr);
-      MaxErrorPointCost cost_fn{max};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kTupleSse: {
-      const auto* tuple = dynamic_cast<const SseTupleWorldMeanOracle*>(&oracle);
-      PROBSYN_CHECK(tuple != nullptr);
-      TupleSsePointCost cost_fn{tuple};
-      return RunApproxDp(oracle, cost_fn, max_buckets, epsilon, kind,
-                         options.context);
-    }
-    case DpKernelKind::kAuto:
-      break;  // resolved above
-  }
-  PROBSYN_CHECK(false);
-  return Status::Internal("unreachable");
+  return DispatchOnOracle(
+      oracle, [&](DpKernelKind kind, const auto& kernel) {
+        return RunApproxDp(oracle, kernel, max_buckets, epsilon, kind,
+                           options.context);
+      });
 }
 
 const char* SimdPathName(SimdPath path) {
@@ -1647,15 +1484,6 @@ void SimdStreamingBatchSweep(const double* error, const double* sum_mean,
   Ops().streaming_batch_sweep(error, sum_mean, sum_second, position,
                               neg_position, n, total_mean, total_second,
                               count0, recips, num_pushes, best, best_index);
-}
-
-const char* WaveletSplitKernelName(WaveletSplitKernel kind) {
-  switch (kind) {
-    case WaveletSplitKernel::kAuto: return "auto";
-    case WaveletSplitKernel::kReference: return "reference";
-    case WaveletSplitKernel::kBudgetSplit: return "budget-split";
-  }
-  return "?";
 }
 
 }  // namespace probsyn

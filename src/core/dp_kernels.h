@@ -13,6 +13,7 @@
 #include "core/bucket_oracle.h"
 #include "core/histogram_dp.h"
 #include "util/deadline.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace probsyn {
@@ -241,22 +242,29 @@ class StreamChainStore {
 
 namespace arena_internal {
 
-// std::allocator whose value-initialization is default-initialization, so
-// resize() leaves new trivial elements unwritten instead of zero-filling.
+// Grow-only storage that leaves new elements unwritten. Growing allocates
+// once and touches nothing: std::vector::resize would still run one
+// (no-op) construct call per element, a pass that costs real time in
+// unoptimized builds on the O(n^2 B) wavelet arena. Contents do not
+// survive a growth.
 template <typename T>
-class DefaultInitAllocator : public std::allocator<T> {
+class UninitializedBuffer {
  public:
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
+  T* data() const { return data_.get(); }
 
-  using std::allocator<T>::allocator;
-
-  template <typename U>
-  void construct(U* p) {
-    ::new (static_cast<void*>(p)) U;
+  // Makes room for `size` elements; true when that took an allocation.
+  bool Reserve(std::size_t size) {
+    if (size <= capacity_) return false;
+    data_.reset();  // free first: the old contents are dropped anyway
+    capacity_ = 0;  // stays consistent if the allocation throws
+    data_ = std::make_unique_for_overwrite<T[]>(size);
+    capacity_ = size;
+    return true;
   }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t capacity_ = 0;
 };
 
 }  // namespace arena_internal
@@ -267,16 +275,14 @@ class DefaultInitAllocator : public std::allocator<T> {
 /// per-state vectors, no rehash-unstable references. Buffers grow but
 /// never shrink, so repeated solves through one arena allocate nothing in
 /// steady state; `grow_events` counts capacity growths (a pool-stats hook
-/// the zero-allocation tests assert on). `best` and `decision` are not
-/// zero-filled when they grow: their pages are first touched by the
+/// the zero-allocation tests assert on). `best` and `decision` grow
+/// without any per-element pass: their pages are first touched by the
 /// polled, parallel level fill, so a cancel is seen while they fault in.
 struct WaveletDpArena {
   /// Concatenated best tables.
-  std::vector<double, arena_internal::DefaultInitAllocator<double>> best;
+  arena_internal::UninitializedBuffer<double> best;
   /// Parallel to `best`.
-  std::vector<WaveletDpDecision,
-              arena_internal::DefaultInitAllocator<WaveletDpDecision>>
-      decision;
+  arena_internal::UninitializedBuffer<WaveletDpDecision> decision;
   std::vector<std::size_t> level_base;       ///< Arena offset per tree level.
   std::vector<double> contribution;          ///< mu[j] * leaf scale, per node.
   std::size_t grow_events = 0;  ///< Buffer growths since construction.
@@ -388,24 +394,15 @@ class DpWorkspacePool {
   Stats stats_;
 };
 
-/// Maps an oracle's dynamic type to its specialized kernel; kReference for
-/// oracle types without one. The engine's planner records the factory-known
-/// kind instead (OracleBundle::kernel) and skips this dynamic_cast chain.
-DpKernelKind SelectDpKernel(const BucketCostOracle& oracle);
-
 /// Knobs of the kernel-level solve entry point. Defaults reproduce
-/// SolveHistogramDp(oracle, max_buckets, combiner): auto-selected kernel,
-/// sequential, self-owned storage.
+/// SolveHistogramDp(oracle, max_buckets, combiner): sequential, self-owned
+/// storage.
 struct DpKernelOptions {
   /// Non-null runs the blocked data-parallel DP (bit-identical output).
   ThreadPool* pool = nullptr;
   /// Non-null reuses the given arena; the result then only borrows its
   /// storage (see HistogramDpResult lifetime note).
   DpWorkspace* workspace = nullptr;
-  /// kAuto resolves via SelectDpKernel. A concrete kind must match the
-  /// oracle's dynamic type (checked); kReference always applies and is the
-  /// parity baseline the kernel tests compare against.
-  DpKernelKind kernel = DpKernelKind::kAuto;
   /// Non-null arms cooperative stopping: the solver polls per column /
   /// layer batch (work units far above the poll cost, so overhead stays
   /// under the engine's 2% budget) and on a hit abandons the fill and
@@ -416,17 +413,20 @@ struct DpKernelOptions {
 };
 
 /// The exact-DP solver behind SolveHistogramDp, with explicit control over
-/// kernel choice, parallelism, and storage reuse. All configurations are
-/// bit-identical in costs, traceback choices, and representatives; the
-/// specialized kernels only change how fast the table is filled:
+/// parallelism, storage reuse, and stopping. The kernel follows from the
+/// oracle's dynamic type alone (see DpKernelKind); every kernel, lane count,
+/// and SIMD path is bit-identical in costs, traceback choices, and
+/// representatives to the textbook scan of equation (2) — the kernels only
+/// change how fast the table is filled:
 ///
 ///  * column fills run devirtualized — each concrete oracle's prefix-sum
 ///    tables are hoisted into flat spans (SSE/SSRE), its ternary search is
 ///    inlined over the raw U/D banks (SAE/SARE), or its concrete sweep is
 ///    driven directly (tuple SSE) — instead of one virtual
-///    Cost()/Extend() call per cell;
+///    Cost()/Extend() call per cell; oracle types defined outside the
+///    library fill through their virtual StartSweep() (kGeneric);
 ///  * kSum transitions use a chunked branch-free min-reduction that
-///    auto-vectorizes, then resolve the reference tie-break (first index
+///    auto-vectorizes, then resolve the textbook tie-break (first index
 ///    attaining the minimum, inherit wins ties) inside the winning chunk;
 ///  * kMax transitions exploit that prefix errors are non-decreasing and
 ///    bucket costs non-increasing in the split point: the optimal split is
@@ -440,57 +440,40 @@ HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
 /// Knobs of the kernel-level approximate-DP entry point. Defaults reproduce
 /// SolveApproxHistogramDp(oracle, max_buckets, epsilon).
 struct ApproxDpKernelOptions {
-  /// kAuto resolves via SelectDpKernel. A concrete kind must match the
-  /// oracle's dynamic type (checked); kReference always applies and is the
-  /// parity baseline the kernel tests compare against.
-  DpKernelKind kernel = DpKernelKind::kAuto;
   /// Non-null arms cooperative stopping (poll per budget layer and every
   /// 256 columns); the solve then fails with kDeadlineExceeded/kCancelled.
   const ExecContext* context = nullptr;
 };
 
 /// The (1 + epsilon)-approximate DP behind SolveApproxHistogramDp, with
-/// explicit control over the point-cost kernel. Unlike the exact DP — whose
+/// cooperative stopping. Unlike the exact DP — whose
 /// kernels fill whole bucket-cost columns — the approximate DP evaluates a
 /// SPARSE set of candidate buckets (Theorem 5's geometric error classes),
 /// so its kernels are devirtualized point-cost evaluators: each candidate's
 /// Cost(s, e) arithmetic is inlined over the oracle's raw prefix-sum spans
 /// (SSE/SSRE), run through the cold convex search with the probe lambda
 /// inlined (SAE/SARE — cold rather than warm-started, because the
-/// reference path's virtual Cost() searches cold and plateau rounding can
-/// make a warm-accepted optimum land on a different grid index), or issued
-/// as a concrete `final`-class call (MAE/MARE, tuple-SSE) — never a
-/// virtual dispatch per candidate.
+/// oracle's own Cost() searches cold and plateau rounding can make a
+/// warm-accepted optimum land on a different grid index), or issued as a
+/// concrete `final`-class call (MAE/MARE, tuple-SSE) — never a virtual
+/// dispatch per candidate. Oracle types defined outside the library are
+/// evaluated through their virtual Cost() (kGeneric).
 ///
-/// Every kernel is bit-identical to kReference in the returned histogram,
-/// cost, and oracle_evaluations count (the driver is shared; only the cost
-/// evaluation is specialized), pinned by tests/dp_kernel_parity_test.cc.
+/// Every kernel is bit-identical to the generic path in the returned
+/// histogram, cost, and oracle_evaluations count (the driver is shared;
+/// only the cost evaluation is specialized), pinned by
+/// tests/dp_kernel_parity_test.cc.
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
     const ApproxDpKernelOptions& options);
-
-/// Which inner-loop implementation the wavelet DPs' budget-split
-/// minimizations ran with. Both coefficient-tree DPs (restricted and
-/// unrestricted, core/wavelet_dp.cc and core/wavelet_unrestricted.cc)
-/// spend their time minimizing over child budget splits; kBudgetSplit
-/// replaces the scalar scan with the same machinery the exact histogram DP
-/// uses — a chunked 4-accumulator min-reduction for sum combiners and a
-/// monotone-split bisection for max combiners — and is bit-identical to
-/// kReference (costs, kept coefficients, traceback ties), which the
-/// dp_kernel_parity tests pin down.
-enum class WaveletSplitKernel {
-  kAuto,         ///< Resolve to kBudgetSplit (structure-based, always applies).
-  kReference,    ///< Ascending scalar scan (parity baseline).
-  kBudgetSplit,  ///< Chunked min-reduction (sum) / exact bisection (max).
-};
-
-/// Stable display name ("reference", "budget-split", ...).
-const char* WaveletSplitKernelName(WaveletSplitKernel kind);
 
 /// One budget-split minimization: over bl = 0..bl_max, with
 /// br = min(rem - bl, cap_right), minimize Combine(left[bl], right[br])
 /// where Combine is + (kSum) or max (kMax). Returns the minimum value and
 /// the FIRST bl attaining it — the wavelet DPs' ascending-scan tie-break.
+/// Both coefficient-tree DPs (core/wavelet_dp.cc,
+/// core/wavelet_unrestricted.cc) and the sharded merge DP spend their time
+/// in these minimizations.
 struct BudgetSplit {
   double value = 0.0;
   std::size_t left_budget = 0;
@@ -612,36 +595,41 @@ inline BudgetSplit MaxFast(const double* left, std::size_t bl_max,
 
 }  // namespace budget_split_internal
 
-/// Candidate-count cutoff of MinBudgetSplit's hybrid dispatch: below it
-/// the scalar scan wins on sheer simplicity (one predictable pass beats
-/// reduction or bisection set-up), so the fast kernel runs the identical
-/// reference scan there — the asymptotic machinery engages only where it
-/// pays.
+/// Candidate-count cutoff of MinBudgetSplit: below it the scalar scan wins
+/// on sheer simplicity (one predictable pass beats reduction or bisection
+/// set-up), so the asymptotic machinery engages only where it pays.
 inline constexpr std::size_t kSmallBudgetSplit = 32;
 
-/// Runs one budget-split minimization with the chosen kernel. Requires
-/// bl_max <= rem. The kBudgetSplit fast paths rely on `left` and `right`
-/// being non-increasing in the budget index — true by construction for the
-/// wavelet DPs' optimal-error tables, exactly (not just mathematically):
-/// granting a child one more coefficient re-minimizes over a pointwise-<=
-/// candidate set, and FP min/max/+ are monotone, so the computed tables
-/// inherit monotonicity bit-for-bit. That makes the kMax bisection exact
-/// (no verification sweep needed, unlike the histogram kMax cell whose
-/// cost columns can be non-monotone by rounding).
+/// Runs one budget-split minimization. Requires bl_max <= rem. At
+/// kSmallBudgetSplit candidates and above it runs a chunked SIMD
+/// min-reduction (kSum) or an exact bisection (kMax); both rely on `left`
+/// and `right` being non-increasing in the budget index — true by
+/// construction for the wavelet DPs' optimal-error tables, exactly (not
+/// just mathematically): granting a child one more coefficient
+/// re-minimizes over a pointwise-<= candidate set, and FP min/max/+ are
+/// monotone, so the computed tables inherit monotonicity bit-for-bit. That
+/// makes the kMax bisection exact (no verification sweep needed, unlike
+/// the histogram kMax cell whose cost columns can be non-monotone by
+/// rounding). Debug builds check every fast result — value and first
+/// attaining split — against the ascending scan.
 inline BudgetSplit MinBudgetSplit(DpCombiner combiner, const double* left,
                                   std::size_t bl_max, const double* right,
-                                  std::size_t cap_right, std::size_t rem,
-                                  WaveletSplitKernel kernel) {
-  if (kernel != WaveletSplitKernel::kReference &&
-      bl_max >= kSmallBudgetSplit) {
-    return combiner == DpCombiner::kSum
-               ? budget_split_internal::SumFast(left, bl_max, right,
-                                                cap_right, rem)
-               : budget_split_internal::MaxFast(left, bl_max, right,
-                                                cap_right, rem);
+                                  std::size_t cap_right, std::size_t rem) {
+  namespace bsi = budget_split_internal;
+  if (bl_max < kSmallBudgetSplit) {
+    return bsi::Reference(combiner, left, bl_max, right, cap_right, rem);
   }
-  return budget_split_internal::Reference(combiner, left, bl_max, right,
-                                          cap_right, rem);
+  const BudgetSplit fast =
+      combiner == DpCombiner::kSum
+          ? bsi::SumFast(left, bl_max, right, cap_right, rem)
+          : bsi::MaxFast(left, bl_max, right, cap_right, rem);
+#ifndef NDEBUG
+  const BudgetSplit scan =
+      bsi::Reference(combiner, left, bl_max, right, cap_right, rem);
+  PROBSYN_CHECK(fast.value == scan.value &&
+                fast.left_budget == scan.left_budget);
+#endif
+  return fast;
 }
 
 }  // namespace probsyn

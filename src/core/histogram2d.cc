@@ -197,108 +197,22 @@ struct RectKey {
   bool operator<(const RectKey& other) const { return packed < other.packed; }
 };
 
-class GuillotineSolver {
- public:
-  GuillotineSolver(const RectCostOracle2D& oracle, std::size_t budget)
-      : oracle_(oracle), budget_(budget) {}
-
-  double Best(const Rect& rect, std::size_t b) {
-    b = std::min(b, rect.area());
-    PROBSYN_CHECK(b >= 1);
-    auto key = std::make_pair(RectKey(rect), b);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second.cost;
-
-    Entry entry;
-    entry.cost = oracle_.Cost(rect).cost;  // b == 1 or no split helps
-    entry.split = Entry::kLeaf;
-    if (b >= 2) {
-      // Vertical splits: [x0..cut] | [cut+1..x1].
-      for (std::size_t cut = rect.x0; cut < rect.x1; ++cut) {
-        Rect left{rect.x0, rect.y0, cut, rect.y1};
-        Rect right{cut + 1, rect.y0, rect.x1, rect.y1};
-        TrySplits(entry, left, right, b, /*vertical=*/true, cut);
-      }
-      // Horizontal splits.
-      for (std::size_t cut = rect.y0; cut < rect.y1; ++cut) {
-        Rect top{rect.x0, rect.y0, rect.x1, cut};
-        Rect bottom{rect.x0, cut + 1, rect.x1, rect.y1};
-        TrySplits(entry, top, bottom, b, /*vertical=*/false, cut);
-      }
-    }
-    memo_[key] = entry;
-    return entry.cost;
-  }
-
-  void Extract(const Rect& rect, std::size_t b,
-               std::vector<Bucket2D>& out) {
-    b = std::min(b, rect.area());
-    auto it = memo_.find(std::make_pair(RectKey(rect), b));
-    PROBSYN_CHECK(it != memo_.end());
-    const Entry& entry = it->second;
-    if (entry.split == Entry::kLeaf) {
-      out.push_back({rect, oracle_.Cost(rect).representative});
-      return;
-    }
-    Rect a, c;
-    if (entry.vertical) {
-      a = {rect.x0, rect.y0, entry.cut, rect.y1};
-      c = {entry.cut + 1, rect.y0, rect.x1, rect.y1};
-    } else {
-      a = {rect.x0, rect.y0, rect.x1, entry.cut};
-      c = {rect.x0, entry.cut + 1, rect.x1, rect.y1};
-    }
-    Extract(a, entry.left_budget, out);
-    Extract(c, b - entry.left_budget, out);
-  }
-
- private:
-  struct Entry {
-    static constexpr std::size_t kLeaf = static_cast<std::size_t>(-1);
-    double cost = 0.0;
-    std::size_t split = kLeaf;  // kLeaf or marker that a split was taken
-    bool vertical = false;
-    std::size_t cut = 0;
-    std::size_t left_budget = 1;
-  };
-
-  void TrySplits(Entry& entry, const Rect& a, const Rect& c, std::size_t b,
-                 bool vertical, std::size_t cut) {
-    std::size_t max_left = std::min(b - 1, a.area());
-    for (std::size_t bl = 1; bl <= max_left; ++bl) {
-      if (b - bl > c.area()) continue;  // right side cannot absorb budget
-      double cost = Best(a, bl) + Best(c, b - bl);
-      if (cost < entry.cost) {
-        entry.cost = cost;
-        entry.split = 1;
-        entry.vertical = vertical;
-        entry.cut = cut;
-        entry.left_budget = bl;
-      }
-    }
-  }
-
-  const RectCostOracle2D& oracle_;
-  std::size_t budget_;
-  std::map<std::pair<RectKey, std::size_t>, Entry> memo_;
-};
-
-// kMinScan guillotine solver: memoizes each rectangle's WHOLE optimal-cost
-// vector over budgets 1..min(B, area) — one map probe per rectangle — and
-// runs every cut's inner budget-allocation minimization
+// Guillotine solver: memoizes each rectangle's WHOLE optimal-cost vector
+// over budgets 1..min(B, area) — one map probe per rectangle — and runs
+// every cut's inner budget-allocation minimization
 //
 //   min over bl of best_left[bl] + best_right[b - bl]
 //
 // through the runtime-dispatched SIMD min-reduction (SimdMinPlusReverse),
-// then resolves the reference tie-break: cuts in the reference order
+// then resolves the recursive scan's tie-break: cuts in its order
 // (vertical ascending, then horizontal), strict < against the running best,
 // and the FIRST bl attaining a cut's minimum. FP min is exact in any
 // order, so costs AND traceback (cut, orientation, left budget) are
-// bit-identical to GuillotineSolver — the parity contract
+// bit-identical to the per-(rectangle, budget) scan — the parity contract
 // histogram2d_test.cc pins down.
-class MinScanGuillotineSolver {
+class GuillotineSolver {
  public:
-  MinScanGuillotineSolver(const RectCostOracle2D& oracle, std::size_t budget)
+  GuillotineSolver(const RectCostOracle2D& oracle, std::size_t budget)
       : oracle_(oracle), budget_(budget) {}
 
   double Best(const Rect& rect, std::size_t b) {
@@ -419,19 +333,9 @@ class MinScanGuillotineSolver {
 
 }  // namespace
 
-const char* Guillotine2DKernelName(Guillotine2DKernel kind) {
-  switch (kind) {
-    case Guillotine2DKernel::kAuto: return "auto";
-    case Guillotine2DKernel::kReference: return "reference";
-    case Guillotine2DKernel::kMinScan: return "min-scan";
-  }
-  return "?";
-}
-
 StatusOr<Histogram2DResult> BuildOptimalGuillotineHistogram2D(
     const ProbGrid2D& grid, const SynopsisOptions& options,
-    std::size_t num_buckets, std::size_t max_cells,
-    Guillotine2DKernel kernel) {
+    std::size_t num_buckets, std::size_t max_cells) {
   if (num_buckets < 1) return Status::InvalidArgument("need >= 1 bucket");
   if (grid.num_cells() > max_cells) {
     return Status::OutOfRange(
@@ -441,24 +345,14 @@ StatusOr<Histogram2DResult> BuildOptimalGuillotineHistogram2D(
   auto oracle = RectCostOracle2D::Create(grid, options);
   if (!oracle.ok()) return oracle.status();
 
-  const Guillotine2DKernel resolved = kernel == Guillotine2DKernel::kAuto
-                                          ? Guillotine2DKernel::kMinScan
-                                          : kernel;
   Rect whole{0, 0, grid.width() - 1, grid.height() - 1};
-  double cost;
+  GuillotineSolver solver(*oracle, num_buckets);
+  const double cost = solver.Best(whole, num_buckets);
   std::vector<Bucket2D> buckets;
-  if (resolved == Guillotine2DKernel::kReference) {
-    GuillotineSolver solver(*oracle, num_buckets);
-    cost = solver.Best(whole, num_buckets);
-    solver.Extract(whole, std::min(num_buckets, whole.area()), buckets);
-  } else {
-    MinScanGuillotineSolver solver(*oracle, num_buckets);
-    cost = solver.Best(whole, num_buckets);
-    solver.Extract(whole, std::min(num_buckets, whole.area()), buckets);
-  }
+  solver.Extract(whole, std::min(num_buckets, whole.area()), buckets);
   Histogram2D histogram(std::move(buckets));
   PROBSYN_RETURN_IF_ERROR(histogram.Validate(grid.width(), grid.height()));
-  return Histogram2DResult{std::move(histogram), cost, resolved};
+  return Histogram2DResult{std::move(histogram), cost};
 }
 
 // ---------------------------------------------------------------------------

@@ -121,22 +121,13 @@ class RectCostOracle2D {
   std::vector<double> x_, y_, z_;
 };
 
-/// Which inner budget-allocation implementation the exact guillotine DP
-/// runs. kMinScan memoizes each rectangle's WHOLE optimal-cost vector over
-/// budgets (one map probe per rectangle instead of one per (rectangle,
-/// budget)) and minimizes every cut's budget split with the chunked SIMD
-/// min-reduction of the kernel layer (SimdMinPlusReverse,
-/// core/dp_kernels.h) — the same recipe as the wavelet budget splits. Both
-/// kernels are bit-identical in cost and returned buckets (costs,
-/// traceback cut/budget ties), parity-gated in histogram2d_test.cc.
-enum class Guillotine2DKernel {
-  kAuto,       ///< Resolve to kMinScan.
-  kReference,  ///< Per-(rectangle, budget) recursive scalar scan (baseline).
-  kMinScan,    ///< Budget-vector memo + SIMD budget-split min-reduction.
+/// Output of the 2-D histogram builders.
+struct Histogram2DResult {
+  /// Rectangles tiling the grid.
+  Histogram2D histogram;
+  /// Expected error of `histogram` under the builder's metric.
+  double cost = 0.0;
 };
-
-/// Stable display name ("reference", "min-scan", ...).
-const char* Guillotine2DKernelName(Guillotine2DKernel kind);
 
 /// Exact optimal *guillotine* 2-D histogram: the best recursive
 /// binary-split partition into at most `num_buckets` rectangles, by DP over
@@ -144,17 +135,18 @@ const char* Guillotine2DKernelName(Guillotine2DKernel kind);
 /// exponential-free but heavy — O(W^2 H^2) rectangles x budget x splits —
 /// so intended for small grids (the `max_cells` guard, default 4096 state
 /// cells, rejects larger inputs).
-struct Histogram2DResult {
-  Histogram2D histogram;
-  double cost = 0.0;
-  /// The guillotine DP's inner-loop implementation (never kAuto). The
-  /// greedy builder has no DP and leaves the default.
-  Guillotine2DKernel kernel = Guillotine2DKernel::kReference;
-};
+///
+/// The solver memoizes each rectangle's WHOLE optimal-cost vector over
+/// budgets (one map probe per rectangle instead of one per (rectangle,
+/// budget)) and minimizes every cut's budget split with the chunked SIMD
+/// min-reduction of the kernel layer (SimdMinPlusReverse,
+/// core/dp_kernels.h) — the same recipe as the wavelet budget splits. Its
+/// costs and tiling (cut, orientation, and budget-split ties) are
+/// bit-identical to the per-(rectangle, budget) recursive scan kept in
+/// tests/reference, which histogram2d_test.cc compares against.
 StatusOr<Histogram2DResult> BuildOptimalGuillotineHistogram2D(
     const ProbGrid2D& grid, const SynopsisOptions& options,
-    std::size_t num_buckets, std::size_t max_cells = 4096,
-    Guillotine2DKernel kernel = Guillotine2DKernel::kAuto);
+    std::size_t num_buckets, std::size_t max_cells = 4096);
 
 /// Scalable MHIST-style greedy 2-D histogram: repeatedly split the bucket
 /// whose best single split yields the largest error reduction. No

@@ -11,8 +11,7 @@ namespace probsyn {
 
 const char* DpKernelKindName(DpKernelKind kind) {
   switch (kind) {
-    case DpKernelKind::kAuto: return "auto";
-    case DpKernelKind::kReference: return "reference";
+    case DpKernelKind::kGeneric: return "generic";
     case DpKernelKind::kSseMoment: return "sse-moment";
     case DpKernelKind::kSsre: return "ssre";
     case DpKernelKind::kAbsCumulative: return "abs-cumulative";
@@ -95,8 +94,8 @@ HistogramDpResult SolveHistogramDp(const BucketCostOracle& oracle,
 
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDp(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon) {
-  // Auto-select the point-cost kernel; the driver and all comparisons live
-  // in core/dp_kernels.cc and are bit-identical across kernels.
+  // The driver and all comparisons live in core/dp_kernels.cc and are
+  // bit-identical across kernels.
   return SolveApproxHistogramDpWithKernel(oracle, max_buckets, epsilon, {});
 }
 

@@ -14,24 +14,26 @@
 namespace probsyn {
 
 class ThreadPool;
-class DpWorkspace;       // core/dp_kernels.h
-struct DpKernelOptions;  // core/dp_kernels.h
+// Declared in core/dp_kernels.h.
+class DpWorkspace;
+struct DpKernelOptions;
 
 /// How per-bucket errors aggregate into the histogram error: the paper's
 /// h(x, y) — sum for cumulative objectives, max for maximum objectives
 /// (equation (2)).
 enum class DpCombiner { kSum, kMax };
 
-/// Which inner-loop implementation the exact DP ran with. The specialized
-/// kernels (core/dp_kernels.cc) hoist a concrete oracle's raw prefix-sum
-/// tables into flat spans and replace the virtual Cost/Extend call per DP
-/// cell with branch-free column fills plus a vectorizable min-reduction
-/// (kSum) or a monotone-split bisection (kMax); every kernel is bit-identical
-/// to kReference — costs, traceback choices, and representatives — which the
-/// dp_kernel_parity tests pin down.
+/// Which inner-loop implementation a histogram DP ran with. The solvers pick
+/// it from the oracle's dynamic type alone: every oracle class the library
+/// ships has a specialized kernel (core/dp_kernels.cc) that hoists its raw
+/// prefix-sum tables into flat spans in place of the virtual Cost/Extend
+/// call per DP cell; oracle types defined elsewhere run kGeneric. All kinds
+/// share the fast cells — a vectorizable min-reduction (kSum) or a
+/// monotone-split bisection (kMax) — and are bit-identical to the textbook
+/// scan of equation (2) in costs, traceback choices, and representatives,
+/// which the dp_kernel_parity tests pin down.
 enum class DpKernelKind {
-  kAuto,           ///< Resolve from the oracle's dynamic type (SelectDpKernel).
-  kReference,      ///< Virtual-dispatch sweeps + scalar scan (parity baseline).
+  kGeneric,        ///< Any other oracle type: virtual StartSweep()/Cost().
   kSseMoment,      ///< SseMomentOracle: flat mean/second/variance spans.
   kSsre,           ///< SsreOracle: flat X/Y/Z spans.
   kAbsCumulative,  ///< AbsCumulativeOracle: inlined U/D ternary search.
@@ -39,7 +41,7 @@ enum class DpKernelKind {
   kTupleSse,       ///< SseTupleWorldMeanOracle: concrete FlatSweep.
 };
 
-/// Stable display name ("reference", "sse-moment", ...).
+/// Stable display name ("generic", "sse-moment", ...).
 const char* DpKernelKindName(DpKernelKind kind);
 
 /// Output of the exact DP: the whole optimal-cost curve over bucket
@@ -84,7 +86,7 @@ class HistogramDpResult {
   std::size_t domain_size() const { return n_; }
   /// Number of materialized DP layers: min(max_buckets, domain_size).
   std::size_t table_layers() const { return cap_; }
-  /// The inner-loop implementation that produced this result (never kAuto).
+  /// The inner-loop implementation that produced this result.
   DpKernelKind kernel() const { return kernel_; }
 
   /// Raw DP rows for layer `num_buckets` (1-based, <= table_layers()):
@@ -116,7 +118,7 @@ class HistogramDpResult {
   std::size_t max_buckets_ = 0;
   std::size_t cap_ = 0;
   Status status_;
-  DpKernelKind kernel_ = DpKernelKind::kReference;
+  DpKernelKind kernel_ = DpKernelKind::kGeneric;
   const double* err_ = nullptr;
   const std::int64_t* choice_ = nullptr;
   const double* rep_ = nullptr;
@@ -137,20 +139,20 @@ class HistogramDpResult {
 /// The principle of optimality holds for probabilistic data because
 /// expectation distributes over the per-bucket sum/max (section 3, opening).
 ///
-/// This entry point auto-selects the specialized kernel matching the
-/// oracle's concrete type (see DpKernelKind); results are bit-identical to
-/// the reference scalar solver in every configuration. When `pool` is
+/// The kernel follows from the oracle's concrete type (see DpKernelKind);
+/// results are bit-identical to the textbook scalar scan in every
+/// configuration. When `pool` is
 /// non-null the DP runs in a blocked data-parallel form: columns are
 /// processed in blocks, each block's bucket-cost column fills run in one
 /// fan-out, then the block's budget layers run either sequentially on the
 /// caller (max-combiner fast cells, whose O(log n) bisections are cheaper
 /// than any fan-out) or through a staggered diagonal schedule that fuses
-/// layer batches into a handful of fork-joins (sum combiners and the
-/// reference kernel). Every cell is produced by the same per-cell
+/// layer batches into a handful of fork-joins (sum combiners). Every cell
+/// is produced by the same per-cell
 /// computation on the same inputs as the sequential solver, so the result
 /// (costs AND traceback choices) is bit-identical.
 ///
-/// For explicit kernel choice or zero-allocation workspace reuse, use
+/// For zero-allocation workspace reuse or cooperative stopping, use
 /// SolveHistogramDpWithKernel (core/dp_kernels.h).
 HistogramDpResult SolveHistogramDp(const BucketCostOracle& oracle,
                                    std::size_t max_buckets,
@@ -165,10 +167,10 @@ struct ApproxHistogramResult {
   /// Bucket-cost oracle evaluations performed (the complexity currency of
   /// the paper's Theorem 5).
   std::size_t oracle_evaluations = 0;
-  /// The point-cost implementation the solve ran with (never kAuto): a
-  /// specialized kernel evaluates each candidate bucket cost inline over
-  /// the oracle's raw prefix tables instead of through the virtual Cost().
-  DpKernelKind kernel = DpKernelKind::kReference;
+  /// The point-cost implementation the solve ran with: a specialized
+  /// kernel evaluates each candidate bucket cost inline over the oracle's
+  /// raw prefix tables instead of through the virtual Cost().
+  DpKernelKind kernel = DpKernelKind::kGeneric;
   /// cost_curve[b-1]: the approximate DP's layer-(b) value at the full
   /// domain — the (1 + epsilon)-optimal cost of covering [0, n) with at
   /// most b buckets, for b = 1..min(max_buckets, n). Exactly non-increasing
@@ -190,11 +192,11 @@ struct ApproxHistogramResult {
 ///
 /// Cumulative (sum-combiner) metrics only, matching Theorem 5's scope.
 ///
-/// This entry point auto-selects the specialized point-cost kernel matching
-/// the oracle's concrete type and is bit-identical to the reference
-/// virtual-dispatch solve in histogram, cost, and evaluation count (pinned
-/// by the dp_kernel_parity tests). For explicit kernel choice use
-/// SolveApproxHistogramDpWithKernel (core/dp_kernels.h).
+/// The point-cost kernel follows from the oracle's concrete type and is
+/// bit-identical to the generic virtual-dispatch path in histogram, cost,
+/// and evaluation count (pinned by the dp_kernel_parity tests). For
+/// cooperative stopping use SolveApproxHistogramDpWithKernel
+/// (core/dp_kernels.h).
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDp(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon);
 

@@ -43,19 +43,16 @@ StatusOr<OracleBundle> MakeBucketOracle(const ValuePdfInput& input,
       bundle.oracle = std::make_unique<SseMomentOracle>(
           SseMomentOracle::FromValuePdf(input, options.sse_variant,
                                         options.workload));
-      bundle.kernel = DpKernelKind::kSseMoment;
       break;
     case ErrorMetric::kSsre:
       bundle.oracle = std::make_unique<SsreOracle>(input, options.sanity_c,
                                                    options.workload);
-      bundle.kernel = DpKernelKind::kSsre;
       break;
     case ErrorMetric::kSae: {
       auto oracle = std::make_unique<AbsCumulativeOracle>(
           input, /*relative=*/false, options.sanity_c, options.workload, pool);
       PROBSYN_RETURN_IF_ERROR(oracle->preprocess_status());
       bundle.oracle = std::move(oracle);
-      bundle.kernel = DpKernelKind::kAbsCumulative;
       break;
     }
     case ErrorMetric::kSare: {
@@ -63,7 +60,6 @@ StatusOr<OracleBundle> MakeBucketOracle(const ValuePdfInput& input,
           input, /*relative=*/true, options.sanity_c, options.workload, pool);
       PROBSYN_RETURN_IF_ERROR(oracle->preprocess_status());
       bundle.oracle = std::move(oracle);
-      bundle.kernel = DpKernelKind::kAbsCumulative;
       break;
     }
     case ErrorMetric::kMae:
@@ -78,7 +74,6 @@ StatusOr<OracleBundle> MakeBucketOracle(const ValuePdfInput& input,
       bundle.oracle = std::make_unique<MaxErrorOracle>(
           tables, /*relative=*/options.metric == ErrorMetric::kMare,
           options.workload);
-      bundle.kernel = DpKernelKind::kMaxError;
       break;
     }
   }
@@ -106,12 +101,10 @@ StatusOr<OracleBundle> MakeBucketOracle(const TuplePdfInput& input,
     bundle.combiner = DpCombiner::kSum;
     if (options.sse_variant == SseVariant::kWorldMean) {
       bundle.oracle = std::make_unique<SseTupleWorldMeanOracle>(input);
-      bundle.kernel = DpKernelKind::kTupleSse;
     } else {
       bundle.oracle = std::make_unique<SseMomentOracle>(
           SseMomentOracle::FromTuplePdf(input, options.sse_variant,
                                         options.workload));
-      bundle.kernel = DpKernelKind::kSseMoment;
     }
     return bundle;
   }

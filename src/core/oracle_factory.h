@@ -24,10 +24,6 @@ struct OracleBundle {
   /// (MAE/MARE) — also handy for evaluation; may be null otherwise.
   std::shared_ptr<const PointErrorTables> tables;
   DpCombiner combiner = DpCombiner::kSum;
-  /// The specialized exact-DP kernel matching the oracle's concrete type
-  /// (core/dp_kernels.h). Known here at plan time, so solvers skip the
-  /// dynamic_cast chain of SelectDpKernel.
-  DpKernelKind kernel = DpKernelKind::kReference;
 };
 
 /// Reuses PointErrorTables across oracle constructions that share the same

@@ -32,6 +32,7 @@ struct ShardSlot {
   // curve[0] = +inf (every shard needs at least one bucket). Exactly
   // non-increasing for b >= 1 — see the merge DP below.
   std::vector<double> curve;
+  DpKernelKind kernel = DpKernelKind::kGeneric;  // of the shard solve
   std::size_t evaluations = 0;
   Histogram extracted;
   double extracted_cost = 0.0;
@@ -170,29 +171,25 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
       slot.status = MaybeInjectFault(FaultSite::kWorkspaceAlloc);
       if (!slot.status.ok()) return;
       slot.lease.emplace(workspaces->Acquire());
-      DpKernelOptions dp_options;
-      dp_options.workspace = slot.lease->get();
-      dp_options.kernel = slot.bundle.kernel;
-      dp_options.context = ctx;
-      slot.dp = SolveHistogramDpWithKernel(*slot.bundle.oracle, cap_s,
-                                           combiner, dp_options);
+      slot.dp = SolveHistogramDpWithKernel(
+          *slot.bundle.oracle, cap_s, combiner,
+          {.workspace = slot.lease->get(), .context = ctx});
       if (!slot.dp.status().ok()) {
         slot.status = slot.dp.status();
         return;
       }
+      slot.kernel = slot.dp.kernel();
       for (std::size_t b = 1; b <= cap_s; ++b) {
         slot.curve[b] = slot.dp.OptimalCost(b);
       }
     } else {
-      ApproxDpKernelOptions approx_options;
-      approx_options.kernel = slot.bundle.kernel;
-      approx_options.context = ctx;
       auto approx = SolveApproxHistogramDpWithKernel(
-          *slot.bundle.oracle, cap_s, sharded.epsilon, approx_options);
+          *slot.bundle.oracle, cap_s, sharded.epsilon, {.context = ctx});
       if (!approx.ok()) {
         slot.status = approx.status();
         return;
       }
+      slot.kernel = approx->kernel;
       slot.evaluations = approx->oracle_evaluations;
       for (std::size_t b = 1; b <= cap_s; ++b) {
         slot.curve[b] = approx->cost_curve[b - 1];
@@ -241,8 +238,7 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
         continue;
       }
       const BudgetSplit split =
-          MinBudgetSplit(combiner, fold.data(), j - 1, right.data(), cap_k, j,
-                         WaveletSplitKernel::kBudgetSplit);
+          MinBudgetSplit(combiner, fold.data(), j - 1, right.data(), cap_k, j);
       next_fold[j] = split.value;
       choice[(k - 1) * (B + 1) + j] =
           static_cast<std::uint32_t>(split.left_budget);
@@ -284,11 +280,8 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
       slot.extracted_cost = slot.dp.OptimalCost(alloc[s]);
       return;
     }
-    ApproxDpKernelOptions approx_options;
-    approx_options.kernel = slot.bundle.kernel;
-    approx_options.context = ctx;
     auto approx = SolveApproxHistogramDpWithKernel(
-        *slot.bundle.oracle, alloc[s], sharded.epsilon, approx_options);
+        *slot.bundle.oracle, alloc[s], sharded.epsilon, {.context = ctx});
     if (!approx.ok()) {
       slot.status = approx.status();
       return;
@@ -313,7 +306,7 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
   result.shards = num_shards;
   result.lanes = lanes;
   result.max_shard_budget = shard_cap;
-  result.kernel = slots[0].bundle.kernel;
+  result.kernel = slots[0].kernel;
   result.shard_budgets = alloc;
 
   std::vector<HistogramBucket> buckets;

@@ -100,7 +100,7 @@ struct ShardedDpResult {
   /// Resolved per-shard bucket cap.
   std::size_t max_shard_budget = 0;
   /// The DP kernel the per-shard solves ran with.
-  DpKernelKind kernel = DpKernelKind::kReference;
+  DpKernelKind kernel = DpKernelKind::kGeneric;
   /// Buckets the merge DP assigned each shard (sums to <= budget).
   std::vector<std::size_t> shard_budgets;
   /// Total bucket-oracle evaluations (kApprox shard solves only).

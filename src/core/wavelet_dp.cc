@@ -21,14 +21,22 @@ namespace {
 // perform zero allocations — WaveletDpArena::grow_events stays flat, which
 // the zero-allocation tests assert. Every solve rewrites its buffers in
 // full, so a growth drops the old contents instead of copying them.
-template <typename T, typename Allocator>
-void GrowTo(std::vector<T, Allocator>& v, std::size_t size,
-            std::size_t& grow_events) {
+template <typename T>
+void GrowTo(std::vector<T>& v, std::size_t size, std::size_t& grow_events) {
   if (size > v.capacity()) {
     ++grow_events;
     v.clear();
   }
   v.resize(size);
+}
+
+// The O(n^2 B) state buffers grow without touching their elements (see
+// arena_internal::UninitializedBuffer): the level fill writes every entry
+// before it is read.
+template <typename T>
+void GrowTo(arena_internal::UninitializedBuffer<T>& buffer, std::size_t size,
+            std::size_t& grow_events) {
+  if (buffer.Reserve(size)) ++grow_events;
 }
 
 // Iterative bottom-up solver for the restricted coefficient-tree DP.
@@ -57,17 +65,14 @@ void GrowTo(std::vector<T, Allocator>& v, std::size_t size,
 class WaveletDpSolver {
  public:
   WaveletDpSolver(const ValuePdfInput& padded, std::size_t num_coefficients,
-                  const SynopsisOptions& options, WaveletSplitKernel kernel,
-                  WaveletDpArena* arena, ThreadPool* pool,
-                  const ExecContext* context, std::size_t max_workspace_bytes)
+                  const SynopsisOptions& options, WaveletDpArena* arena,
+                  ThreadPool* pool, const ExecContext* context,
+                  std::size_t max_workspace_bytes)
       : n_(padded.domain_size()),
         levels_(n_ > 1 ? FloorLog2(n_) : 0),
         budget_(num_coefficients),
         metric_(options.metric),
         cumulative_(IsCumulativeMetric(options.metric)),
-        kernel_(kernel == WaveletSplitKernel::kAuto
-                    ? WaveletSplitKernel::kBudgetSplit
-                    : kernel),
         arena_(arena),
         pool_(pool != nullptr && pool->num_threads() > 0 ? pool : nullptr),
         ctx_(context),
@@ -79,8 +84,6 @@ class WaveletDpSolver {
       weights_.resize(n_, 0.0);  // padded items carry zero workload
     }
   }
-
-  WaveletSplitKernel kernel() const { return kernel_; }
 
   std::size_t lanes() const {
     return pool_ == nullptr ? 1 : pool_->num_threads() + 1;
@@ -297,11 +300,10 @@ class WaveletDpSolver {
         for (std::size_t b = keep; b <= cap; ++b) {
           const std::size_t rem = b - keep;
           // The split minimization runs through the kernel layer; the
-          // keep passes preserve the reference tie-break (keep == 0
+          // keep passes preserve the ascending-scan tie-break (keep == 0
           // assigns unconditionally, keep == 1 wins only strictly).
-          BudgetSplit split =
-              MinBudgetSplit(combiner, left, std::min(rem, cap_child),
-                             right, cap_child, rem, kernel_);
+          BudgetSplit split = MinBudgetSplit(
+              combiner, left, std::min(rem, cap_child), right, cap_child, rem);
           if (keep == 0 || split.value < best[b]) {
             const std::size_t br =
                 std::min(rem - split.left_budget, cap_child);
@@ -333,7 +335,6 @@ class WaveletDpSolver {
   std::size_t budget_;
   ErrorMetric metric_;
   bool cumulative_;
-  WaveletSplitKernel kernel_;
   WaveletDpArena* arena_;
   ThreadPool* pool_;        // null = sequential fill
   const ExecContext* ctx_;  // null = unbounded solve
@@ -358,7 +359,7 @@ ValuePdfInput PadInput(const ValuePdfInput& input) {
 StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
     const ValuePdfInput& input, std::size_t num_coefficients,
     const SynopsisOptions& options, std::size_t max_domain,
-    WaveletSplitKernel kernel, DpWorkspace* workspace, ThreadPool* pool,
+    DpWorkspace* workspace, ThreadPool* pool,
     const ExecContext* context, std::size_t max_workspace_bytes) {
   PROBSYN_RETURN_IF_ERROR(options.Validate());
   PROBSYN_RETURN_IF_ERROR(input.Validate());
@@ -386,10 +387,9 @@ StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
   WaveletDpArena local_arena;
   WaveletDpArena* arena =
       workspace != nullptr ? &workspace->wavelet_arena() : &local_arena;
-  WaveletDpSolver solver(padded, num_coefficients, options, kernel, arena,
-                         pool, context, max_workspace_bytes);
+  WaveletDpSolver solver(padded, num_coefficients, options, arena, pool,
+                         context, max_workspace_bytes);
   PROBSYN_ASSIGN_OR_RETURN(WaveletDpResult result, solver.Solve());
-  result.kernel = solver.kernel();
   result.lanes = solver.lanes();
   // Report the synopsis against the caller's (unpadded) domain.
   result.synopsis = WaveletSynopsis(

@@ -19,9 +19,6 @@ struct WaveletDpResult {
   /// Optimal expected error (cumulative: E_W[sum err]; maximum:
   /// max_i E_W[err]) achieved by the synopsis.
   double cost = 0.0;
-  /// The budget-split implementation the solve ran with (never kAuto);
-  /// see WaveletSplitKernel in core/dp_kernels.h.
-  WaveletSplitKernel kernel = WaveletSplitKernel::kReference;
   /// Memo layout of the solve: the iterative bottom-up solver indexes its
   /// per-state tables directly in a flat arena by (level, node,
   /// ancestor-decision mask) — recorded for observability (the engine puts
@@ -65,11 +62,10 @@ struct WaveletDpResult {
 /// WaveletDpArena::grow_events lets callers assert.
 ///
 /// The child budget-split minimizations run through the kernel layer
-/// (MinBudgetSplit, core/dp_kernels.h); `kernel` selects the
-/// implementation, kAuto resolving to the fast kBudgetSplit, whose kSum
-/// reductions ride the runtime-dispatched SIMD primitives. All kernels and
-/// SIMD paths are bit-identical in cost and kept coefficients
-/// (parity-tested).
+/// (MinBudgetSplit, core/dp_kernels.h), whose kSum reductions ride the
+/// runtime-dispatched SIMD primitives. Every SIMD path is bit-identical in
+/// cost and kept coefficients (tested), and Debug builds check each split
+/// against the ascending scan.
 ///
 /// A non-null `pool` fans each level's state sweep out across the workers
 /// (util/thread_pool.h): states within a level are independent, chunks
@@ -88,7 +84,6 @@ struct WaveletDpResult {
 StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
     const ValuePdfInput& input, std::size_t num_coefficients,
     const SynopsisOptions& options, std::size_t max_domain = 2048,
-    WaveletSplitKernel kernel = WaveletSplitKernel::kAuto,
     DpWorkspace* workspace = nullptr, ThreadPool* pool = nullptr,
     const ExecContext* context = nullptr, std::size_t max_workspace_bytes = 0);
 

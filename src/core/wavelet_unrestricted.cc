@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/dp_kernels.h"
 #include "core/haar.h"
 #include "core/point_error.h"
 #include "util/logging.h"
@@ -31,9 +32,6 @@ class UnrestrictedSolver {
         budget_(budget),
         metric_(options.metric),
         cumulative_(IsCumulativeMetric(options.metric)),
-        kernel_(dp_options.kernel == WaveletSplitKernel::kAuto
-                    ? WaveletSplitKernel::kBudgetSplit
-                    : dp_options.kernel),
         ctx_(dp_options.context),
         tables_(padded, options.sanity_c) {
     if (options.HasWorkload()) {
@@ -43,8 +41,6 @@ class UnrestrictedSolver {
     BuildGrid(padded, dp_options);
     PrecomputeLeafErrors();
   }
-
-  WaveletSplitKernel kernel() const { return kernel_; }
 
   StatusOr<UnrestrictedWaveletResult> Solve() {
     if (n_ == 1) return SolveSingleton();
@@ -187,7 +183,7 @@ class UnrestrictedSolver {
         // through the kernel layer (first-attaining tie-break preserved).
         BudgetSplit split = MinBudgetSplit(
             combiner, ChildRow(left, cap_left, g), std::min(b, cap_left),
-            ChildRow(right, cap_right, g), cap_right, b, kernel_);
+            ChildRow(right, cap_right, g), cap_right, b);
         double best = split.value;
         Decision choice{
             false, 0, static_cast<std::uint16_t>(split.left_budget),
@@ -209,7 +205,7 @@ class UnrestrictedSolver {
             BudgetSplit ks = MinBudgetSplit(
                 combiner, ChildRow(left, cap_left, gl),
                 std::min(rem, cap_left), ChildRow(right, cap_right, gr),
-                cap_right, rem, kernel_);
+                cap_right, rem);
             if (ks.value < best) {
               best = ks.value;
               choice = {true, static_cast<std::int32_t>(k),
@@ -246,7 +242,6 @@ class UnrestrictedSolver {
   std::size_t budget_;
   ErrorMetric metric_;
   bool cumulative_;
-  WaveletSplitKernel kernel_;
   const ExecContext* ctx_;  // null = unbounded solve
   PointErrorTables tables_;
 
@@ -295,7 +290,6 @@ StatusOr<UnrestrictedWaveletResult> BuildUnrestrictedWaveletDp(
   ValuePdfInput padded = PadInput(input);
   UnrestrictedSolver solver(padded, num_coefficients, options, dp_options);
   PROBSYN_ASSIGN_OR_RETURN(UnrestrictedWaveletResult result, solver.Solve());
-  result.kernel = solver.kernel();
   result.synopsis = WaveletSynopsis(
       input.domain_size(), padded.domain_size(),
       std::vector<WaveletCoefficient>(result.synopsis.coefficients()));

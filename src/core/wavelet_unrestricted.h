@@ -3,10 +3,10 @@
 
 #include <cstddef>
 
-#include "core/dp_kernels.h"
 #include "core/metrics.h"
 #include "core/wavelet.h"
 #include "model/value_pdf.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace probsyn {
@@ -22,24 +22,19 @@ struct UnrestrictedWaveletOptions {
   /// of the range (pessimistic coefficient-range estimate, paper
   /// section 4.2's first option).
   double range_padding = 0.125;
-  /// Budget-split implementation of the DP's inner minimizations
-  /// (MinBudgetSplit, core/dp_kernels.h); kAuto resolves to the fast
-  /// kBudgetSplit, kReference is the scalar parity baseline. All choices
-  /// are bit-identical in cost and kept coefficients (parity-tested).
-  WaveletSplitKernel kernel = WaveletSplitKernel::kAuto;
   /// Optional deadline/cancellation context, polled once per node and every
   /// few grid rows inside a node solve; a stop yields
   /// kDeadlineExceeded/kCancelled. Null = unbounded solve.
   const ExecContext* context = nullptr;
 };
 
+/// Output of the unrestricted coefficient-tree DP.
 struct UnrestrictedWaveletResult {
+  /// The retained coefficients, with freely chosen values.
   WaveletSynopsis synopsis;
   /// Expected error of the synopsis (exact for the returned coefficient
   /// values; optimal over the quantized policy class described below).
   double cost = 0.0;
-  /// The budget-split implementation the solve ran with (never kAuto).
-  WaveletSplitKernel kernel = WaveletSplitKernel::kReference;
 };
 
 /// Optimal *unrestricted* B-term wavelet synopsis over a quantized

@@ -64,11 +64,10 @@ std::string FormatSolver(const char* route, ThreadPool* pool) {
 // SIMD path the min-reductions dispatched to, e.g.
 // "histogram/approx-dp(eps=0.1)[kernel=sse-moment,simd=avx2,sequential]" or
 // "wavelet/restricted-dp[kernel=budget-split,memo=dense-arena,simd=avx2,
-// par=4]" — a path left on the reference solver says kernel=reference
-// (and simd=scalar when forced) rather than omitting the labels. Routes
-// that report their own lane count (the restricted wavelet DP's parallel
-// arena fill) pass `lanes` > 0 and get a `par=` label instead of the
-// pool-derived parallel=/sequential suffix.
+// par=4]" — a forced scalar dispatch says simd=scalar rather than omitting
+// the label. Routes that report their own lane count (the restricted
+// wavelet DP's parallel arena fill) pass `lanes` > 0 and get a `par=` label
+// instead of the pool-derived parallel=/sequential suffix.
 std::string FormatKernelSolver(const char* route, const char* kernel_name,
                                ThreadPool* pool, const char* memo = nullptr,
                                std::size_t lanes = 0) {
@@ -114,7 +113,7 @@ StatusOr<SynopsisResult> ExecStreamingOnValuePdf(const ValuePdfInput& input,
   // streaming requests allocate no chain nodes (the builder releases every
   // reference on destruction).
   StreamingHistogramBuilder builder(
-      request.budget, request.epsilon, StreamingKernel::kAuto,
+      request.budget, request.epsilon,
       workspace != nullptr ? &workspace->stream_chains() : nullptr);
   std::size_t pushed = 0;
   // Pushes cost ~100us+ each once the bucket chains grow (merges
@@ -140,8 +139,7 @@ StatusOr<SynopsisResult> ExecStreamingOnValuePdf(const ValuePdfInput& input,
     char route[64];
     std::snprintf(route, sizeof(route), "histogram/streaming-ahist(eps=%g)",
                   request.epsilon);
-    result.solver = FormatKernelSolver(
-        route, StreamingKernelName(builder.kernel()), nullptr);
+    result.solver = FormatKernelSolver(route, "point-cost", nullptr);
   }
   result.timing.preprocess_seconds = preprocess_seconds;
   result.timing.solve_seconds = watch.ElapsedSeconds();
@@ -260,13 +258,11 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
     // fans the level sweeps out (bit-identical, recorded as par=).
     auto dp = BuildRestrictedWaveletDp(
         *value_input, request.budget, request.options,
-        request.wavelet_max_domain, WaveletSplitKernel::kAuto, workspace,
-        pool, ctx, max_workspace_bytes);
+        request.wavelet_max_domain, workspace, pool, ctx, max_workspace_bytes);
     if (!dp.ok()) return dp.status();
     result.wavelet = std::move(dp->synopsis);
     result.cost = dp->cost;
-    result.solver = FormatKernelSolver("wavelet/restricted-dp",
-                                       WaveletSplitKernelName(dp->kernel),
+    result.solver = FormatKernelSolver("wavelet/restricted-dp", "budget-split",
                                        nullptr, dp->memo, dp->lanes);
   } else {
     UnrestrictedWaveletOptions unrestricted = request.unrestricted;
@@ -276,9 +272,8 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
     if (!dp.ok()) return dp.status();
     result.wavelet = std::move(dp->synopsis);
     result.cost = dp->cost;
-    result.solver = FormatKernelSolver("wavelet/unrestricted-dp",
-                                       WaveletSplitKernelName(dp->kernel),
-                                       nullptr);
+    result.solver =
+        FormatKernelSolver("wavelet/unrestricted-dp", "budget-split", nullptr);
   }
   result.timing.solve_seconds = watch.ElapsedSeconds();
   return result;
@@ -825,16 +820,11 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
     }
     if (max_exact_budget > 0) {
       watch.Restart();
-      // The planner already knows the oracle's concrete type, so it picks
-      // the specialized kernel directly and records it in the solver string
-      // for observability.
-      DpKernelOptions dp_options;
-      dp_options.pool = pool;
-      dp_options.workspace = workspace.get();
-      dp_options.kernel = bundle->kernel;
-      dp_options.context = group_ctx;
+      // The solver picks its kernel from the oracle's type; the solver
+      // string records it for observability.
       HistogramDpResult dp = SolveHistogramDpWithKernel(
-          *bundle->oracle, max_exact_budget, bundle->combiner, dp_options);
+          *bundle->oracle, max_exact_budget, bundle->combiner,
+          {.pool = pool, .workspace = workspace.get(), .context = group_ctx});
       const double dp_seconds = watch.ElapsedSeconds();
       if (dp.status().ok()) {
         for (std::size_t i : indices) {
@@ -867,14 +857,11 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
             continue;
           }
           watch.Restart();
-          DpKernelOptions solo_options;
-          solo_options.pool = pool;
-          solo_options.workspace = workspace.get();
-          solo_options.kernel = bundle->kernel;
-          solo_options.context = &contexts[i];
           HistogramDpResult solo = SolveHistogramDpWithKernel(
               *bundle->oracle, effective(i).budget, bundle->combiner,
-              solo_options);
+              {.pool = pool,
+               .workspace = workspace.get(),
+               .context = &contexts[i]});
           if (!solo.status().ok()) {
             PROBSYN_RETURN_IF_ERROR(run_floor(i, solo.status()));
             continue;
@@ -898,16 +885,11 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
     for (std::size_t i : indices) {
       if (effective(i).method != HistogramMethod::kApprox) continue;
       watch.Restart();
-      // The planner knows the oracle's concrete type, so the approximate DP
-      // gets its specialized point-cost kernel without the dynamic_cast
-      // chain; the chosen kernel lands in the solver string. Approximate
+      // The chosen point-cost kernel lands in the solver string. Approximate
       // solves are per-request, so each runs under its own context.
-      ApproxDpKernelOptions approx_options;
-      approx_options.kernel = bundle->kernel;
-      approx_options.context = &contexts[i];
       auto approx = SolveApproxHistogramDpWithKernel(
           *bundle->oracle, effective(i).budget, effective(i).epsilon,
-          approx_options);
+          {.context = &contexts[i]});
       if (!approx.ok()) {
         PROBSYN_RETURN_IF_ERROR(run_floor(i, approx.status()));
         continue;

@@ -168,7 +168,7 @@ struct SynopsisResult {
   std::size_t oracle_evaluations = 0;
   /// Human-readable route, e.g.
   /// "histogram/exact-dp[kernel=sse-moment,parallel=4]" — exact-DP routes
-  /// record which specialized kernel (core/dp_kernels.h) the planner chose.
+  /// record which kernel (core/dp_kernels.h) the solver picked.
   std::string solver;
   SynopsisTiming timing;
 };

@@ -1,6 +1,7 @@
 #include "io/synopsis_codec.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "util/fault_injection.h"
@@ -45,10 +46,16 @@ void AppendU64(std::uint64_t v, std::string* out) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void AppendDouble(double v, std::string* out) {
+// Synopsis values are finite by contract: a NaN or infinity would be
+// served as every answer that touches it, so no blob may carry one.
+Status AppendFiniteDouble(double v, const char* what, std::string* out) {
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument(std::string("non-finite ") + what);
+  }
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   AppendU64(bits, out);
+  return Status::OK();
 }
 
 // Sequential reader over the payload span; every Read* reports truncation
@@ -88,6 +95,8 @@ class PayloadReader {
     offset_ += 8;
     double v;
     std::memcpy(&v, &bits, sizeof(v));
+    // A store file is outside input: reject what the encoders never write.
+    if (!std::isfinite(v)) return Malformed(what, "non-finite value");
     return v;
   }
 
@@ -227,7 +236,8 @@ StatusOr<std::string> EncodeHistogram(const Histogram& histogram) {
     previous_end_plus_1 = bucket.end + 1;
   }
   for (const HistogramBucket& bucket : histogram.buckets()) {
-    AppendDouble(bucket.representative, &payload);
+    PROBSYN_RETURN_IF_ERROR(
+        AppendFiniteDouble(bucket.representative, "representative", &payload));
   }
   return FrameBlob(SynopsisBlobKind::kHistogram, payload);
 }
@@ -296,7 +306,8 @@ StatusOr<std::string> EncodeWavelet(const WaveletSynopsis& synopsis) {
   }
   if (bits_pending > 0) payload.push_back(static_cast<char>(bit_buffer & 0xff));
   for (const WaveletCoefficient& c : synopsis.coefficients()) {
-    AppendDouble(c.value, &payload);
+    PROBSYN_RETURN_IF_ERROR(
+        AppendFiniteDouble(c.value, "coefficient value", &payload));
   }
   return FrameBlob(SynopsisBlobKind::kWavelet, payload);
 }

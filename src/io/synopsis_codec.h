@@ -38,7 +38,8 @@ namespace probsyn {
 //
 // Decoding is strict: magic/version/kind/reserved mismatches, size
 // mismatches, checksum failures, varints running past the payload,
-// non-monotone boundaries or indices, and declared-count blowups all
+// non-monotone boundaries or indices, non-finite representatives or
+// coefficient values, and declared-count blowups all
 // return a clean error Status (kInvalidArgument for malformed structure,
 // kIOError for truncation/corruption) — never a crash or a silently wrong
 // synopsis. Every single-byte corruption is caught by the checksum, which
@@ -59,11 +60,13 @@ const char* SynopsisBlobKindName(SynopsisBlobKind kind);
 inline constexpr std::uint8_t kSynopsisCodecVersion = 1;
 
 /// Encodes a histogram as a self-contained v1 blob. Fails with
-/// kInvalidArgument if the buckets violate the partition invariants.
+/// kInvalidArgument if the buckets violate the partition invariants or a
+/// representative is not finite.
 StatusOr<std::string> EncodeHistogram(const Histogram& histogram);
 
 /// Encodes a wavelet synopsis as a self-contained v1 blob. Fails with
-/// kInvalidArgument if the synopsis fails Validate().
+/// kInvalidArgument if the synopsis fails Validate() or a coefficient value
+/// is not finite.
 StatusOr<std::string> EncodeWavelet(const WaveletSynopsis& synopsis);
 
 /// Decodes a histogram blob. The result is bitwise-identical to the

@@ -43,7 +43,7 @@ std::size_t IngestCoordinator::OpenStream() {
     store = &stream->lease->get()->stream_chains();
   }
   stream->builder = std::make_unique<StreamingHistogramBuilder>(
-      options_.max_buckets, options_.epsilon, StreamingKernel::kAuto, store);
+      options_.max_buckets, options_.epsilon, store);
   std::lock_guard<std::mutex> lock(streams_mutex_);
   streams_.push_back(std::move(stream));
   return streams_.size() - 1;

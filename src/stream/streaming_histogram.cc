@@ -1,6 +1,7 @@
 #include "stream/streaming_histogram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/dp_kernels.h"
@@ -9,38 +10,22 @@
 
 namespace probsyn {
 
-const char* StreamingKernelName(StreamingKernel kind) {
-  switch (kind) {
-    case StreamingKernel::kAuto: return "auto";
-    case StreamingKernel::kReference: return "reference";
-    case StreamingKernel::kPointCost: return "point-cost";
-  }
-  return "?";
-}
-
 StreamingHistogramBuilder::StreamingHistogramBuilder(
-    std::size_t max_buckets, double epsilon, StreamingKernel kernel,
-    StreamChainStore* chain_store)
+    std::size_t max_buckets, double epsilon, StreamChainStore* chain_store)
     : max_buckets_(std::max<std::size_t>(1, max_buckets)),
       delta_(std::min(
           0.5, std::max(epsilon, 1e-9) / (2.0 * static_cast<double>(
                                                     std::max<std::size_t>(
                                                         1, max_buckets))))),
-      kernel_(kernel == StreamingKernel::kAuto ? StreamingKernel::kPointCost
-                                               : kernel),
-      owned_chain_store_(kernel_ == StreamingKernel::kPointCost &&
-                                 chain_store == nullptr
+      owned_chain_store_(chain_store == nullptr
                              ? std::make_unique<StreamChainStore>()
                              : nullptr),
-      chain_store_(kernel_ == StreamingKernel::kPointCost
-                       ? (chain_store == nullptr ? owned_chain_store_.get()
-                                                 : chain_store)
-                       : nullptr) {
+      chain_store_(chain_store == nullptr ? owned_chain_store_.get()
+                                          : chain_store) {
   layers_.resize(max_buckets_);
 }
 
 StreamingHistogramBuilder::~StreamingHistogramBuilder() {
-  if (chain_store_ == nullptr) return;  // reference path: copy-based chains
   // Hand every owned chain reference back so an injected store's live-node
   // count returns to its pre-builder baseline (leak-tested).
   for (Layer& layer : layers_) {
@@ -66,69 +51,24 @@ double StreamingHistogramBuilder::Representative(const Snapshot& from,
   return (to.sum_mean - from.sum_mean) / width;
 }
 
+// Per layer, materialize every committed candidate's extension cost from
+// the hoisted snapshot columns (the identical prefix-moment arithmetic as
+// BucketCost), minimize through the SIMD dispatch, resolve the textbook
+// tie-break (first committed candidate attaining the minimum; the pending
+// and inherit candidates win only strictly, in that order), and record the
+// winner's boundary chain as ONE persistent-chain operation — Extend() on
+// the winner's chain reference (hash-consed: a re-chosen winner resolves
+// to the already-live node) or an AddRef() when inheritance wins. Push
+// therefore does O(1) chain work per layer REGARDLESS of chain length,
+// where the textbook scan copies the full O(B) winner chain; steady-state
+// pushes allocate nothing (the store recycles freed nodes, evaluation
+// slots and value buffers reuse their capacity).
 void StreamingHistogramBuilder::Push(const ValuePdf& pdf) {
   ++count_;
   running_.position = count_;
   running_.sum_mean += pdf.Mean();
   running_.sum_second += pdf.SecondMoment();
 
-  if (kernel_ == StreamingKernel::kReference) {
-    PushReference();
-  } else {
-    PushPointCost();
-  }
-  peak_breakpoints_ = std::max(peak_breakpoints_, breakpoints());
-}
-
-// The pre-kernel scan, preserved as the parity baseline: one compare per
-// candidate, copying the candidate's boundary chain on every improvement,
-// with freshly allocated per-push evaluation state.
-void StreamingHistogramBuilder::PushReference() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Evaluate every layer's prefix error at the current position using the
-  // PREVIOUS pendings/breakpoints (all at positions <= count_-1).
-  std::vector<Eval> evals(max_buckets_);
-  for (Eval& eval : evals) eval.error = kInf;
-  Snapshot origin;  // zero state at position 0
-  evals[0].error = BucketCost(origin, running_);
-
-  for (std::size_t b = 2; b <= max_buckets_; ++b) {
-    Eval best;
-    best.error = kInf;
-    auto consider = [&](const Breakpoint& candidate) {
-      if (candidate.at.position >= count_) return;  // empty last bucket
-      double err = candidate.error + BucketCost(candidate.at, running_);
-      if (err < best.error) {
-        best.error = err;
-        best.boundaries = candidate.boundaries;
-        best.boundaries.push_back(candidate.at);
-      }
-    };
-    const Layer& prev = layers_[b - 2];
-    for (const Breakpoint& candidate : prev.committed) consider(candidate);
-    if (prev.has_pending) consider(prev.pending);
-    // "At most b" inheritance keeps layers monotone.
-    if (evals[b - 2].error < best.error) best = evals[b - 2];
-    evals[b - 1] = std::move(best);
-  }
-
-  CommitLayers(evals, /*move_chains=*/false);
-}
-
-// Point-cost kernel: per layer, materialize every committed candidate's
-// extension cost from the hoisted snapshot columns (the identical
-// prefix-moment arithmetic as BucketCost), minimize through the SIMD
-// dispatch, resolve the reference tie-break (first committed candidate
-// attaining the minimum; the pending and inherit candidates win only
-// strictly, in that order), and record the winner's boundary chain as ONE
-// persistent-chain operation — Extend() on the winner's chain reference
-// (hash-consed: a re-chosen winner resolves to the already-live node) or
-// an AddRef() when inheritance wins. Push therefore does O(1) chain work
-// per layer REGARDLESS of chain length, where the reference path copies
-// the full O(B) winner chain; steady-state pushes allocate nothing (the
-// store recycles freed nodes, evaluation slots and value buffers reuse
-// their capacity). Outputs are bit-identical to the reference scan.
-void StreamingHistogramBuilder::PushPointCost() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr StreamChainStore::Ref kNil = StreamChainStore::kNil;
   evals_.resize(max_buckets_);
@@ -182,20 +122,16 @@ void StreamingHistogramBuilder::PushPointCost() {
     }
   }
 
-  CommitLayers(evals_, /*use_chain_refs=*/true);
+  CommitLayers();
+  peak_breakpoints_ = std::max(peak_breakpoints_, breakpoints());
 }
 
 void StreamingHistogramBuilder::PushBatch(std::span<const ValuePdf> pdfs) {
-  if (kernel_ == StreamingKernel::kReference) {
-    // The parity baseline has no batched form; semantics are identical.
-    for (const ValuePdf& pdf : pdfs) Push(pdf);
-    return;
-  }
   std::size_t offset = 0;
   while (offset < pdfs.size()) {
     const std::size_t block =
         std::min<std::size_t>(kBatchWidth, pdfs.size() - offset);
-    PushBatchPointCost(pdfs.subspan(offset, block));
+    PushBatchBlock(pdfs.subspan(offset, block));
     offset += block;
   }
 }
@@ -222,7 +158,7 @@ void StreamingHistogramBuilder::PushBatch(std::span<const ValuePdf> pdfs) {
 //    references, and the block-end release pass drops the scratch ones —
 //    leaving the exact live-node set the sequential pushes produce
 //    (asserted by the differential tests).
-void StreamingHistogramBuilder::PushBatchPointCost(
+void StreamingHistogramBuilder::PushBatchBlock(
     std::span<const ValuePdf> pdfs) {
   constexpr StreamChainStore::Ref kNil = StreamChainStore::kNil;
   constexpr std::int64_t kPendingWins = -2;
@@ -440,13 +376,12 @@ void StreamingHistogramBuilder::PushBatchPointCost(
   peak_breakpoints_ = std::max(peak_breakpoints_, breakpoints());
 }
 
-void StreamingHistogramBuilder::CommitLayers(std::vector<Eval>& evals,
-                                             bool use_chain_refs) {
+void StreamingHistogramBuilder::CommitLayers() {
   // Last-position-of-class rule: commit the previous pending when the
   // error outgrows its geometric class.
   for (std::size_t b = 1; b <= max_buckets_; ++b) {
     Layer& layer = layers_[b - 1];
-    Eval& eval = evals[b - 1];
+    Eval& eval = evals_[b - 1];
     bool class_overflow =
         layer.has_pending &&
         (eval.error > (1.0 + delta_) * layer.class_base ||
@@ -469,16 +404,12 @@ void StreamingHistogramBuilder::CommitLayers(std::vector<Eval>& evals,
     if (!layer.has_pending) layer.class_base = eval.error;
     layer.pending.at = running_;
     layer.pending.error = eval.error;
-    if (use_chain_refs) {
-      // Transfer the evaluation's owned reference into the pending slot
-      // (and drop the reference the replaced pending held) — O(1), no
-      // copy, no allocation.
-      chain_store_->Release(layer.pending.chain);
-      layer.pending.chain = eval.chain;
-      eval.chain = StreamChainStore::kNil;
-    } else {
-      layer.pending.boundaries = eval.boundaries;
-    }
+    // Transfer the evaluation's owned reference into the pending slot (and
+    // drop the reference the replaced pending held) — O(1), no copy, no
+    // allocation.
+    chain_store_->Release(layer.pending.chain);
+    layer.pending.chain = eval.chain;
+    eval.chain = StreamChainStore::kNil;
     layer.has_pending = true;
   }
 }
@@ -502,20 +433,16 @@ StatusOr<StreamingHistogramBuilder::Result> StreamingHistogramBuilder::Finish()
 
   std::vector<HistogramBucket> buckets;
   std::vector<Snapshot> cuts;
-  if (kernel_ == StreamingKernel::kReference) {
-    cuts = final_state.boundaries;
-  } else {
-    // One parent walk recovers the boundaries newest-first; reversing
-    // restores stream order — the only O(chain) step, paid once per
-    // Finish instead of once per Push.
-    for (StreamChainStore::Ref ref = final_state.chain;
-         ref != StreamChainStore::kNil; ref = chain_store_->parent(ref)) {
-      cuts.push_back({chain_store_->sum_mean(ref),
-                      chain_store_->sum_second(ref),
-                      chain_store_->position(ref)});
-    }
-    std::reverse(cuts.begin(), cuts.end());
+  // One parent walk recovers the boundaries newest-first; reversing
+  // restores stream order — the only O(chain) step, paid once per Finish
+  // instead of once per Push.
+  for (StreamChainStore::Ref ref = final_state.chain;
+       ref != StreamChainStore::kNil; ref = chain_store_->parent(ref)) {
+    cuts.push_back({chain_store_->sum_mean(ref),
+                    chain_store_->sum_second(ref),
+                    chain_store_->position(ref)});
   }
+  std::reverse(cuts.begin(), cuts.end());
   cuts.push_back(running_);
   Snapshot prev;  // origin
   double total = 0.0;
@@ -528,6 +455,11 @@ StatusOr<StreamingHistogramBuilder::Result> StreamingHistogramBuilder::Finish()
     total += BucketCost(prev, cut);
     buckets.push_back(bucket);
     prev = cut;
+  }
+  // Moments that overflow (or non-finite input) poison the cost; never
+  // report such a histogram as a successful build.
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("streaming histogram cost is not finite");
   }
 
   Result result;

@@ -15,26 +15,6 @@
 
 namespace probsyn {
 
-/// Which Push-loop implementation the streaming builder runs. kPointCost
-/// hoists each layer's committed-breakpoint snapshots into flat parallel
-/// columns, materializes the candidate extension costs with the identical
-/// arithmetic, minimizes through the runtime-dispatched SIMD min-reduction
-/// (core/dp_kernels.h), and records the winning boundary chain as an O(1)
-/// persistent-chain reference (StreamChainStore: hash-consed parent
-/// pointers with refcounts) — the reference path instead copies the full
-/// winner chain per improving candidate, the historical O(B)-per-layer
-/// behavior kept as the parity and differential-test baseline. Both
-/// kernels are bit-identical in every returned histogram, cost, and
-/// breakpoint count (parity-tested in streaming_test.cc).
-enum class StreamingKernel {
-  kAuto,       ///< Resolve to kPointCost.
-  kReference,  ///< Per-candidate compare-and-copy scan (parity baseline).
-  kPointCost,  ///< Hoisted snapshot columns + persistent chains.
-};
-
-/// Stable display name ("reference", "point-cost", ...).
-const char* StreamingKernelName(StreamingKernel kind);
-
 /// One-pass (1+epsilon)-approximate histogram construction over a stream
 /// of per-item frequency pdfs arriving in domain order — the streaming
 /// counterpart of SolveApproxHistogramDp, in the style of Guha, Koudas &
@@ -52,6 +32,16 @@ const char* StreamingKernelName(StreamingKernel kind);
 /// the same way, absolute metrics would need mergeable quantile sketches
 /// and are out of scope, as in the original AHIST work).
 ///
+/// Each Push hoists every layer's committed-breakpoint snapshots into flat
+/// parallel columns, materializes the candidate extension costs with the
+/// identical arithmetic, minimizes through the runtime-dispatched SIMD
+/// min-reduction (core/dp_kernels.h), and records the winning boundary
+/// chain as an O(1) persistent-chain reference (StreamChainStore:
+/// hash-consed parent pointers with refcounts). Every result is
+/// bit-identical to the textbook scan that copies the full winner chain
+/// per improving candidate (kept in tests/reference; streaming_test.cc
+/// compares).
+///
 /// Usage:
 ///     StreamingHistogramBuilder builder(B, epsilon);
 ///     for (each item pdf in domain order) builder.Push(pdf);
@@ -67,16 +57,13 @@ class StreamingHistogramBuilder {
     std::size_t peak_breakpoints = 0;
   };
 
-  /// `max_buckets` >= 1; epsilon > 0 (the approximation slack). `kernel`
-  /// selects the Push-loop implementation (kAuto = the fast kPointCost;
-  /// results are bit-identical either way). A non-null `chain_store`
-  /// (e.g. DpWorkspace::stream_chains(), as the engine passes) hosts the
-  /// point-cost path's boundary-chain nodes so repeated streams reuse its
-  /// warm capacity; null lets the builder own a private store. The builder
-  /// releases every chain reference on destruction, returning the store's
-  /// live-node count to what it was at construction.
+  /// `max_buckets` >= 1; epsilon > 0 (the approximation slack). A
+  /// non-null `chain_store` (e.g. DpWorkspace::stream_chains(), as the
+  /// engine passes) hosts the boundary-chain nodes so repeated streams
+  /// reuse its warm capacity; null lets the builder own a private store.
+  /// The builder releases every chain reference on destruction, returning
+  /// the store's live-node count to what it was at construction.
   StreamingHistogramBuilder(std::size_t max_buckets, double epsilon,
-                            StreamingKernel kernel = StreamingKernel::kAuto,
                             StreamChainStore* chain_store = nullptr);
   ~StreamingHistogramBuilder();
 
@@ -84,13 +71,9 @@ class StreamingHistogramBuilder {
   StreamingHistogramBuilder& operator=(const StreamingHistogramBuilder&) =
       delete;
 
-  /// The Push-loop implementation this builder runs (never kAuto).
-  StreamingKernel kernel() const { return kernel_; }
-
-  /// The boundary-chain store backing the point-cost path (the builder's
-  /// own unless one was injected); null on the reference kernel, which
-  /// keeps copy-based chains. Stats expose the O(1)-chain-work and
-  /// zero-allocation counters the tests assert on.
+  /// The boundary-chain store (the builder's own unless one was injected).
+  /// Stats expose the O(1)-chain-work and zero-allocation counters the
+  /// tests assert on.
   const StreamChainStore* chain_store() const { return chain_store_; }
 
   /// Appends the next item's frequency pdf (domain position = arrival
@@ -112,8 +95,7 @@ class StreamingHistogramBuilder {
   /// replay in one pass per layer. Internally processes kBatchWidth-item
   /// blocks layer-major, with a per-push visibility timeline reproducing
   /// exactly the candidate set each sequential push would have seen.
-  /// Arbitrary interleaving with single Push calls is allowed; the
-  /// reference kernel falls back to looped Push.
+  /// Arbitrary interleaving with single Push calls is allowed.
   void PushBatch(std::span<const ValuePdf> pdfs);
 
   /// Number of items consumed so far.
@@ -123,8 +105,10 @@ class StreamingHistogramBuilder {
   std::size_t breakpoints() const;
 
   /// Completes the pass and extracts the histogram. Fails on an empty
-  /// stream. The builder can keep consuming afterwards (Finish is
-  /// non-destructive), supporting periodic synopsis refresh.
+  /// stream (FailedPrecondition) and with InvalidArgument when the cost is
+  /// not finite (moments that overflow, or non-finite input). The builder
+  /// can keep consuming afterwards (Finish is non-destructive), supporting
+  /// periodic synopsis refresh.
   StatusOr<Result> Finish() const;
 
  private:
@@ -140,20 +124,18 @@ class StreamingHistogramBuilder {
   // the approximate error there, and the boundary chain (split snapshots)
   // of the solution achieving it — carrying the chain makes traceback
   // self-contained (no dangling parent indices when pendings rotate). The
-  // reference path materializes the chain as a copied vector; the
-  // point-cost path carries one owned StreamChainStore reference instead
-  // (shared-suffix, O(1) to extend or hand over).
+  // chain is one owned StreamChainStore reference (shared-suffix, O(1) to
+  // extend or hand over).
   struct Breakpoint {
     Snapshot at;
     double error = 0.0;
-    std::vector<Snapshot> boundaries;            // reference path only
-    StreamChainStore::Ref chain = StreamChainStore::kNil;  // point-cost only
+    StreamChainStore::Ref chain = StreamChainStore::kNil;
   };
 
   // Per-layer state: committed breakpoints are the LAST position of each
   // geometric error class; `pending` tracks the most recent position. The
   // cand_* vectors are hoisted columns of `committed` (error, snapshot
-  // moments, position, kept in lockstep) that the point-cost kernel scans
+  // moments, position, kept in lockstep) that each Push scans
   // contiguously instead of striding through the breakpoint structs.
   // Positions are carried as doubles (exact below 2^53) so the fused SIMD
   // column kernel can guard and subtract them in vector lanes.
@@ -179,44 +161,33 @@ class StreamingHistogramBuilder {
   static double Representative(const Snapshot& from, const Snapshot& to);
 
   // Per-layer evaluation of the current position: the approximate prefix
-  // error and the boundary chain achieving it (vector on the reference
-  // path, owned store reference on the point-cost path).
+  // error and the owned reference to the boundary chain achieving it.
   struct Eval {
-    double error;  // initialized to +infinity by the Push loops
-    std::vector<Snapshot> boundaries;
+    double error;  // initialized to +infinity by Push
     StreamChainStore::Ref chain = StreamChainStore::kNil;
   };
 
-  // The two Push-loop implementations (see StreamingKernel). Bit-identical
-  // outputs; they differ in scan layout and chain representation only.
-  void PushReference();
-  void PushPointCost();
+  // One <= kBatchWidth block of the batched path: layer-major replay of
+  // the sequential recurrence (see PushBatch).
+  void PushBatchBlock(std::span<const ValuePdf> pdfs);
 
-  // One <= kBatchWidth block of the batched point-cost path: layer-major
-  // replay of the sequential recurrence (see PushBatch).
-  void PushBatchPointCost(std::span<const ValuePdf> pdfs);
-
-  // Shared commit/update step of both Push loops: applies the geometric
-  // last-position-of-class rule to every layer from this push's
-  // evaluations, keeping the hoisted candidate columns in lockstep with
-  // `committed`. `use_chain_refs` transfers each evaluation's owned chain
-  // reference into the pending slot (point-cost kernel, O(1)) instead of
-  // copying its boundary vector (reference path).
-  void CommitLayers(std::vector<Eval>& evals, bool use_chain_refs);
+  // Push's commit/update step: applies the geometric last-position-of-class
+  // rule to every layer from this push's evaluations (evals_), keeping the
+  // hoisted candidate columns in lockstep with `committed`, and transfers
+  // each evaluation's owned chain reference into the pending slot (O(1)).
+  void CommitLayers();
 
   std::size_t max_buckets_;
   double delta_;  // per-layer geometric slack
-  StreamingKernel kernel_;
   std::size_t count_ = 0;
   Snapshot running_;
   std::vector<Layer> layers_;
-  // Point-cost kernel scratch, recycled across pushes (capacity-preserving
-  // clears keep the steady-state Push allocation-free).
+  // Push scratch, recycled across pushes (capacity-preserving clears keep
+  // the steady-state Push allocation-free).
   std::vector<double> candidate_values_;
   std::vector<Eval> evals_;
   std::size_t peak_breakpoints_ = 0;
-  // Chain-node backing of the point-cost path: the injected store, or the
-  // builder's own.
+  // Chain-node backing: the injected store, or the builder's own.
   std::unique_ptr<StreamChainStore> owned_chain_store_;
   StreamChainStore* chain_store_;
 
@@ -231,7 +202,7 @@ class StreamingHistogramBuilder {
   // Per-block scratch, flat [layer * kBatchWidth + push] where it is
   // two-dimensional; capacities stick across blocks so steady-state
   // batches allocate nothing (beyond the shared chain store / committed
-  // columns both push paths already grow).
+  // columns single pushes grow too).
   std::vector<Snapshot> batch_snapshots_;            // running_ after push k
   std::vector<double> batch_errors_;                 // eval errors, B x KB
   std::vector<StreamChainStore::Ref> batch_chains_;  // eval chains, B x KB

@@ -1,12 +1,15 @@
-// Kernel/reference parity: every specialized DP kernel (core/dp_kernels.h)
-// must be BIT-identical to the reference scalar solver — err rows, choice
-// rows (traceback ties included), and cached representatives — across every
-// oracle type x {kSum, kMax} x budgets, sequentially and in the blocked
-// parallel form, with and without workspace reuse. This pins down the
-// tentpole guarantee that the kernels only change speed, never answers.
+// Kernel parity: every exact-DP kernel (core/dp_kernels.h) — each library
+// oracle's specialized kernel and the generic path that any other oracle
+// type runs — must be BIT-identical to the textbook DP of tests/reference:
+// err rows, choice rows (traceback ties included), and cached
+// representatives, across every oracle type x {kSum, kMax} x budgets,
+// sequentially and in the blocked parallel form, on every SIMD path, with
+// and without workspace reuse. The kernels only change speed, never
+// answers.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <random>
 #include <vector>
@@ -20,7 +23,10 @@
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
 #include "model/value_pdf.h"
+#include "reference/reference_solvers.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
+#include "test_util.h"
 
 namespace probsyn {
 namespace {
@@ -31,13 +37,14 @@ constexpr ErrorMetric kAllMetrics[] = {
 
 // Exact (bitwise) table equality: EXPECT_EQ on doubles is ==, which is the
 // contract — not "close enough".
-void ExpectBitIdenticalTables(const HistogramDpResult& expected,
+void ExpectBitIdenticalTables(const reference::ExactDpTables& expected,
                               const HistogramDpResult& actual,
                               const std::string& label) {
-  ASSERT_EQ(expected.domain_size(), actual.domain_size()) << label;
-  ASSERT_EQ(expected.table_layers(), actual.table_layers()) << label;
-  const std::size_t n = expected.domain_size();
-  for (std::size_t b = 1; b <= expected.table_layers(); ++b) {
+  ASSERT_TRUE(actual.status().ok()) << label << ": " << actual.status();
+  ASSERT_EQ(expected.n, actual.domain_size()) << label;
+  ASSERT_EQ(expected.layers, actual.table_layers()) << label;
+  const std::size_t n = expected.n;
+  for (std::size_t b = 1; b <= expected.layers; ++b) {
     auto err_e = expected.ErrorRow(b);
     auto err_a = actual.ErrorRow(b);
     auto cho_e = expected.ChoiceRow(b);
@@ -53,49 +60,47 @@ void ExpectBitIdenticalTables(const HistogramDpResult& expected,
   }
 }
 
-// Solves with the reference scalar kernel and with the specialized kernel
-// (sequentially, in parallel, and through a reused workspace) and demands
-// bitwise equality everywhere.
+// Solves through the oracle's own kernel and through the generic path (a
+// forwarding oracle), each sequentially, in parallel, and through a reused
+// workspace, on every SIMD path, and demands bitwise equality with the
+// textbook DP everywhere.
 void CheckKernelParity(const BucketCostOracle& oracle, DpCombiner combiner,
                        std::size_t max_buckets, const std::string& label) {
-  DpKernelOptions reference_options;
-  reference_options.kernel = DpKernelKind::kReference;
-  HistogramDpResult reference = SolveHistogramDpWithKernel(
-      oracle, max_buckets, combiner, reference_options);
-
-  const DpKernelKind kind = SelectDpKernel(oracle);
-
-  DpKernelOptions kernel_options;
-  kernel_options.kernel = kind;
-  HistogramDpResult kernel =
-      SolveHistogramDpWithKernel(oracle, max_buckets, combiner,
-                                 kernel_options);
-  EXPECT_EQ(kernel.kernel(), kind);
-  ExpectBitIdenticalTables(reference, kernel, label + "/sequential");
-
+  const reference::ExactDpTables want =
+      reference::SolveExactDp(oracle, max_buckets, combiner);
+  const reference::ForwardingOracle forwarding(oracle);
   ThreadPool pool(3);
-  DpKernelOptions parallel_options;
-  parallel_options.kernel = kind;
-  parallel_options.pool = &pool;
-  HistogramDpResult parallel = SolveHistogramDpWithKernel(
-      oracle, max_buckets, combiner, parallel_options);
-  ExpectBitIdenticalTables(reference, parallel, label + "/parallel");
+  for (SimdPath path : testing::SupportedSimdPaths()) {
+    testing::ScopedSimdPath forced(path);
+    for (const BucketCostOracle* solved :
+         {&oracle, static_cast<const BucketCostOracle*>(&forwarding)}) {
+      const bool generic = solved == &forwarding;
+      const std::string where = label + (generic ? "/generic" : "/kernel") +
+                                "/simd=" + SimdPathName(path);
+      HistogramDpResult sequential =
+          SolveHistogramDp(*solved, max_buckets, combiner);
+      EXPECT_EQ(sequential.kernel() == DpKernelKind::kGeneric, generic)
+          << where << " ran " << DpKernelKindName(sequential.kernel());
+      ExpectBitIdenticalTables(want, sequential, where + "/sequential");
 
-  DpWorkspace workspace;
-  DpKernelOptions reuse_options;
-  reuse_options.kernel = kind;
-  reuse_options.workspace = &workspace;
-  {
-    // Dirty the workspace with an unrelated solve (different budget), then
-    // reuse it: stale storage must not leak into the result.
-    HistogramDpResult scratch = SolveHistogramDpWithKernel(
-        oracle, std::max<std::size_t>(1, max_buckets / 2), combiner,
-        reuse_options);
-    (void)scratch;
+      HistogramDpResult parallel =
+          SolveHistogramDp(*solved, max_buckets, combiner, &pool);
+      ExpectBitIdenticalTables(want, parallel, where + "/parallel");
+
+      DpWorkspace workspace;
+      {
+        // Dirty the workspace with an unrelated solve (different budget),
+        // then reuse it: stale storage must not leak into the result.
+        HistogramDpResult scratch = SolveHistogramDpWithKernel(
+            *solved, std::max<std::size_t>(1, max_buckets / 2), combiner,
+            {.workspace = &workspace});
+        (void)scratch;
+      }
+      HistogramDpResult reused = SolveHistogramDpWithKernel(
+          *solved, max_buckets, combiner, {.workspace = &workspace});
+      ExpectBitIdenticalTables(want, reused, where + "/workspace-reuse");
+    }
   }
-  HistogramDpResult reused = SolveHistogramDpWithKernel(
-      oracle, max_buckets, combiner, reuse_options);
-  ExpectBitIdenticalTables(reference, reused, label + "/workspace-reuse");
 }
 
 struct ParityCase {
@@ -137,7 +142,6 @@ TEST_P(DpKernelParityTest, BitIdenticalAcrossCombinersAndBudgets) {
   }
   auto bundle = MakeBucketOracle(input, options);
   ASSERT_TRUE(bundle.ok()) << bundle.status();
-  EXPECT_EQ(bundle->kernel, SelectDpKernel(*bundle->oracle));
 
   for (DpCombiner combiner : {DpCombiner::kSum, DpCombiner::kMax}) {
     for (std::size_t budget : {std::size_t{1}, std::size_t{5}, kDomain}) {
@@ -185,7 +189,8 @@ TEST(DpKernelParity, TupleSseWorldMeanSweepKernel) {
   options.sse_variant = SseVariant::kWorldMean;
   auto bundle = MakeBucketOracle(input, options);
   ASSERT_TRUE(bundle.ok());
-  EXPECT_EQ(bundle->kernel, DpKernelKind::kTupleSse);
+  EXPECT_EQ(SolveHistogramDp(*bundle->oracle, 4, bundle->combiner).kernel(),
+            DpKernelKind::kTupleSse);
   for (DpCombiner combiner : {DpCombiner::kSum, DpCombiner::kMax}) {
     CheckKernelParity(*bundle->oracle, combiner, 48,
                       combiner == DpCombiner::kSum ? "tuple/sum"
@@ -264,6 +269,67 @@ TEST(DpKernelParity, LargeDomainCrossesChunkAndBlockBoundaries) {
   }
 }
 
+// A caller-defined oracle: costs come from a seeded table, not from any
+// formula. Ties, plateaus, and non-monotone columns are common, so the kMax
+// cell's bound-verified sweep (two 512-split chunks here) runs on data no
+// library oracle produces. The generic path must still match the textbook
+// DP bit for bit at every lane count and SIMD path.
+class TableOracle final : public BucketCostOracle {
+ public:
+  TableOracle(std::size_t n, std::uint64_t seed) : n_(n), cells_(n * n) {
+    std::mt19937_64 rng(seed);
+    for (std::size_t e = 0; e < n; ++e) {
+      for (std::size_t s = 0; s <= e; ++s) {
+        BucketCost& cell = cells_[e * n + s];
+        switch (rng() % 4) {
+          case 0:  // plateau
+            cell.cost = 2.0;
+            break;
+          case 1:  // small integers: ties everywhere
+            cell.cost = static_cast<double>(rng() % 4);
+            break;
+          default:  // arbitrary, non-monotone in s and e
+            cell.cost = std::ldexp(static_cast<double>(rng() % 4096), -8);
+        }
+        cell.representative = static_cast<double>(rng() % 16);
+      }
+    }
+  }
+
+  std::size_t domain_size() const override { return n_; }
+  BucketCost Cost(std::size_t s, std::size_t e) const override {
+    return cells_[e * n_ + s];
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<BucketCost> cells_;  // [e * n + s]
+};
+
+TEST(DpKernelParity, CallerDefinedOracleRunsTheGenericPath) {
+  const TableOracle oracle(700, 20090401);
+  ThreadPool pool(3);
+  for (DpCombiner combiner : {DpCombiner::kSum, DpCombiner::kMax}) {
+    const reference::ExactDpTables want =
+        reference::SolveExactDp(oracle, 6, combiner);
+    for (SimdPath path : testing::SupportedSimdPaths()) {
+      testing::ScopedSimdPath forced(path);
+      for (ThreadPool* lanes : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const std::string label =
+            std::string(combiner == DpCombiner::kSum ? "sum" : "max") +
+            " simd=" + SimdPathName(path) +
+            (lanes == nullptr ? " lanes=1" : " lanes=4");
+        HistogramDpResult dp = SolveHistogramDp(oracle, 6, combiner, lanes);
+        EXPECT_EQ(dp.kernel(), DpKernelKind::kGeneric) << label;
+        ExpectBitIdenticalTables(want, dp, label);
+      }
+    }
+  }
+}
+
+// Tables equal to the textbook DP's make every traceback equal too; the
+// extracted histograms of the kernel and the generic path must agree, and
+// cached representatives must equal fresh oracle calls.
 TEST(DpKernelParity, ExtractedHistogramsMatchReference) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 80, .max_support = 4, .max_value = 7, .seed = 401});
@@ -274,16 +340,17 @@ TEST(DpKernelParity, ExtractedHistogramsMatchReference) {
     auto bundle = MakeBucketOracle(input, options);
     ASSERT_TRUE(bundle.ok());
 
-    DpKernelOptions reference_options;
-    reference_options.kernel = DpKernelKind::kReference;
-    HistogramDpResult reference = SolveHistogramDpWithKernel(
-        *bundle->oracle, 12, bundle->combiner, reference_options);
     HistogramDpResult kernel =
         SolveHistogramDp(*bundle->oracle, 12, bundle->combiner);
+    ExpectBitIdenticalTables(
+        reference::SolveExactDp(*bundle->oracle, 12, bundle->combiner),
+        kernel, ErrorMetricName(metric));
+    const reference::ForwardingOracle forwarding(*bundle->oracle);
+    HistogramDpResult generic =
+        SolveHistogramDp(forwarding, 12, bundle->combiner);
     for (std::size_t b = 1; b <= 12; ++b) {
-      Histogram expected = reference.ExtractHistogram(b);
       Histogram actual = kernel.ExtractHistogram(b);
-      EXPECT_TRUE(expected == actual)
+      EXPECT_TRUE(generic.ExtractHistogram(b) == actual)
           << ErrorMetricName(metric) << " B=" << b;
       // Cached representatives must equal fresh oracle calls (what the
       // pre-kernel extraction used to do).
@@ -297,39 +364,52 @@ TEST(DpKernelParity, ExtractedHistogramsMatchReference) {
   }
 }
 
+// Every oracle the factory builds has a specialized kernel, and both DPs
+// find it from the oracle's type.
 TEST(DpKernelSelection, FactoryKnowsEveryKernel) {
   ValuePdfInput input = GenerateRandomValuePdf({.domain_size = 16, .seed = 7});
-  for (ErrorMetric metric : kAllMetrics) {
+  const std::pair<ErrorMetric, DpKernelKind> kExpected[] = {
+      {ErrorMetric::kSse, DpKernelKind::kSseMoment},
+      {ErrorMetric::kSsre, DpKernelKind::kSsre},
+      {ErrorMetric::kSae, DpKernelKind::kAbsCumulative},
+      {ErrorMetric::kSare, DpKernelKind::kAbsCumulative},
+      {ErrorMetric::kMae, DpKernelKind::kMaxError},
+      {ErrorMetric::kMare, DpKernelKind::kMaxError}};
+  for (const auto& [metric, kind] : kExpected) {
     SynopsisOptions options;
     options.metric = metric;
     auto bundle = MakeBucketOracle(input, options);
     ASSERT_TRUE(bundle.ok());
-    EXPECT_NE(bundle->kernel, DpKernelKind::kReference)
-        << ErrorMetricName(metric) << " should have a specialized kernel";
-    EXPECT_EQ(bundle->kernel, SelectDpKernel(*bundle->oracle))
+    EXPECT_EQ(SolveHistogramDp(*bundle->oracle, 3, bundle->combiner).kernel(),
+              kind)
         << ErrorMetricName(metric);
+    if (bundle->combiner == DpCombiner::kSum) {
+      auto approx = SolveApproxHistogramDp(*bundle->oracle, 3, 0.1);
+      ASSERT_TRUE(approx.ok());
+      EXPECT_EQ(approx->kernel, kind) << ErrorMetricName(metric);
+    }
   }
 }
 
 // --- Approximate-DP kernel parity: the specialized point-cost kernels must
-// reproduce the reference virtual-dispatch solve exactly — histogram
+// reproduce the generic virtual-dispatch solve exactly — histogram
 // (boundaries, representatives), cost, and the Theorem 5 evaluation count.
 
 void CheckApproxKernelParity(const BucketCostOracle& oracle,
                              std::size_t max_buckets, double epsilon,
                              const std::string& label) {
-  auto reference = SolveApproxHistogramDpWithKernel(
-      oracle, max_buckets, epsilon, {.kernel = DpKernelKind::kReference});
-  ASSERT_TRUE(reference.ok()) << label << ": " << reference.status();
-  EXPECT_EQ(reference->kernel, DpKernelKind::kReference) << label;
+  const reference::ForwardingOracle forwarding(oracle);
+  auto generic = SolveApproxHistogramDp(forwarding, max_buckets, epsilon);
+  ASSERT_TRUE(generic.ok()) << label << ": " << generic.status();
+  EXPECT_EQ(generic->kernel, DpKernelKind::kGeneric) << label;
 
   auto kernel = SolveApproxHistogramDp(oracle, max_buckets, epsilon);
   ASSERT_TRUE(kernel.ok()) << label << ": " << kernel.status();
-  EXPECT_EQ(kernel->kernel, SelectDpKernel(oracle)) << label;
+  EXPECT_NE(kernel->kernel, DpKernelKind::kGeneric) << label;
 
-  EXPECT_TRUE(reference->histogram == kernel->histogram) << label;
-  EXPECT_EQ(reference->cost, kernel->cost) << label;
-  EXPECT_EQ(reference->oracle_evaluations, kernel->oracle_evaluations)
+  EXPECT_TRUE(generic->histogram == kernel->histogram) << label;
+  EXPECT_EQ(generic->cost, kernel->cost) << label;
+  EXPECT_EQ(generic->oracle_evaluations, kernel->oracle_evaluations)
       << label;
 }
 
@@ -404,15 +484,16 @@ TEST(ApproxDpKernelParity, PlateauInputsAndTupleSse) {
   options.sse_variant = SseVariant::kWorldMean;
   auto bundle = MakeBucketOracle(tuples, options);
   ASSERT_TRUE(bundle.ok());
-  ASSERT_EQ(bundle->kernel, DpKernelKind::kTupleSse);
   CheckApproxKernelParity(*bundle->oracle, 6, 0.1, "tuple-sse");
+  EXPECT_EQ(SolveApproxHistogramDp(*bundle->oracle, 6, 0.1)->kernel,
+            DpKernelKind::kTupleSse);
 }
 
 // --- Warm-started SAE/SARE sweeps. FlatSweep's warm acceptance is
 // guaranteed to agree with cold Cost() on convex cost sequences; computed
 // costs can split a plateau into several equal-valued pits by rounding, in
 // which case the warm sweep may return a different, EQUALLY-OPTIMAL grid
-// value (reference-vs-kernel DP parity is immune — both run the same
+// value (kernel-vs-generic DP parity is immune — both run the same
 // sweep). So: optimal cost must always agree (4-ulp bound for the
 // plateau-splitting case), and on exact-arithmetic inputs (integer point
 // masses) representatives must agree bit-for-bit, cold fallback included.
@@ -484,9 +565,8 @@ void CheckSplitAgainstReference(const std::vector<double>& left,
         << "trial " << trial << " rem=" << rem;
     // The hybrid dispatcher must agree with the reference at EVERY size
     // (below the cutoff it runs the scan itself).
-    BudgetSplit dispatched =
-        MinBudgetSplit(combiner, left.data(), bl_max, right.data(), cap_right,
-                       rem, WaveletSplitKernel::kBudgetSplit);
+    BudgetSplit dispatched = MinBudgetSplit(combiner, left.data(), bl_max,
+                                            right.data(), cap_right, rem);
     EXPECT_EQ(expected.value, dispatched.value) << "trial " << trial;
     EXPECT_EQ(expected.left_budget, dispatched.left_budget)
         << "trial " << trial;
@@ -528,15 +608,65 @@ TEST(MinBudgetSplitTest, ConstantTablesBreakTiesAtFirstSplit) {
     CheckSplitAgainstReference(left, right, rem, -1);
     BudgetSplit split = MinBudgetSplit(
         DpCombiner::kSum, left.data(), std::min(rem, left.size() - 1),
-        right.data(), right.size() - 1, rem, WaveletSplitKernel::kAuto);
+        right.data(), right.size() - 1, rem);
     EXPECT_EQ(split.left_budget, 0u) << "rem=" << rem;
     EXPECT_EQ(split.value, 3.0) << "rem=" << rem;
   }
 }
 
-// Wavelet DP parity: budget-split vs reference must agree bit-for-bit in
-// cost and kept coefficients for both coefficient-tree DPs, across all six
-// metrics (sum and max combiners) and weighted inputs.
+// Wavelet DP parity. The coefficient-tree DPs have no knob that swaps their
+// splits for the ascending scan; instead, Debug builds check every split
+// MinBudgetSplit returns against the scan (value and first attaining
+// split), and CI runs the Debug suite under native, scalar, AVX2, and
+// 4-lane dispatch. These tests drive both DPs across all six metrics
+// (sum and max combiners), weighted inputs, plateaus, and budgets past the
+// hybrid cutoff through that check, and demand bit-identical costs and
+// kept coefficients on every SIMD path (the kSum splits reduce through the
+// dispatched primitives).
+
+struct WaveletOutcome {
+  double cost = 0.0;
+  std::vector<WaveletCoefficient> coefficients;
+};
+
+template <typename Build>
+void ExpectIdenticalAcrossSimdPaths(const Build& build,
+                                    const std::string& label) {
+  WaveletOutcome want;
+  {
+    testing::ScopedSimdPath scalar(SimdPath::kScalar);
+    want = build();
+  }
+  for (SimdPath path : testing::SupportedSimdPaths()) {
+    testing::ScopedSimdPath forced(path);
+    const WaveletOutcome got = build();
+    EXPECT_EQ(want.cost, got.cost) << label << " simd=" << SimdPathName(path);
+    EXPECT_EQ(want.coefficients, got.coefficients)
+        << label << " simd=" << SimdPathName(path);
+  }
+}
+
+auto Restricted(const ValuePdfInput& input, std::size_t budget,
+                const SynopsisOptions& options) {
+  return [&input, budget, &options] {
+    auto result = BuildRestrictedWaveletDp(input, budget, options);
+    PROBSYN_CHECK(result.ok());
+    return WaveletOutcome{result->cost, result->synopsis.coefficients()};
+  };
+}
+
+auto Unrestricted(const ValuePdfInput& input, std::size_t budget,
+                  const SynopsisOptions& options, std::size_t grid_points) {
+  return [&input, budget, &options, grid_points] {
+    UnrestrictedWaveletOptions dp_options;
+    dp_options.grid_points = grid_points;
+    auto result =
+        BuildUnrestrictedWaveletDp(input, budget, options, dp_options);
+    PROBSYN_CHECK(result.ok());
+    return WaveletOutcome{result->cost, result->synopsis.coefficients()};
+  };
+}
+
 TEST(WaveletSplitKernelParity, RestrictedDpAllMetrics) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 32, .max_support = 3, .max_value = 6, .seed = 701});
@@ -552,19 +682,11 @@ TEST(WaveletSplitKernelParity, RestrictedDpAllMetrics) {
         for (std::size_t i = 24; i < 32; ++i) options.workload[i] = 2.0;
       }
       for (std::size_t budget : {std::size_t{1}, std::size_t{7}}) {
-        auto reference = BuildRestrictedWaveletDp(
-            input, budget, options, 2048, WaveletSplitKernel::kReference);
-        ASSERT_TRUE(reference.ok()) << reference.status();
-        EXPECT_EQ(reference->kernel, WaveletSplitKernel::kReference);
-        auto fast = BuildRestrictedWaveletDp(input, budget, options);
-        ASSERT_TRUE(fast.ok()) << fast.status();
-        EXPECT_EQ(fast->kernel, WaveletSplitKernel::kBudgetSplit);
-        std::string label = std::string(ErrorMetricName(metric)) +
-                            (weighted ? "/weighted" : "") +
-                            "/B=" + std::to_string(budget);
-        EXPECT_EQ(reference->cost, fast->cost) << label;
-        EXPECT_EQ(reference->synopsis.coefficients(),
-                  fast->synopsis.coefficients()) << label;
+        ExpectIdenticalAcrossSimdPaths(
+            Restricted(input, budget, options),
+            std::string(ErrorMetricName(metric)) +
+                (weighted ? "/weighted" : "") +
+                "/B=" + std::to_string(budget));
       }
     }
   }
@@ -578,27 +700,10 @@ TEST(WaveletSplitKernelParity, UnrestrictedDpAllMetrics) {
     options.metric = metric;
     options.sanity_c = 0.5;
     for (std::size_t budget : {std::size_t{1}, std::size_t{5}}) {
-      UnrestrictedWaveletOptions reference_options;
-      reference_options.grid_points = 17;
-      reference_options.kernel = WaveletSplitKernel::kReference;
-      auto reference =
-          BuildUnrestrictedWaveletDp(input, budget, options,
-                                     reference_options);
-      ASSERT_TRUE(reference.ok()) << reference.status();
-      EXPECT_EQ(reference->kernel, WaveletSplitKernel::kReference);
-
-      UnrestrictedWaveletOptions fast_options;
-      fast_options.grid_points = 17;
-      auto fast =
-          BuildUnrestrictedWaveletDp(input, budget, options, fast_options);
-      ASSERT_TRUE(fast.ok()) << fast.status();
-      EXPECT_EQ(fast->kernel, WaveletSplitKernel::kBudgetSplit);
-
-      std::string label = std::string(ErrorMetricName(metric)) +
-                          "/B=" + std::to_string(budget);
-      EXPECT_EQ(reference->cost, fast->cost) << label;
-      EXPECT_EQ(reference->synopsis.coefficients(),
-                fast->synopsis.coefficients()) << label;
+      ExpectIdenticalAcrossSimdPaths(
+          Unrestricted(input, budget, options, 17),
+          std::string(ErrorMetricName(metric)) +
+              "/B=" + std::to_string(budget));
     }
   }
 }
@@ -606,23 +711,26 @@ TEST(WaveletSplitKernelParity, UnrestrictedDpAllMetrics) {
 // Tie-heavy wavelet input: block-constant frequencies drive whole subtrees
 // to identical errors, so budget splits are full of plateaus — the
 // bisections' tie-breaks must still match the ascending scan exactly.
+// The 128-item case's budget of 40 passes the hybrid cutoff, so its splits
+// take the reduction and bisection paths.
 TEST(WaveletSplitKernelParity, PlateauInputsBreakTiesIdentically) {
-  std::vector<ValuePdf> pdfs;
-  for (std::size_t i = 0; i < 32; ++i) {
-    pdfs.push_back(ValuePdf::PointMass(1.0 + static_cast<double>(i / 8)));
-  }
-  ValuePdfInput input(std::move(pdfs));
-  for (ErrorMetric metric : {ErrorMetric::kSae, ErrorMetric::kMae}) {
-    SynopsisOptions options;
-    options.metric = metric;
-    auto reference = BuildRestrictedWaveletDp(input, 6, options, 2048,
-                                              WaveletSplitKernel::kReference);
-    ASSERT_TRUE(reference.ok());
-    auto fast = BuildRestrictedWaveletDp(input, 6, options);
-    ASSERT_TRUE(fast.ok());
-    EXPECT_EQ(reference->cost, fast->cost) << ErrorMetricName(metric);
-    EXPECT_EQ(reference->synopsis.coefficients(),
-              fast->synopsis.coefficients()) << ErrorMetricName(metric);
+  struct Case {
+    std::size_t n, block, budget;
+  };
+  for (const Case& c : {Case{32, 8, 6}, Case{128, 32, 40}}) {
+    std::vector<ValuePdf> pdfs;
+    for (std::size_t i = 0; i < c.n; ++i) {
+      pdfs.push_back(
+          ValuePdf::PointMass(1.0 + static_cast<double>(i / c.block)));
+    }
+    ValuePdfInput input(std::move(pdfs));
+    for (ErrorMetric metric : {ErrorMetric::kSae, ErrorMetric::kMae}) {
+      SynopsisOptions options;
+      options.metric = metric;
+      ExpectIdenticalAcrossSimdPaths(Restricted(input, c.budget, options),
+                                     std::string(ErrorMetricName(metric)) +
+                                         "/n=" + std::to_string(c.n));
+    }
   }
 }
 
@@ -634,35 +742,12 @@ TEST(WaveletSplitKernelParity, LargeBudgetsEngageFastSplitPaths) {
   for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kMae}) {
     SynopsisOptions options;
     options.metric = metric;
-    const std::size_t budget = 48;
-
-    auto restricted_reference = BuildRestrictedWaveletDp(
-        input, budget, options, 2048, WaveletSplitKernel::kReference);
-    ASSERT_TRUE(restricted_reference.ok());
-    auto restricted_fast = BuildRestrictedWaveletDp(input, budget, options);
-    ASSERT_TRUE(restricted_fast.ok());
-    EXPECT_EQ(restricted_reference->cost, restricted_fast->cost)
-        << ErrorMetricName(metric);
-    EXPECT_EQ(restricted_reference->synopsis.coefficients(),
-              restricted_fast->synopsis.coefficients())
-        << ErrorMetricName(metric);
-
-    UnrestrictedWaveletOptions reference_options;
-    reference_options.grid_points = 9;
-    reference_options.kernel = WaveletSplitKernel::kReference;
-    auto unrestricted_reference =
-        BuildUnrestrictedWaveletDp(input, budget, options, reference_options);
-    ASSERT_TRUE(unrestricted_reference.ok());
-    UnrestrictedWaveletOptions fast_options;
-    fast_options.grid_points = 9;
-    auto unrestricted_fast =
-        BuildUnrestrictedWaveletDp(input, budget, options, fast_options);
-    ASSERT_TRUE(unrestricted_fast.ok());
-    EXPECT_EQ(unrestricted_reference->cost, unrestricted_fast->cost)
-        << ErrorMetricName(metric);
-    EXPECT_EQ(unrestricted_reference->synopsis.coefficients(),
-              unrestricted_fast->synopsis.coefficients())
-        << ErrorMetricName(metric);
+    ExpectIdenticalAcrossSimdPaths(Restricted(input, 48, options),
+                                   std::string("restricted/") +
+                                       ErrorMetricName(metric));
+    ExpectIdenticalAcrossSimdPaths(Unrestricted(input, 48, options, 9),
+                                   std::string("unrestricted/") +
+                                       ErrorMetricName(metric));
   }
 }
 
@@ -737,12 +822,6 @@ TEST(EngineKernelIntegration, ApproxAndWaveletSolverStringsRecordKernel) {
   result = engine.Build(input, unrestricted);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_NE(result->solver.find("kernel=budget-split"), std::string::npos)
-      << result->solver;
-  // Forcing the reference split kernel must be visible, not omitted.
-  unrestricted.unrestricted.kernel = WaveletSplitKernel::kReference;
-  result = engine.Build(input, unrestricted);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NE(result->solver.find("kernel=reference"), std::string::npos)
       << result->solver;
 }
 

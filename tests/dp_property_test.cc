@@ -12,6 +12,7 @@
 #include "core/oracle_factory.h"
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "reference/reference_solvers.h"
 #include "stream/streaming_histogram.h"
 
 namespace probsyn {
@@ -167,13 +168,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ApproxGuaranteeTest,
 //
 // A seeded generator sweep (200 cases: 8 blocks x 25 seeds) that
 // cross-checks, per case,
-//   (1) the streaming builder against the OFFLINE exact DP run through
-//       BOTH the reference oracle path and the specialized kernel path
-//       (the two offline solvers must agree bit-for-bit; the stream must
-//       land in [opt, (1 + eps) opt]),
-//   (2) the persistent-chain point-cost builder against the old
-//       copy-based-chain reference builder, bit-for-bit (costs, bucket
-//       boundaries, representatives, breakpoint counts), and
+//   (1) the streaming builder against the OFFLINE exact DP, run as the
+//       textbook DP of tests/reference AND through the library's
+//       specialized kernel (the two must agree bit-for-bit; the stream
+//       must land in [opt, (1 + eps) opt]),
+//   (2) the persistent-chain builder against the copy-based-chain builder
+//       of tests/reference, bit-for-bit (costs, bucket boundaries,
+//       representatives, breakpoint counts), and
 //   (3) the reported stream cost against the independent evaluator.
 // Shapes (n, B, eps) are derived from the seed so the sweep covers the
 // B = 1 and tiny-epsilon corners as well as wide buckets and loose slack.
@@ -197,10 +198,8 @@ TEST_P(StreamingDifferentialTest, StreamMatchesOfflineDpAndCopyChains) {
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = n, .max_support = 4, .max_value = 9, .seed = seed});
 
-    StreamingHistogramBuilder reference(buckets, eps,
-                                        StreamingKernel::kReference);
-    StreamingHistogramBuilder fast(buckets, eps, StreamingKernel::kPointCost,
-                                   &shared_store);
+    reference::StreamingBuilder reference(buckets, eps);
+    StreamingHistogramBuilder fast(buckets, eps, &shared_store);
     for (const ValuePdf& pdf : input.items()) {
       reference.Push(pdf);
       fast.Push(pdf);
@@ -229,19 +228,16 @@ TEST_P(StreamingDifferentialTest, StreamMatchesOfflineDpAndCopyChains) {
     ASSERT_TRUE(evaluated.ok()) << "seed " << seed;
     EXPECT_NEAR(*evaluated, got->cost, 1e-7) << "seed " << seed;
 
-    // (1) Offline optimum, solved through the reference oracle path AND
-    // the specialized kernel path — they must agree exactly, and bound
-    // the stream.
+    // (1) Offline optimum, solved by the textbook DP AND the specialized
+    // kernel — they must agree exactly, and bound the stream.
     auto bundle = MakeBucketOracle(input, options);
     ASSERT_TRUE(bundle.ok()) << "seed " << seed;
-    HistogramDpResult ref_dp = SolveHistogramDpWithKernel(
-        *bundle->oracle, buckets, bundle->combiner,
-        {.kernel = DpKernelKind::kReference});
+    const reference::ExactDpTables ref_dp =
+        reference::SolveExactDp(*bundle->oracle, buckets, bundle->combiner);
     DpWorkspace workspace;
     HistogramDpResult fast_dp = SolveHistogramDpWithKernel(
-        *bundle->oracle, buckets, bundle->combiner,
-        {.workspace = &workspace, .kernel = DpKernelKind::kAuto});
-    const double opt = ref_dp.OptimalCost(buckets);
+        *bundle->oracle, buckets, bundle->combiner, {.workspace = &workspace});
+    const double opt = ref_dp.ErrorRow(ref_dp.layers)[input.domain_size() - 1];
     EXPECT_EQ(opt, fast_dp.OptimalCost(buckets)) << "seed " << seed;
     EXPECT_GE(got->cost, opt - 1e-9) << "seed " << seed;
     EXPECT_LE(got->cost, (1.0 + eps) * opt + 1e-6)

@@ -9,6 +9,7 @@
 
 #include "core/histogram.h"
 #include "gen/generators.h"
+#include "reference/reference_solvers.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -168,37 +169,39 @@ TEST(Guillotine2D, MonotoneInBudgetAndConsistentWithEvaluation) {
   }
 }
 
-// The min-scan kernel (budget-vector memo + SIMD budget-split reduction)
-// must reproduce the reference recursive solver bit-for-bit: costs AND the
-// extracted tiling (traceback cut / orientation / budget-split ties).
+// The library solver (budget-vector memo + SIMD budget-split reduction)
+// must reproduce the recursive scan of tests/reference bit-for-bit: costs
+// AND the extracted tiling (traceback cut / orientation / budget-split
+// ties).
+void ExpectMatchesReference(const ProbGrid2D& grid,
+                            const SynopsisOptions& options, std::size_t b,
+                            const std::string& label) {
+  auto reference = reference::BuildGuillotineHistogram2D(grid, options, b);
+  auto fast = BuildOptimalGuillotineHistogram2D(grid, options, b);
+  ASSERT_TRUE(reference.ok() && fast.ok()) << label;
+  EXPECT_EQ(reference->cost, fast->cost) << label;
+  EXPECT_EQ(reference->histogram.buckets(), fast->histogram.buckets())
+      << label;
+}
+
 TEST(Guillotine2D, MinScanKernelMatchesReferenceBitForBit) {
   for (std::uint64_t seed : {4u, 19u, 31u}) {
     ProbGrid2D grid = RandomGrid(6, 5, seed);
     for (std::size_t b = 1; b <= 10; ++b) {
-      auto reference = BuildOptimalGuillotineHistogram2D(
-          grid, SseOptions(), b, 4096, Guillotine2DKernel::kReference);
-      auto fast = BuildOptimalGuillotineHistogram2D(
-          grid, SseOptions(), b, 4096, Guillotine2DKernel::kMinScan);
-      ASSERT_TRUE(reference.ok() && fast.ok());
-      EXPECT_EQ(reference->kernel, Guillotine2DKernel::kReference);
-      EXPECT_EQ(fast->kernel, Guillotine2DKernel::kMinScan);
-      EXPECT_EQ(reference->cost, fast->cost) << "seed " << seed << " B=" << b;
-      ASSERT_EQ(reference->histogram.num_buckets(),
-                fast->histogram.num_buckets());
-      for (std::size_t i = 0; i < fast->histogram.num_buckets(); ++i) {
-        EXPECT_EQ(reference->histogram.buckets()[i],
-                  fast->histogram.buckets()[i])
-            << "seed " << seed << " B=" << b << " bucket " << i;
-      }
+      ExpectMatchesReference(grid, SseOptions(), b,
+                             "seed " + std::to_string(seed) +
+                                 " B=" + std::to_string(b));
     }
   }
 }
 
+// Budgets up to and past the cell count: the per-rectangle budget vectors
+// clamp at the area exactly where the recursive scan does.
 TEST(Guillotine2D, DefaultKernelIsMinScan) {
   ProbGrid2D grid = RandomGrid(3, 3, 8);
-  auto result = BuildOptimalGuillotineHistogram2D(grid, SseOptions(), 3);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->kernel, Guillotine2DKernel::kMinScan);
+  for (std::size_t b = 1; b <= 11; ++b) {
+    ExpectMatchesReference(grid, SseOptions(), b, "B=" + std::to_string(b));
+  }
 }
 
 TEST(Guillotine2D, SsreMetricAgreesAcrossKernels) {
@@ -206,11 +209,7 @@ TEST(Guillotine2D, SsreMetricAgreesAcrossKernels) {
   SynopsisOptions options;
   options.metric = ErrorMetric::kSsre;
   options.sanity_c = 0.5;
-  auto reference = BuildOptimalGuillotineHistogram2D(
-      grid, options, 6, 4096, Guillotine2DKernel::kReference);
-  auto fast = BuildOptimalGuillotineHistogram2D(grid, options, 6);
-  ASSERT_TRUE(reference.ok() && fast.ok());
-  EXPECT_EQ(reference->cost, fast->cost);
+  ExpectMatchesReference(grid, options, 6, "SSRE B=6");
 }
 
 TEST(Guillotine2D, RejectsOversizedGrids) {

@@ -1,6 +1,6 @@
 // Batched streaming ingest: PushBatch's bit-identity to single Pushes
 // (the tentpole contract — pinned by a seeded differential sweep across
-// kernels, split patterns, and SIMD paths), chain-store bookkeeping, and
+// split patterns and SIMD paths), chain-store bookkeeping, and
 // the IngestCoordinator's determinism, backpressure policies, and
 // cancellation plumbing. Suite names stay under Ingest*/PushBatch* so the
 // CI TSan job's -R regex picks them up.
@@ -35,8 +35,7 @@ std::uint64_t Mix(std::uint64_t x) {
 StreamingHistogramBuilder::Result SequentialReference(
     const ValuePdfInput& input, std::size_t buckets, double epsilon,
     StreamChainStore* store) {
-  StreamingHistogramBuilder builder(buckets, epsilon,
-                                    StreamingKernel::kAuto, store);
+  StreamingHistogramBuilder builder(buckets, epsilon, store);
   for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
   auto result = builder.Finish();
   PROBSYN_CHECK(result.ok());
@@ -68,17 +67,14 @@ TEST(PushBatch, DifferentialSweepBitIdenticalToSinglePush) {
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = n, .max_support = 4, .max_value = 9, .seed = seed});
     StreamChainStore sequential_store;
-    StreamingHistogramBuilder sequential(buckets, epsilon,
-                                         StreamingKernel::kAuto,
-                                         &sequential_store);
+    StreamingHistogramBuilder sequential(buckets, epsilon, &sequential_store);
     for (const ValuePdf& pdf : input.items()) sequential.Push(pdf);
     auto reference_result = sequential.Finish();
     ASSERT_TRUE(reference_result.ok()) << reference_result.status();
     const StreamingHistogramBuilder::Result& reference = *reference_result;
 
     StreamChainStore batched_store;
-    StreamingHistogramBuilder batched(buckets, epsilon,
-                                      StreamingKernel::kAuto, &batched_store);
+    StreamingHistogramBuilder batched(buckets, epsilon, &batched_store);
     const std::span<const ValuePdf> items(input.items().data(), n);
     std::size_t offset = 0;
     std::uint64_t rng = Mix(seed * 7 + 3);
@@ -123,22 +119,6 @@ TEST(PushBatch, BitIdenticalAcrossSimdPaths) {
   }
 }
 
-// The reference kernel keeps copy-based chains and no batch scratch;
-// PushBatch there must fall back to looped Push with identical results.
-TEST(PushBatch, ReferenceKernelFallsBackToLoopedPush) {
-  ValuePdfInput input = GenerateRandomValuePdf(
-      {.domain_size = 150, .max_support = 4, .max_value = 9, .seed = 5});
-  StreamingHistogramBuilder single(6, 0.2, StreamingKernel::kReference);
-  for (const ValuePdf& pdf : input.items()) single.Push(pdf);
-  StreamingHistogramBuilder batched(6, 0.2, StreamingKernel::kReference);
-  batched.PushBatch(
-      std::span<const ValuePdf>(input.items().data(), input.items().size()));
-  auto a = single.Finish();
-  auto b = batched.Finish();
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectBitIdentical(*a, *b);
-}
-
 // Steady state: once a shared chain store has served one batched stream,
 // further identical streams allocate nothing new (no grow events and no
 // net live-node drift after each builder releases its references).
@@ -149,8 +129,7 @@ TEST(PushBatch, ZeroSteadyStateAllocationThroughSharedStore) {
                                         input.items().size());
   StreamChainStore store;
   auto run_stream = [&] {
-    StreamingHistogramBuilder builder(10, 0.15, StreamingKernel::kAuto,
-                                      &store);
+    StreamingHistogramBuilder builder(10, 0.15, &store);
     for (std::size_t offset = 0; offset < items.size(); offset += 96) {
       builder.PushBatch(
           items.subspan(offset, std::min<std::size_t>(96, items.size() - offset)));
@@ -331,6 +310,22 @@ TEST(Ingest, RejectsUnknownAndFinishedStreams) {
             StatusCode::kFailedPrecondition);
   // Finish stays re-callable (non-destructive).
   EXPECT_TRUE(coord.Finish(stream).ok());
+}
+
+// Moments near 1e200 overflow the running second-moment sums, so the
+// stream's cost is NaN: Finish must fail instead of returning it as a
+// valid one-bucket synopsis.
+TEST(Ingest, NonFiniteStreamCostFailsFinish) {
+  SynopsisEngine engine(SynopsisEngine::Options{.parallelism = 1});
+  auto coordinator = engine.OpenIngest({.max_buckets = 2});
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+  IngestCoordinator& coord = **coordinator;
+  const std::size_t stream = coord.OpenStream();
+  for (double mass : {1e200, 3e200, 2e200, 5e200}) {
+    ASSERT_TRUE(coord.Submit(stream, ValuePdf::PointMass(mass)).ok());
+  }
+  EXPECT_EQ(coord.Finish(stream).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Ingest, OpenIngestValidatesOptions) {

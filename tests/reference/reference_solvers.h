@@ -1,0 +1,116 @@
+#ifndef PROBSYN_TESTS_REFERENCE_REFERENCE_SOLVERS_H_
+#define PROBSYN_TESTS_REFERENCE_REFERENCE_SOLVERS_H_
+
+// Parity baselines: the textbook form of each solver whose library version
+// is a faster, bit-identical rewrite. Only the tests and the benches link
+// this target (probsyn_reference); the library never does.
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "core/bucket_oracle.h"
+#include "core/histogram2d.h"
+#include "core/histogram_dp.h"
+#include "model/value_pdf.h"
+#include "stream/streaming_histogram.h"
+#include "util/status.h"
+
+namespace probsyn::reference {
+
+/// The exact DP's tables, laid out like HistogramDpResult's rows.
+struct ExactDpTables {
+  std::size_t n = 0;
+  std::size_t layers = 0;  ///< min(max_buckets, n)
+  std::vector<double> err;
+  std::vector<std::int64_t> choice;
+  std::vector<double> rep;
+
+  std::span<const double> ErrorRow(std::size_t b) const {
+    return {err.data() + (b - 1) * n, n};
+  }
+  std::span<const std::int64_t> ChoiceRow(std::size_t b) const {
+    return {choice.data() + (b - 1) * n, n};
+  }
+  std::span<const double> RepresentativeRow(std::size_t b) const {
+    return {rep.data() + (b - 1) * n, n};
+  }
+};
+
+/// Textbook exact DP of equation (2): one virtual StartSweep() fill per
+/// column, then a scalar scan per cell that keeps the FIRST split attaining
+/// the minimum, with the inherit transition winning ties. The library's
+/// kernels must match these rows bit for bit.
+ExactDpTables SolveExactDp(const BucketCostOracle& oracle,
+                           std::size_t max_buckets, DpCombiner combiner);
+
+/// Forwards every call to a wrapped oracle. Its type has no specialized
+/// kernel, so both histogram DPs run their generic path over it.
+class ForwardingOracle final : public BucketCostOracle {
+ public:
+  explicit ForwardingOracle(const BucketCostOracle& inner) : inner_(inner) {}
+
+  std::size_t domain_size() const override { return inner_.domain_size(); }
+  BucketCost Cost(std::size_t s, std::size_t e) const override {
+    return inner_.Cost(s, e);
+  }
+  std::unique_ptr<Sweep> StartSweep(std::size_t e) const override {
+    return inner_.StartSweep(e);
+  }
+
+ private:
+  const BucketCostOracle& inner_;
+};
+
+/// The one-pass streaming builder as first written: one compare per
+/// candidate, copying the winner's whole boundary chain on every
+/// improvement. StreamingHistogramBuilder must match it bit for bit.
+class StreamingBuilder {
+ public:
+  StreamingBuilder(std::size_t max_buckets, double epsilon);
+
+  void Push(const ValuePdf& pdf);
+  std::size_t breakpoints() const;
+  StatusOr<StreamingHistogramBuilder::Result> Finish() const;
+
+ private:
+  struct Snapshot {
+    double sum_mean = 0.0;
+    double sum_second = 0.0;
+    std::size_t position = 0;
+  };
+  struct Breakpoint {
+    Snapshot at;
+    double error = 0.0;
+    std::vector<Snapshot> boundaries;
+  };
+  struct Layer {
+    std::vector<Breakpoint> committed;
+    Breakpoint pending;
+    bool has_pending = false;
+    double class_base = 0.0;
+  };
+
+  static double BucketCost(const Snapshot& from, const Snapshot& to);
+
+  std::size_t max_buckets_;
+  double delta_;
+  std::size_t count_ = 0;
+  Snapshot running_;
+  std::vector<Layer> layers_;
+  std::size_t peak_breakpoints_ = 0;
+};
+
+/// Exact guillotine DP by memoized recursion over (rectangle, budget)
+/// states with a scalar budget-split scan: cuts in order (vertical
+/// ascending, then horizontal), a split winning only strictly, and the
+/// first left budget attaining a cut's minimum.
+StatusOr<Histogram2DResult> BuildGuillotineHistogram2D(
+    const ProbGrid2D& grid, const SynopsisOptions& options,
+    std::size_t num_buckets);
+
+}  // namespace probsyn::reference
+
+#endif  // PROBSYN_TESTS_REFERENCE_REFERENCE_SOLVERS_H_

@@ -9,6 +9,7 @@
 #include "core/evaluate.h"
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "reference/reference_solvers.h"
 #include "util/logging.h"
 #include "test_util.h"
 
@@ -126,10 +127,10 @@ TEST(Streaming, FinishIsNonDestructiveAndRepeatable) {
   EXPECT_GE(second->cost, offline->OptimalCost(5) - 1e-9);
 }
 
-// The point-cost kernel (hoisted snapshot columns + SIMD min-reduction +
-// single winner-chain copy) must reproduce the reference compare-and-copy
-// scan bit-for-bit: same costs, same bucket boundaries and
-// representatives, same breakpoint counts at every prefix.
+// The builder (hoisted snapshot columns + SIMD min-reduction + persistent
+// chains) must reproduce the compare-and-copy scan of tests/reference
+// bit-for-bit: same costs, same bucket boundaries and representatives, same
+// breakpoint counts at every prefix.
 TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
   struct Case {
     std::size_t buckets;
@@ -141,12 +142,8 @@ TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = 300, .max_support = 4, .max_value = 9,
          .seed = c.seed});
-    StreamingHistogramBuilder reference(c.buckets, c.epsilon,
-                                        StreamingKernel::kReference);
-    StreamingHistogramBuilder fast(c.buckets, c.epsilon,
-                                   StreamingKernel::kPointCost);
-    EXPECT_EQ(reference.kernel(), StreamingKernel::kReference);
-    EXPECT_EQ(fast.kernel(), StreamingKernel::kPointCost);
+    reference::StreamingBuilder reference(c.buckets, c.epsilon);
+    StreamingHistogramBuilder fast(c.buckets, c.epsilon);
     for (std::size_t i = 0; i < input.domain_size(); ++i) {
       reference.Push(input.item(i));
       fast.Push(input.item(i));
@@ -172,9 +169,14 @@ TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
   }
 }
 
+// Without an injected store the builder owns one: persistent chains are
+// its only representation.
 TEST(Streaming, DefaultKernelIsPointCost) {
   StreamingHistogramBuilder builder(4, 0.1);
-  EXPECT_EQ(builder.kernel(), StreamingKernel::kPointCost);
+  ASSERT_NE(builder.chain_store(), nullptr);
+  builder.PushDeterministic(1.0);
+  builder.PushDeterministic(5.0);
+  EXPECT_GT(builder.chain_store()->stats().created, 0u);
 }
 
 // --- Persistent chain store (StreamChainStore) accounting. ---------------
@@ -188,7 +190,7 @@ TEST(Streaming, ChainNodeRefcountsReturnToBaselineAfterFinalize) {
       {.domain_size = 400, .max_support = 4, .max_value = 9, .seed = 91});
   StreamChainStore store;
   {
-    StreamingHistogramBuilder builder(8, 0.2, StreamingKernel::kAuto, &store);
+    StreamingHistogramBuilder builder(8, 0.2, &store);
     for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
     EXPECT_GT(store.stats().live, 0u);
 
@@ -214,8 +216,7 @@ TEST(Streaming, ChainStoreReuseAllocatesNoNodes) {
       {.domain_size = 600, .max_support = 4, .max_value = 9, .seed = 92});
   StreamChainStore store;
   auto run_stream = [&] {
-    StreamingHistogramBuilder builder(8, 0.25, StreamingKernel::kAuto,
-                                      &store);
+    StreamingHistogramBuilder builder(8, 0.25, &store);
     for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
@@ -233,9 +234,9 @@ TEST(Streaming, ChainStoreReuseAllocatesNoNodes) {
 
 // O(1) chain work per Push: the point-cost path performs at most one
 // chain-store operation per layer per push — Extend on the winner or a
-// refcount bump on inheritance — REGARDLESS of chain length. The
-// reference path copies the full winner chain instead, so its snapshot
-// copies grow superlinearly in B; the counter pins the new bound.
+// refcount bump on inheritance — REGARDLESS of chain length. The textbook
+// scan copies the full winner chain instead, so its snapshot copies grow
+// superlinearly in B; the counter pins the bound.
 TEST(Streaming, PushDoesConstantChainWorkPerLayer) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 500, .max_support = 4, .max_value = 9, .seed = 93});

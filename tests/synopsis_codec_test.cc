@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -366,6 +368,57 @@ TEST(SynopsisCodecStructure, TrailingPayloadBytesAreRejected) {
   payload.push_back('\0');  // one byte past the declared structure
   auto decoded = DecodeHistogram(AsBytes(FrameRaw(1, payload)));
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Synopsis values are finite by contract: the encoders refuse a NaN or an
+// infinity, and the decoders refuse one even from a well-formed blob (a
+// store file is outside input), so no server ever answers with one.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+std::string RawDouble(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  std::string out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(bits >> (8 * i)));
+  return out;
+}
+
+TEST(SynopsisCodecStructure, NonFiniteRepresentativesAreRejected) {
+  // Domain 8, buckets [0, 3] and [4, 7].
+  const std::string header = Varint(8) + Varint(2) + Varint(4) + Varint(4);
+  ASSERT_TRUE(DecodeHistogram(AsBytes(FrameRaw(
+                                  1, header + RawDouble(1.0) + RawDouble(2.0))))
+                  .ok());
+  for (double bad : kNonFinite) {
+    EXPECT_EQ(EncodeHistogram(Histogram({{0, 3, 1.0}, {4, 7, bad}}))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    auto decoded = DecodeHistogram(
+        AsBytes(FrameRaw(1, header + RawDouble(1.0) + RawDouble(bad))));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(SynopsisCodecStructure, NonFiniteCoefficientValuesAreRejected) {
+  // Transform 4 (width 2): packed indices {0, 2} = 0b1000.
+  const std::string header = Varint(4) + Varint(4) + Varint(2) + "\x08";
+  ASSERT_TRUE(DecodeWavelet(AsBytes(FrameRaw(
+                                2, header + RawDouble(1.0) + RawDouble(2.0))))
+                  .ok());
+  for (double bad : kNonFinite) {
+    EXPECT_EQ(EncodeWavelet(WaveletSynopsis(4, 4, {{0, 1.0}, {2, bad}}))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    auto decoded = DecodeWavelet(
+        AsBytes(FrameRaw(2, header + RawDouble(1.0) + RawDouble(bad))));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // --- Fault injection: the decode path is a campaign site. -------------------

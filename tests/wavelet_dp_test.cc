@@ -149,8 +149,9 @@ TEST(WaveletDp, RejectsOversizedDomains) {
 // is big enough that the old memo rehashed many times mid-recursion, so a
 // reintroduced dangling read would corrupt costs or coefficients; under
 // the flat arena, child spans are stable by construction. The check is
-// three-way: fast kernel == reference kernel bit-for-bit, and the reported
-// cost equals the evaluated cost of the returned synopsis.
+// three-way: a solve into a fresh arena == a solve into an arena dirtied
+// by a larger solve, bit-for-bit, and the reported cost equals the
+// evaluated cost of the returned synopsis.
 TEST(WaveletDp, ArenaSpansStableUnderLargeStateCounts) {
   for (std::size_t domain : {64u, 200u}) {
     ValuePdfInput input = GenerateRandomValuePdf(
@@ -158,8 +159,11 @@ TEST(WaveletDp, ArenaSpansStableUnderLargeStateCounts) {
          .seed = domain});
     SynopsisOptions options;
     options.metric = ErrorMetric::kSae;
-    auto reference = BuildRestrictedWaveletDp(input, 24, options, 2048,
-                                              WaveletSplitKernel::kReference);
+    DpWorkspace workspace;
+    ASSERT_TRUE(
+        BuildRestrictedWaveletDp(input, 40, options, 2048, &workspace).ok());
+    auto reference =
+        BuildRestrictedWaveletDp(input, 24, options, 2048, &workspace);
     auto fast = BuildRestrictedWaveletDp(input, 24, options);
     ASSERT_TRUE(reference.ok() && fast.ok());
     EXPECT_EQ(reference->cost, fast->cost);
@@ -190,16 +194,14 @@ TEST(WaveletDp, WorkspaceReuseAllocatesNoDpState) {
   DpWorkspacePool::Lease lease = pool.Acquire();
   DpWorkspace* workspace = lease.get();
 
-  auto first = BuildRestrictedWaveletDp(input, 32, options, 2048,
-                                        WaveletSplitKernel::kAuto, workspace);
+  auto first = BuildRestrictedWaveletDp(input, 32, options, 2048, workspace);
   ASSERT_TRUE(first.ok());
   const std::size_t grows_after_warmup =
       workspace->wavelet_arena().grow_events;
   EXPECT_GT(grows_after_warmup, 0u);  // the warmup solve sized the arena
 
   for (int repeat = 0; repeat < 3; ++repeat) {
-    auto again = BuildRestrictedWaveletDp(
-        input, 32, options, 2048, WaveletSplitKernel::kAuto, workspace);
+    auto again = BuildRestrictedWaveletDp(input, 32, options, 2048, workspace);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->cost, first->cost);
     EXPECT_EQ(again->synopsis.coefficients().size(),
@@ -211,8 +213,7 @@ TEST(WaveletDp, WorkspaceReuseAllocatesNoDpState) {
   // Smaller shapes fit the warm arena too: still no growth.
   ValuePdfInput smaller = GenerateRandomValuePdf(
       {.domain_size = 64, .max_support = 3, .max_value = 6, .seed = 78});
-  auto small = BuildRestrictedWaveletDp(smaller, 8, options, 2048,
-                                        WaveletSplitKernel::kAuto, workspace);
+  auto small = BuildRestrictedWaveletDp(smaller, 8, options, 2048, workspace);
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(workspace->wavelet_arena().grow_events, grows_after_warmup);
   EXPECT_EQ(workspace->wavelet_arena().solves, 5u);

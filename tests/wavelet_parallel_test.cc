@@ -91,7 +91,6 @@ TEST_P(WaveletParallelDeterminismTest, BitIdenticalAcrossThreadsAndSimd) {
       ScopedSimdPath forced(path);
       auto result =
           BuildRestrictedWaveletDp(input, param.budget, options, 2048,
-                                   WaveletSplitKernel::kAuto,
                                    /*workspace=*/nullptr, &pool);
       ASSERT_TRUE(result.ok()) << result.status();
       const std::string label = std::string("threads=") +
@@ -117,23 +116,22 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
-// The reference split kernel must be parallel-safe too (its per-state scan
-// is the parity baseline the kernel tests diff against).
+// The ascending split scan must be parallel-safe too: at B = 24 every
+// split is below kSmallBudgetSplit, so each one runs the scan.
 TEST(WaveletParallel, ReferenceKernelMatchesUnderThreads) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 200, .max_support = 3, .max_value = 6, .seed = 77});
   SynopsisOptions options;
   options.metric = ErrorMetric::kMae;
-  auto sequential = BuildRestrictedWaveletDp(input, 24, options, 2048,
-                                             WaveletSplitKernel::kReference);
+  static_assert(24 < kSmallBudgetSplit);
+  auto sequential = BuildRestrictedWaveletDp(input, 24, options);
   ASSERT_TRUE(sequential.ok());
   ThreadPool pool(7);
-  auto parallel = BuildRestrictedWaveletDp(input, 24, options, 2048,
-                                           WaveletSplitKernel::kReference,
-                                           nullptr, &pool);
+  auto parallel =
+      BuildRestrictedWaveletDp(input, 24, options, 2048, nullptr, &pool);
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical({sequential->cost, sequential->synopsis.coefficients()},
-                     *parallel, "reference kernel");
+                     *parallel, "scan splits");
 }
 
 // A leased workspace arena serves parallel solves without extra growth:
@@ -146,16 +144,14 @@ TEST(WaveletParallel, WorkspaceReuseStaysZeroAllocAcrossThreadCounts) {
 
   DpWorkspacePool workspaces;
   DpWorkspacePool::Lease lease = workspaces.Acquire();
-  auto warmup = BuildRestrictedWaveletDp(input, 16, options, 2048,
-                                         WaveletSplitKernel::kAuto,
-                                         lease.get());
+  auto warmup =
+      BuildRestrictedWaveletDp(input, 16, options, 2048, lease.get());
   ASSERT_TRUE(warmup.ok());
   const std::size_t grows = lease.get()->wavelet_arena().grow_events;
 
   for (std::size_t threads : kThreadCounts) {
     ThreadPool pool(threads - 1);
     auto again = BuildRestrictedWaveletDp(input, 16, options, 2048,
-                                          WaveletSplitKernel::kAuto,
                                           lease.get(), &pool);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->cost, warmup->cost);

@@ -13,7 +13,8 @@ problem) when
     (doxygen silently drops the `//` lines — a classic parse warning).
 
 Usage: tools/check_doc_comments.py <header> [<header> ...]
-CI runs it on src/core/dp_kernels.h and src/engine/synopsis_engine.h.
+CI's docs job runs it on the flagship public headers it lists
+(.github/workflows/ci.yml).
 """
 
 import re
