@@ -13,8 +13,11 @@
 //                        the >1-thread rows measure scheduling overhead
 //                        only
 //   BM_ServeWaveletQps   point estimates against a B-coefficient wavelet
-//                        (O(log n log B) sparse reconstruction per query)
+//                        (one O(log n) root-to-leaf walk per query)
 //   BM_ServeRangeSum     random-range sums against the same histogram
+//   BM_ServeWaveletRangeSum
+//                        the same random ranges against the wavelet (the
+//                        <= 2 log2 n coefficients straddling the ends)
 //   BM_CodecRoundTrip    EncodeHistogram + DecodeHistogram of a B-bucket
 //                        synopsis (bytes_per_second = blob bytes each way)
 //   BM_StoreOpen         SynopsisStore::Open of a 64-entry store — the
@@ -143,6 +146,21 @@ void BM_ServeRangeSum(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+void BM_ServeWaveletRangeSum(benchmark::State& state) {
+  SynopsisServer server =
+      MakeServer("wrange", 64, static_cast<std::size_t>(state.range(0)));
+  const ServedSynopsis* synopsis = server.Find("w");
+  PROBSYN_CHECK(synopsis != nullptr);
+  std::uint64_t lcg = 0x2545f4914f6cdd1dull;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t a = (lcg >> 16) % (kDomain / 2);
+    const std::size_t b = a + (lcg >> 40) % (kDomain - a);
+    benchmark::DoNotOptimize(synopsis->RangeSum(a, b));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void BM_CodecRoundTrip(benchmark::State& state) {
   Histogram histogram = MakeHistogram(static_cast<std::size_t>(state.range(0)));
   std::size_t blob_bytes = 0;
@@ -184,6 +202,7 @@ BENCHMARK(probsyn::BM_ServeQpsThreaded)
     ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 BENCHMARK(probsyn::BM_ServeWaveletQps)->Arg(64)->Arg(1024);
 BENCHMARK(probsyn::BM_ServeRangeSum)->Arg(64)->Arg(1024);
+BENCHMARK(probsyn::BM_ServeWaveletRangeSum)->Arg(64)->Arg(1024);
 BENCHMARK(probsyn::BM_CodecRoundTrip)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(probsyn::BM_StoreOpen);
 

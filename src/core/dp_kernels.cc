@@ -1078,22 +1078,65 @@ Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
   return Status::OK();
 }
 
+// Approximate-DP traceback entry: the cell inherits the previous layer's
+// value (fewer buckets were already as good). Any other entry is a split l
+// >= 0: the last bucket is [l + 1, j].
+constexpr std::int32_t kApproxInherit = -2;
+
+// Walks the approximate DP's flat traceback rows (row b - 2 for budget b)
+// back from prefix [0, n) under `budget` buckets, then re-costs the
+// buckets through the oracle.
+CostedHistogram TraceApproxRows(const BucketCostOracle& oracle,
+                                const std::int32_t* choices, std::size_t n,
+                                std::size_t budget) {
+  std::vector<HistogramBucket> buckets;
+  std::size_t layer = budget;
+  std::size_t j = n - 1;
+  for (;;) {
+    if (layer < 2) {
+      buckets.push_back({0, j, 0.0});
+      break;
+    }
+    const std::int32_t c = choices[(layer - 2) * n + j];
+    if (c == kApproxInherit) {
+      --layer;
+      continue;
+    }
+    const std::size_t l = static_cast<std::size_t>(c);
+    buckets.push_back({l + 1, j, 0.0});
+    j = l;
+    --layer;
+  }
+  std::reverse(buckets.begin(), buckets.end());
+  CostedHistogram traced;
+  for (HistogramBucket& b : buckets) {
+    BucketCost bc = oracle.Cost(b.start, b.end);
+    b.representative = bc.representative;
+    traced.cost += bc.cost;
+  }
+  traced.histogram = Histogram(std::move(buckets));
+  return traced;
+}
+
 // The approximate-DP driver, shared by every kernel: identical
 // control flow, comparisons, and evaluation counting in every
 // configuration, so bit-identical cost evaluations imply bit-identical
 // histograms, costs, and oracle_evaluations.
 template <typename Kernel>
-StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
-                                            const Kernel& kernel,
-                                            std::size_t max_buckets,
-                                            double epsilon,
-                                            DpKernelKind kind,
-                                            const ExecContext* ctx) {
+StatusOr<ApproxHistogramResult> RunApproxDp(
+    const BucketCostOracle& oracle, const Kernel& kernel,
+    std::size_t max_buckets, double epsilon, DpKernelKind kind,
+    const ApproxDpKernelOptions& options) {
+  const ExecContext* ctx = options.context;
   const std::size_t n = oracle.domain_size();
   if (n == 0) return Status::InvalidArgument("empty domain");
   if (max_buckets < 1) return Status::InvalidArgument("need >= 1 bucket");
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (n > static_cast<std::size_t>(INT32_MAX)) {
+    return Status::InvalidArgument(
+        "domain too large for the approximate DP's 32-bit traceback rows");
   }
   const std::size_t cap = std::min(max_buckets, n);
   // Per-layer slack; (1 + delta)^(cap-1) <= e^(eps/2) <= 1 + eps for
@@ -1103,9 +1146,8 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
 
   std::size_t evaluations = 0;
 
-  std::vector<std::vector<std::int64_t>> choice(
-      cap, std::vector<std::int64_t>(n, HistogramDpResult::kWholePrefix));
-  constexpr std::int64_t kInherit = -2;
+  // Row b - 2 holds layer b's choices (layer 1 is always the whole prefix).
+  std::vector<std::int32_t> choices((cap - 1) * n);
 
   std::vector<double> prev(n), cur(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -1159,7 +1201,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
       }
       while (valid < candidates.size() && candidates[valid] < j) ++valid;
       double best = prev[j];  // Inherit: fewer buckets already optimal.
-      std::int64_t best_choice = kInherit;
+      std::int32_t best_choice = kApproxInherit;
       if constexpr (kBulk) {
         // Fused column evaluation + SIMD min, then the textbook
         // tie-break: first candidate attaining the minimum, inherit
@@ -1172,7 +1214,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
           best = m;
           for (std::size_t i = 0; i < valid; ++i) {
             if (candidate_values[i] == m) {
-              best_choice = static_cast<std::int64_t>(candidates[i]);
+              best_choice = static_cast<std::int32_t>(candidates[i]);
               break;
             }
           }
@@ -1184,7 +1226,7 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
           ++evaluations;
           if (v < best) {
             best = v;
-            best_choice = static_cast<std::int64_t>(l);
+            best_choice = static_cast<std::int32_t>(l);
           }
         }
       }
@@ -1193,51 +1235,24 @@ StatusOr<ApproxHistogramResult> RunApproxDp(const BucketCostOracle& oracle,
         ++evaluations;
         if (v < best) {
           best = v;
-          best_choice = static_cast<std::int64_t>(j - 1);
+          best_choice = static_cast<std::int32_t>(j - 1);
         }
       }
       cur[j] = best;
-      choice[b - 1][j] = best_choice;
+      choices[(b - 2) * n + j] = best_choice;
     }
     prev.swap(cur);
     cost_curve.push_back(prev[n - 1]);
   }
 
-  // Traceback (same scheme as the exact DP).
-  std::vector<HistogramBucket> buckets;
-  std::size_t layer = cap;
-  std::size_t j = n - 1;
-  for (;;) {
-    std::int64_t c = layer >= 2 ? choice[layer - 1][j]
-                                : HistogramDpResult::kWholePrefix;
-    if (c == kInherit) {
-      --layer;
-      continue;
-    }
-    if (c == HistogramDpResult::kWholePrefix) {
-      buckets.push_back({0, j, 0.0});
-      break;
-    }
-    std::size_t l = static_cast<std::size_t>(c);
-    buckets.push_back({l + 1, j, 0.0});
-    j = l;
-    PROBSYN_CHECK(layer > 1);
-    --layer;
-  }
-  std::reverse(buckets.begin(), buckets.end());
-  double total = 0.0;
-  for (HistogramBucket& b : buckets) {
-    BucketCost bc = oracle.Cost(b.start, b.end);
-    b.representative = bc.representative;
-    total += bc.cost;
-  }
-
+  CostedHistogram traced = TraceApproxRows(oracle, choices.data(), n, cap);
   ApproxHistogramResult result;
-  result.histogram = Histogram(std::move(buckets));
-  result.cost = total;
+  result.histogram = std::move(traced.histogram);
+  result.cost = traced.cost;
   result.oracle_evaluations = evaluations;
   result.kernel = kind;
   result.cost_curve = std::move(cost_curve);
+  if (options.keep_choices) result.choices = std::move(choices);
   return result;
 }
 
@@ -1415,8 +1430,18 @@ StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
   return DispatchOnOracle(
       oracle, [&](DpKernelKind kind, const auto& kernel) {
         return RunApproxDp(oracle, kernel, max_buckets, epsilon, kind,
-                           options.context);
+                           options);
       });
+}
+
+CostedHistogram TraceApproxHistogram(const BucketCostOracle& oracle,
+                                     const ApproxHistogramResult& solved,
+                                     std::size_t budget) {
+  const std::size_t n = oracle.domain_size();
+  const std::size_t layers = solved.cost_curve.size();
+  PROBSYN_CHECK(budget >= 1 && budget <= layers);
+  PROBSYN_CHECK(solved.choices.size() == (layers - 1) * n);
+  return TraceApproxRows(oracle, solved.choices.data(), n, budget);
 }
 
 const char* SimdPathName(SimdPath path) {

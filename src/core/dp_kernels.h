@@ -443,6 +443,10 @@ struct ApproxDpKernelOptions {
   /// Non-null arms cooperative stopping (poll per budget layer and every
   /// 256 columns); the solve then fails with kDeadlineExceeded/kCancelled.
   const ExecContext* context = nullptr;
+  /// Keep the traceback rows in ApproxHistogramResult::choices (4 bytes
+  /// per cell) so TraceApproxHistogram can extract the histogram of any
+  /// budget up to the solved one without solving again.
+  bool keep_choices = false;
 };
 
 /// The (1 + epsilon)-approximate DP behind SolveApproxHistogramDp, with
@@ -466,6 +470,25 @@ struct ApproxDpKernelOptions {
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
     const ApproxDpKernelOptions& options);
+
+/// A histogram and its exact cost under the oracle it was built on.
+struct CostedHistogram {
+  Histogram histogram;
+  double cost = 0.0;
+};
+
+/// The histogram of an approximate solve at `budget` buckets
+/// (1 <= budget <= solved.cost_curve.size()): traced back through the kept
+/// rows of `solved` (a solve with keep_choices) from the layer whose value
+/// is cost_curve[budget - 1], then re-costed bucket by bucket through
+/// `oracle`, the oracle the solve ran on. Every layer of a solve to a
+/// larger budget carries the (1 + epsilon) guarantee at its own budget,
+/// since the per-layer slack shrinks as the solved budget grows. At the
+/// solved budget this is the solve's own histogram and cost. O(n + budget)
+/// plus `budget` oracle calls.
+CostedHistogram TraceApproxHistogram(const BucketCostOracle& oracle,
+                                     const ApproxHistogramResult& solved,
+                                     std::size_t budget);
 
 /// One budget-split minimization: over bl = 0..bl_max, with
 /// br = min(rem - bl, cap_right), minimize Combine(left[bl], right[br])

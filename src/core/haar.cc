@@ -1,7 +1,9 @@
 #include "core/haar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 #include "util/math.h"
@@ -78,36 +80,140 @@ double LeafContributionScale(std::size_t index, std::size_t n) {
                    static_cast<double>(n));
 }
 
-double ReconstructPointSparse(std::span<const std::size_t> indices,
-                              std::span<const double> values, std::size_t i,
-                              std::size_t n) {
-  PROBSYN_CHECK(IsPowerOfTwo(n) && i < n);
-  PROBSYN_CHECK(indices.size() == values.size());
-  auto lookup = [&](std::size_t idx) -> double {
-    auto it = std::lower_bound(indices.begin(), indices.end(), idx);
-    if (it != indices.end() && *it == idx) {
-      return values[static_cast<std::size_t>(it - indices.begin())];
-    }
-    return 0.0;
-  };
+namespace {
 
-  double total = lookup(0) * LeafContributionScale(0, n);
-  // Walk the detail chain covering leaf i.
-  std::size_t node = 1;
-  std::size_t lo = 0, hi = n;
-  while (node < n) {
-    std::size_t mid = (lo + hi) / 2;
-    double sign = (i < mid) ? 1.0 : -1.0;
-    total += sign * lookup(node) * LeafContributionScale(node, n);
-    if (i < mid) {
-      hi = mid;
-      node = 2 * node;
-    } else {
-      lo = mid;
-      node = 2 * node + 1;
-    }
+// scales[0] = s_0 and scales[l + 1] = the level-l detail scale of an
+// n-point transform (LeafContributionScale's bits, computed once per level
+// instead of once per coefficient read). Returns log2 n.
+std::size_t FillLevelScales(std::size_t n, double* scales) {
+  const std::size_t levels = FloorLog2(n);
+  scales[0] = LeafContributionScale(0, n);
+  for (std::size_t l = 0; l < levels; ++l) {
+    scales[l + 1] = LeafContributionScale(std::size_t{1} << l, n);
+  }
+  return levels;
+}
+
+// The query arithmetic of SparseHaar, shared by both lookups so the two
+// paths give the same bits. `lookup(k)` is coefficient k's value, 0.0 when
+// it is not retained.
+template <typename Lookup>
+double PointOf(const Lookup& lookup, const double* scales,
+               std::size_t levels, std::size_t i) {
+  double total = lookup(0) * scales[0];
+  for (std::size_t l = 0; l < levels; ++l) {
+    const std::size_t shift = levels - l;  // level-l supports: 2^shift items
+    const std::size_t node = (std::size_t{1} << l) + (i >> shift);
+    const double sign = ((i >> (shift - 1)) & 1) == 0 ? 1.0 : -1.0;
+    total += sign * lookup(node) * scales[l + 1];
   }
   return total;
+}
+
+template <typename Lookup>
+double RangeSumOf(const Lookup& lookup, const double* scales,
+                  std::size_t levels, std::size_t a, std::size_t b) {
+  double total = lookup(0) * scales[0] * static_cast<double>(b - a + 1);
+  const std::size_t end = b + 1;
+  auto overlap = [&](std::size_t lo, std::size_t hi) -> std::int64_t {
+    const std::size_t from = std::max(a, lo);
+    const std::size_t to = std::min(end, hi);
+    return to > from ? static_cast<std::int64_t>(to - from) : 0;
+  };
+  // Adds the level-l detail coefficient whose support is the offset-th
+  // dyadic interval of that level.
+  auto add = [&](std::size_t l, std::size_t offset) {
+    const double v = lookup((std::size_t{1} << l) + offset);
+    if (v == 0.0) return;
+    const std::size_t shift = levels - l;
+    const std::size_t lo = offset << shift;
+    const std::size_t mid = lo + (std::size_t{1} << (shift - 1));
+    const std::int64_t net =
+        overlap(lo, mid) - overlap(mid, lo + (std::size_t{1} << shift));
+    if (net != 0) total += v * scales[l + 1] * static_cast<double>(net);
+  };
+  for (std::size_t l = 0; l < levels; ++l) {
+    const std::size_t first = a >> (levels - l);
+    const std::size_t last = b >> (levels - l);
+    add(l, first);
+    if (last != first) add(l, last);
+  }
+  return total;
+}
+
+// Binary-search lookup over coefficients sorted by index.
+struct SortedLookup {
+  std::span<const WaveletCoefficient> sorted;
+
+  double operator()(std::size_t index) const {
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), index,
+        [](const WaveletCoefficient& c, std::size_t k) { return c.index < k; });
+    return it != sorted.end() && it->index == index ? it->value : 0.0;
+  }
+};
+
+constexpr std::size_t kMaxLevels = 64;
+
+}  // namespace
+
+SparseHaar::SparseHaar(std::size_t n,
+                       std::vector<WaveletCoefficient> coefficients)
+    : n_(n), coefficients_(std::move(coefficients)) {
+  PROBSYN_CHECK(IsPowerOfTwo(n));
+  PROBSYN_CHECK(coefficients_.size() <= UINT32_MAX);
+  const std::size_t words = (n + 63) / 64;
+  present_.assign(words, 0);
+  rank_.assign(words, 0);
+  for (std::size_t k = 0; k < coefficients_.size(); ++k) {
+    const std::size_t index = coefficients_[k].index;
+    PROBSYN_CHECK(index < n &&
+                  (k == 0 || index > coefficients_[k - 1].index));
+    present_[index / 64] |= std::uint64_t{1} << (index % 64);
+  }
+  std::uint32_t before = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    rank_[w] = before;
+    before += static_cast<std::uint32_t>(std::popcount(present_[w]));
+  }
+  scales_.resize(FloorLog2(n) + 1);
+  FillLevelScales(n, scales_.data());
+}
+
+double SparseHaar::Lookup(std::size_t index) const {
+  const std::uint64_t word = present_[index / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+  if ((word & bit) == 0) return 0.0;
+  const auto below = static_cast<std::size_t>(std::popcount(word & (bit - 1)));
+  return coefficients_[rank_[index / 64] + below].value;
+}
+
+double SparseHaar::Point(std::size_t i) const {
+  PROBSYN_DCHECK(i < n_);
+  return PointOf([this](std::size_t k) { return Lookup(k); }, scales_.data(),
+                 scales_.size() - 1, i);
+}
+
+double SparseHaar::RangeSum(std::size_t a, std::size_t b) const {
+  PROBSYN_DCHECK(a <= b && b < n_);
+  return RangeSumOf([this](std::size_t k) { return Lookup(k); },
+                    scales_.data(), scales_.size() - 1, a, b);
+}
+
+double SparseHaarPoint(std::span<const WaveletCoefficient> sorted,
+                       std::size_t n, std::size_t i) {
+  PROBSYN_CHECK(IsPowerOfTwo(n) && i < n);
+  double scales[kMaxLevels];
+  const std::size_t levels = FillLevelScales(n, scales);
+  return PointOf(SortedLookup{sorted}, scales, levels, i);
+}
+
+double SparseHaarRangeSum(std::span<const WaveletCoefficient> sorted,
+                          std::size_t n, std::size_t a, std::size_t b) {
+  PROBSYN_CHECK(IsPowerOfTwo(n) && a <= b && b < n);
+  double scales[kMaxLevels];
+  const std::size_t levels = FillLevelScales(n, scales);
+  return RangeSumOf(SortedLookup{sorted}, scales, levels, a, b);
 }
 
 }  // namespace probsyn

@@ -180,6 +180,11 @@ struct ApproxHistogramResult {
   /// histogram; `cost` re-costs the extracted buckets through the oracle
   /// and may differ in the last ulps.
   std::vector<double> cost_curve;
+  /// The traceback rows of budgets 2..cost_curve.size(), flat: entry
+  /// (b - 2) * n + j is the split chosen for prefix [0, j] under b buckets.
+  /// Empty unless the solve kept them (ApproxDpKernelOptions::keep_choices
+  /// in core/dp_kernels.h); TraceApproxHistogram reads them.
+  std::vector<std::int32_t> choices;
 };
 
 /// (1 + epsilon)-approximate histogram construction in the style of Guha,

@@ -19,23 +19,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Everything one shard's solve leaves behind for the merge and extraction
 // phases. The exact path keeps the leased workspace alive because the
-// HistogramDpResult only borrows its storage; the approx path keeps the
-// oracle bundle (and the sub-input its prefix tables span) alive for the
-// re-solve at the assigned budget.
+// HistogramDpResult only borrows its storage; the approx path keeps its
+// traceback rows, and the oracle bundle (and the sub-input its prefix
+// tables span) for re-costing the histogram traced at the assigned budget.
 struct ShardSlot {
   Status status;
   ValuePdfInput sub;
   OracleBundle bundle;
   std::optional<DpWorkspacePool::Lease> lease;
-  HistogramDpResult dp;  // exact solver only
+  HistogramDpResult dp;          // exact solver only
+  ApproxHistogramResult approx;  // approx solver only
   // curve[b]: best shard cost with at most b buckets, b = 0..shard cap;
   // curve[0] = +inf (every shard needs at least one bucket). Exactly
   // non-increasing for b >= 1 — see the merge DP below.
   std::vector<double> curve;
   DpKernelKind kernel = DpKernelKind::kGeneric;  // of the shard solve
   std::size_t evaluations = 0;
-  Histogram extracted;
-  double extracted_cost = 0.0;
+  CostedHistogram extracted;
 };
 
 }  // namespace
@@ -184,15 +184,17 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
       }
     } else {
       auto approx = SolveApproxHistogramDpWithKernel(
-          *slot.bundle.oracle, cap_s, sharded.epsilon, {.context = ctx});
+          *slot.bundle.oracle, cap_s, sharded.epsilon,
+          {.context = ctx, .keep_choices = true});
       if (!approx.ok()) {
         slot.status = approx.status();
         return;
       }
-      slot.kernel = approx->kernel;
-      slot.evaluations = approx->oracle_evaluations;
+      slot.approx = std::move(approx).value();
+      slot.kernel = slot.approx.kernel;
+      slot.evaluations = slot.approx.oracle_evaluations;
       for (std::size_t b = 1; b <= cap_s; ++b) {
-        slot.curve[b] = approx->cost_curve[b - 1];
+        slot.curve[b] = slot.approx.cost_curve[b - 1];
       }
     }
   };
@@ -262,44 +264,24 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
     alloc[0] = std::min(j, slots[0].curve.size() - 1);
   }
 
-  // Phase C: per-shard extraction at the assigned budgets. Exact shards
-  // read the already-solved DP (O(B)); approx shards re-solve at the
-  // assigned budget — the expensive part, so it fans out again. (The rerun
-  // uses a per-layer slack derived from the smaller budget, so its cost can
-  // differ slightly from the curve entry the allocation used; the reported
-  // cost is always the actual extracted histogram's.)
-  auto extract_shard = [&](std::size_t s) {
-    ShardSlot& slot = slots[s];
+  // Phase C: per-shard extraction at the assigned budgets, read from the
+  // Phase-A solves: exact shards from their DP tables, approx shards by
+  // tracing their kept rows back from the layer of the assigned budget —
+  // the curve entry the allocation used, which the solve to the shard cap
+  // already holds within (1 + eps) (its per-layer slack is the cap's, finer
+  // than a solve at the smaller budget would use). O(n + B) in all.
+  for (std::size_t s = 0; s < num_shards; ++s) {
     if (StopRequested(ctx)) {
-      slot.status = ctx->StopStatus("sharded-dp", "extract shard", s,
-                                    num_shards);
-      return;
+      return ctx->StopStatus("sharded-dp", "extract shard", s, num_shards);
     }
+    ShardSlot& slot = slots[s];
     if (sharded.solver == ShardSolver::kExact) {
-      slot.extracted = slot.dp.ExtractHistogram(alloc[s]);
-      slot.extracted_cost = slot.dp.OptimalCost(alloc[s]);
-      return;
+      slot.extracted = {slot.dp.ExtractHistogram(alloc[s]),
+                        slot.dp.OptimalCost(alloc[s])};
+    } else {
+      slot.extracted =
+          TraceApproxHistogram(*slot.bundle.oracle, slot.approx, alloc[s]);
     }
-    auto approx = SolveApproxHistogramDpWithKernel(
-        *slot.bundle.oracle, alloc[s], sharded.epsilon, {.context = ctx});
-    if (!approx.ok()) {
-      slot.status = approx.status();
-      return;
-    }
-    slot.evaluations += approx->oracle_evaluations;
-    slot.extracted = std::move(approx->histogram);
-    slot.extracted_cost = approx->cost;
-  };
-  if (pool != nullptr && sharded.solver == ShardSolver::kApprox) {
-    PROBSYN_RETURN_IF_ERROR(
-        pool->ParallelFor(0, num_shards, [&](std::size_t sb, std::size_t se) {
-          for (std::size_t s = sb; s < se; ++s) extract_shard(s);
-        }));
-  } else {
-    for (std::size_t s = 0; s < num_shards; ++s) extract_shard(s);
-  }
-  for (const ShardSlot& slot : slots) {
-    if (!slot.status.ok()) return slot.status;
   }
 
   ShardedDpResult result;
@@ -314,14 +296,14 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
   double total = 0.0;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const ShardSlot& slot = slots[s];
-    for (const HistogramBucket& b : slot.extracted.buckets()) {
+    for (const HistogramBucket& b : slot.extracted.histogram.buckets()) {
       buckets.push_back({b.start + plan[s].begin, b.end + plan[s].begin,
                          b.representative});
     }
-    total = s == 0 ? slot.extracted_cost
-                   : (combiner == DpCombiner::kSum
-                          ? total + slot.extracted_cost
-                          : std::max(total, slot.extracted_cost));
+    const double cost = slot.extracted.cost;
+    total = s == 0 ? cost
+                   : (combiner == DpCombiner::kSum ? total + cost
+                                                   : std::max(total, cost));
     result.oracle_evaluations += slot.evaluations;
   }
   result.histogram = Histogram(std::move(buckets));

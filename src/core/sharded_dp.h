@@ -124,11 +124,15 @@ struct ShardedDpResult {
 /// merge DP then recovers that solution's per-shard allocation and each
 /// shard solves its sub-problem optimally. Otherwise the gap is
 /// input-dependent; tests/sharded_dp_test.cc sweeps seeded inputs and pins
-/// the measured error envelope. For ShardSolver::kApprox each shard
-/// additionally carries the (1 + eps) per-shard guarantee, and the merge
-/// allocates budgets over the shards' approximate curves (re-solving each
-/// shard at its assigned budget), making the allocation itself heuristic
-/// within those (1 + eps) factors.
+/// the measured error envelope. For ShardSolver::kApprox each shard is
+/// solved once, to the cap: every point of its curve is within (1 + eps)
+/// of that shard's optimum at that budget. The merge allocates budgets over
+/// those curves, and each shard's histogram is traced back at its assigned
+/// budget from the same solve, so the cost is the merge fold's value up to
+/// rounding (the buckets are re-costed through the oracle): never below
+/// the unsharded optimum, and at most (1 + eps) times the kExact cost on
+/// the same shard plan, since the fold is at most the sum of the approx
+/// curves at the kExact allocation.
 ///
 /// Determinism: for a fixed shard plan (S, cap) and SIMD path the result
 /// is bit-identical across thread counts — shard solves are independent,

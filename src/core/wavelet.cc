@@ -5,7 +5,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "core/haar.h"
 #include "util/logging.h"
 #include "util/math.h"
 
@@ -43,15 +42,7 @@ Status WaveletSynopsis::Validate() const {
 
 double WaveletSynopsis::Estimate(std::size_t i) const {
   PROBSYN_CHECK(i < domain_size_);
-  std::vector<std::size_t> indices;
-  std::vector<double> values;
-  indices.reserve(coefficients_.size());
-  values.reserve(coefficients_.size());
-  for (const WaveletCoefficient& c : coefficients_) {
-    indices.push_back(c.index);
-    values.push_back(c.value);
-  }
-  return ReconstructPointSparse(indices, values, i, transform_size_);
+  return SparseHaarPoint(coefficients_, transform_size_, i);
 }
 
 std::vector<double> WaveletSynopsis::ToFrequencyVector() const {
@@ -64,10 +55,7 @@ std::vector<double> WaveletSynopsis::ToFrequencyVector() const {
 
 double WaveletSynopsis::EstimateRangeSum(std::size_t a, std::size_t b) const {
   PROBSYN_CHECK(a <= b && b < domain_size_);
-  std::vector<double> freq = ToFrequencyVector();
-  KahanSum sum;
-  for (std::size_t i = a; i <= b; ++i) sum.Add(freq[i]);
-  return sum.value();
+  return SparseHaarRangeSum(coefficients_, transform_size_, a, b);
 }
 
 std::string WaveletSynopsis::ToString() const {

@@ -6,20 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "core/haar.h"
 #include "model/tuple_pdf.h"
 #include "model/value_pdf.h"
 #include "util/status.h"
 
 namespace probsyn {
-
-/// One retained Haar coefficient of a wavelet synopsis.
-struct WaveletCoefficient {
-  std::size_t index = 0;
-  double value = 0.0;  ///< Normalized (orthonormal) coefficient value.
-
-  friend bool operator==(const WaveletCoefficient&, const WaveletCoefficient&) =
-      default;
-};
 
 /// A B-term Haar wavelet synopsis over a domain of size `domain_size`,
 /// internally transformed at the padded power-of-two size `transform_size`.
@@ -40,14 +32,16 @@ class WaveletSynopsis {
 
   Status Validate() const;
 
-  /// The synopsis estimate ghat_i. O(log n log B).
+  /// The synopsis estimate ghat_i, by SparseHaarPoint. O(log n log B).
   double Estimate(std::size_t i) const;
 
   /// Materializes [ghat_0, ..., ghat_{domain_size-1}] via one inverse
   /// transform. O(transform_size).
   std::vector<double> ToFrequencyVector() const;
 
-  /// Estimate of sum_{i=a..b} g_i (approximate range-count query).
+  /// Estimate of sum_{i=a..b} g_i (approximate range-count query), by
+  /// SparseHaarRangeSum from the coefficients whose support straddles a or
+  /// b. O(log n log B); no frequency vector is built.
   double EstimateRangeSum(std::size_t a, std::size_t b) const;
 
   std::string ToString() const;

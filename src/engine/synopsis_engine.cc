@@ -91,23 +91,62 @@ std::string FormatApproxDpSolver(DpKernelKind kernel, double epsilon) {
   return FormatKernelSolver(buffer, DpKernelKindName(kernel), nullptr);
 }
 
-/// Baseline histograms have no oracle-native cost; re-cost them under the
-/// true distribution (the section-5 experimental protocol).
+// The value-pdf form of a batch's input, for the routes that consume
+// per-item frequency pdfs (the coefficient-tree wavelet DPs, the stream,
+// the sharded route, the non-SSE oracles and the re-costs). Value-pdf
+// input passes through; tuple input is induced (exactly) on first use and
+// shared by every later route of the batch, so a batch induces at most
+// once. Induction is deterministic, so sharing it changes no result's
+// bits.
 template <typename Input>
-StatusOr<double> EvaluateHistogramCost(const Input& input, const Histogram& h,
+class ValuePdfSource {
+ public:
+  explicit ValuePdfSource(const Input& input) : input_(input) {}
+
+  // The value pdfs. A non-null `seconds` receives the time this call spent
+  // inducing them (0 once they exist).
+  StatusOr<const ValuePdfInput*> Get(double* seconds = nullptr) {
+    if (seconds != nullptr) *seconds = 0.0;
+    if constexpr (std::is_same_v<Input, ValuePdfInput>) {
+      return &input_;
+    } else {
+      if (!induced_) {
+        Stopwatch watch;
+        induced_.emplace(InduceValuePdf(input_));
+        if (seconds != nullptr) *seconds = watch.ElapsedSeconds();
+      }
+      if (!induced_->ok()) return induced_->status();
+      return &induced_->value();
+    }
+  }
+
+ private:
+  const Input& input_;
+  std::optional<StatusOr<ValuePdfInput>> induced_;  // tuple input only
+};
+
+/// Baseline histograms have no oracle-native cost; re-cost them under the
+/// true distribution (the section-5 experimental protocol). World-mean SSE
+/// reads the input itself (on tuple input it needs the joint
+/// distribution); every other metric reads the value pdfs.
+template <typename Input>
+StatusOr<double> EvaluateHistogramCost(const Input& input,
+                                       ValuePdfSource<Input>& values,
+                                       const Histogram& h,
                                        const SynopsisOptions& options) {
   if (options.metric == ErrorMetric::kSse &&
       options.sse_variant == SseVariant::kWorldMean) {
     return EvaluateHistogramWorldMeanSse(input, h);
   }
-  return EvaluateHistogram(input, h, options);
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
+  return EvaluateHistogram(*value_input, h, options);
 }
 
-StatusOr<SynopsisResult> ExecStreamingOnValuePdf(const ValuePdfInput& input,
-                                                 const SynopsisRequest& request,
-                                                 double preprocess_seconds,
-                                                 DpWorkspace* workspace,
-                                                 const ExecContext* ctx) {
+StatusOr<SynopsisResult> ExecStreaming(const ValuePdfInput& input,
+                                       const SynopsisRequest& request,
+                                       double preprocess_seconds,
+                                       DpWorkspace* workspace,
+                                       const ExecContext* ctx) {
   Stopwatch watch;
   // The leased workspace hosts the boundary-chain store, so steady-state
   // streaming requests allocate no chain nodes (the builder releases every
@@ -147,24 +186,8 @@ StatusOr<SynopsisResult> ExecStreamingOnValuePdf(const ValuePdfInput& input,
 }
 
 template <typename Input>
-StatusOr<SynopsisResult> ExecStreaming(const Input& input,
-                                       const SynopsisRequest& request,
-                                       DpWorkspace* workspace,
-                                       const ExecContext* ctx) {
-  if constexpr (std::is_same_v<Input, ValuePdfInput>) {
-    return ExecStreamingOnValuePdf(input, request, 0.0, workspace, ctx);
-  } else {
-    // The stream consumes per-item frequency pdfs; tuple input induces
-    // them first (exact — SSE fixed-rep is per-item decomposable).
-    Stopwatch watch;
-    PROBSYN_ASSIGN_OR_RETURN(auto induced, InduceValuePdf(input));
-    return ExecStreamingOnValuePdf(induced, request, watch.ElapsedSeconds(),
-                                   workspace, ctx);
-  }
-}
-
-template <typename Input>
 StatusOr<SynopsisResult> ExecHistogramBaseline(const Input& input,
+                                               ValuePdfSource<Input>& values,
                                                const SynopsisRequest& request) {
   Stopwatch watch;
   StatusOr<Histogram> histogram = Status::Internal("unrouted baseline");
@@ -194,7 +217,8 @@ StatusOr<SynopsisResult> ExecHistogramBaseline(const Input& input,
   double solve_seconds = watch.ElapsedSeconds();
 
   watch.Restart();
-  auto cost = EvaluateHistogramCost(input, *histogram, request.options);
+  auto cost = EvaluateHistogramCost(input, values, *histogram,
+                                    request.options);
   if (!cost.ok()) return cost.status();
 
   SynopsisResult result;
@@ -209,6 +233,7 @@ StatusOr<SynopsisResult> ExecHistogramBaseline(const Input& input,
 
 template <typename Input>
 StatusOr<SynopsisResult> ExecWavelet(const Input& input,
+                                     ValuePdfSource<Input>& values,
                                      const SynopsisRequest& request,
                                      DpWorkspace* workspace, ThreadPool* pool,
                                      const ExecContext* ctx,
@@ -230,7 +255,8 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
     result.wavelet = std::move(synopsis).value();
     result.timing.solve_seconds = watch.ElapsedSeconds();
     watch.Restart();
-    auto cost = EvaluateWavelet(input, result.wavelet, request.options);
+    PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
+    auto cost = EvaluateWavelet(*value_input, result.wavelet, request.options);
     if (!cost.ok()) return cost.status();
     result.cost = *cost;
     result.timing.preprocess_seconds = watch.ElapsedSeconds();
@@ -238,18 +264,9 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
     return result;
   }
 
-  // The coefficient-tree DPs consume value-pdf input; induce for tuples.
-  Stopwatch preprocess_watch;
-  StatusOr<ValuePdfInput> induced = Status::Internal("unset");
-  const ValuePdfInput* value_input = nullptr;
-  if constexpr (std::is_same_v<Input, ValuePdfInput>) {
-    value_input = &input;
-  } else {
-    induced = InduceValuePdf(input);
-    if (!induced.ok()) return induced.status();
-    value_input = &induced.value();
-  }
-  result.timing.preprocess_seconds = preprocess_watch.ElapsedSeconds();
+  // The coefficient-tree DPs consume value-pdf input.
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
+                           values.Get(&result.timing.preprocess_seconds));
 
   Stopwatch watch;
   if (method == WaveletMethod::kRestrictedDp) {
@@ -279,10 +296,27 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
   return result;
 }
 
-StatusOr<SynopsisResult> ExecShardedOnValuePdf(
-    const ValuePdfInput& input, const SynopsisRequest& request,
-    double preprocess_seconds, ThreadPool* pool, DpWorkspacePool* workspaces,
-    const ExecContext* ctx, std::size_t max_workspace_bytes) {
+template <typename Input>
+StatusOr<SynopsisResult> ExecSharded(ValuePdfSource<Input>& values,
+                                     const SynopsisRequest& request,
+                                     ThreadPool* pool,
+                                     DpWorkspacePool* workspaces,
+                                     const ExecContext* ctx,
+                                     std::size_t max_workspace_bytes) {
+  if (std::is_same_v<Input, TuplePdfInput> &&
+      request.options.metric == ErrorMetric::kSse &&
+      request.options.sse_variant == SseVariant::kWorldMean) {
+    return Status::Unimplemented(
+        "sharded construction does not support world-mean SSE on tuple "
+        "input (the joint-distribution oracle does not decompose across "
+        "shards); use the fixed-representative variant or the unsharded "
+        "route");
+  }
+  // Every other metric is per-item decomposable; shard the value pdfs
+  // (exact, same as the other induced routes).
+  double preprocess_seconds = 0.0;
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* input,
+                           values.Get(&preprocess_seconds));
   Stopwatch watch;
   ShardedDpOptions sharded;
   sharded.shards = request.sharding.shards;
@@ -297,7 +331,7 @@ StatusOr<SynopsisResult> ExecShardedOnValuePdf(
   sharded.max_workspace_bytes = max_workspace_bytes;
   PROBSYN_ASSIGN_OR_RETURN(
       ShardedDpResult built,
-      BuildShardedHistogram(input, request.budget, request.options, sharded));
+      BuildShardedHistogram(*input, request.budget, request.options, sharded));
 
   SynopsisResult result;
   result.kind = SynopsisKind::kHistogram;
@@ -320,38 +354,10 @@ StatusOr<SynopsisResult> ExecShardedOnValuePdf(
     result.solver = buffer;
   }
   // Per-shard oracle builds happen inside the shard solves, so preprocess
-  // only carries the tuple->value-pdf induction (if any).
+  // only carries the tuple->value-pdf induction (if this route ran it).
   result.timing.preprocess_seconds = preprocess_seconds;
   result.timing.solve_seconds = watch.ElapsedSeconds();
   return result;
-}
-
-template <typename Input>
-StatusOr<SynopsisResult> ExecSharded(const Input& input,
-                                     const SynopsisRequest& request,
-                                     ThreadPool* pool,
-                                     DpWorkspacePool* workspaces,
-                                     const ExecContext* ctx,
-                                     std::size_t max_workspace_bytes) {
-  if constexpr (std::is_same_v<Input, ValuePdfInput>) {
-    return ExecShardedOnValuePdf(input, request, 0.0, pool, workspaces, ctx,
-                                 max_workspace_bytes);
-  } else {
-    if (request.options.metric == ErrorMetric::kSse &&
-        request.options.sse_variant == SseVariant::kWorldMean) {
-      return Status::Unimplemented(
-          "sharded construction does not support world-mean SSE on tuple "
-          "input (the joint-distribution oracle does not decompose across "
-          "shards); use the fixed-representative variant or the unsharded "
-          "route");
-    }
-    // Every other metric is per-item decomposable; induce the value pdfs
-    // once and shard those (exact, same as the other induced routes).
-    Stopwatch watch;
-    PROBSYN_ASSIGN_OR_RETURN(auto induced, InduceValuePdf(input));
-    return ExecShardedOnValuePdf(induced, request, watch.ElapsedSeconds(),
-                                 pool, workspaces, ctx, max_workspace_bytes);
-  }
 }
 
 // Whether a request takes the sharded route: explicit kOn always (only
@@ -381,19 +387,43 @@ bool RoutesSharded(const SynopsisRequest& request, std::size_t domain_size,
 
 template <typename Input>
 StatusOr<SynopsisResult> ExecuteSingle(const Input& input,
+                                       ValuePdfSource<Input>& values,
                                        const SynopsisRequest& request,
                                        DpWorkspace* workspace,
                                        ThreadPool* pool,
                                        const ExecContext* ctx,
                                        std::size_t max_workspace_bytes) {
   if (request.kind == SynopsisKind::kWavelet) {
-    return ExecWavelet(input, request, workspace, pool, ctx,
+    return ExecWavelet(input, values, request, workspace, pool, ctx,
                        max_workspace_bytes);
   }
   if (request.method == HistogramMethod::kStreaming) {
-    return ExecStreaming(input, request, workspace, ctx);
+    // The stream consumes per-item frequency pdfs (exact for tuple input:
+    // SSE fixed-rep is per-item decomposable).
+    double induce_seconds = 0.0;
+    PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
+                             values.Get(&induce_seconds));
+    return ExecStreaming(*value_input, request, induce_seconds, workspace,
+                         ctx);
   }
-  return ExecHistogramBaseline(input, request);
+  return ExecHistogramBaseline(input, values, request);
+}
+
+// The oracle of one sharing group. Tuple-input SSE reads the tuples
+// directly (its moments, and the world-mean variant's joint distribution,
+// need no per-item pdfs); every other oracle is built over the value pdfs.
+template <typename Input>
+StatusOr<OracleBundle> MakeGroupOracle(const Input& input,
+                                       ValuePdfSource<Input>& values,
+                                       const SynopsisOptions& options,
+                                       ThreadPool* pool,
+                                       PointErrorTablesCache* tables_cache) {
+  if (std::is_same_v<Input, TuplePdfInput> &&
+      options.metric == ErrorMetric::kSse) {
+    return MakeBucketOracle(input, options, pool, tables_cache);
+  }
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
+  return MakeBucketOracle(*value_input, options, pool, tables_cache);
 }
 
 // --- Deadline-aware degradation (RequestFallback::kDegrade) ----------------
@@ -739,6 +769,7 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
   // one PointErrorTables cache across the MAE/MARE groups.
   PROBSYN_RETURN_IF_ERROR(MaybeInjectFault(FaultSite::kWorkspaceAlloc));
   DpWorkspacePool::Lease workspace = workspaces_->Acquire();
+  ValuePdfSource<Input> values(input);
 
   // Run-time degradation floor: when request i's (possibly already
   // plan-degraded) route stopped with `stop`, serve the ladder floor
@@ -772,7 +803,7 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
       floor.sharding.mode = RequestSharding::Mode::kOff;
       to = "equidepth";
     }
-    auto served = ExecuteSingle(input, floor, workspace.get(), pool,
+    auto served = ExecuteSingle(input, values, floor, workspace.get(), pool,
                                 /*ctx=*/nullptr, /*max_workspace_bytes=*/0);
     if (!served.ok()) return served.status();
     results[i] = std::move(served).value();
@@ -800,8 +831,9 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
         group_context.Unbounded() ? nullptr : &group_context;
 
     Stopwatch watch;
-    auto bundle = MakeBucketOracle(input, requests[indices.front()].options,
-                                   pool, &tables_cache);
+    auto bundle = MakeGroupOracle(input, values,
+                                  requests[indices.front()].options, pool,
+                                  &tables_cache);
     if (!bundle.ok()) {
       // Preprocessing failed (e.g. an injected resource fault): the whole
       // group degrades or the batch fails.
@@ -912,8 +944,9 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
   // oracle groups have extracted their results, so sharing the batch's
   // leased workspace (the wavelet route's state arena) is safe.
   for (std::size_t i : singles) {
-    auto result = ExecuteSingle(input, effective(i), workspace.get(), pool,
-                                &contexts[i], options_.max_workspace_bytes);
+    auto result =
+        ExecuteSingle(input, values, effective(i), workspace.get(), pool,
+                      &contexts[i], options_.max_workspace_bytes);
     if (!result.ok()) {
       PROBSYN_RETURN_IF_ERROR(run_floor(i, result.status()));
       continue;
@@ -928,7 +961,7 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
   // workspace pool (the batch lease above is NOT shared: shard solves run
   // concurrently and each needs its own arena).
   for (std::size_t i : sharded) {
-    auto result = ExecSharded(input, effective(i), pool, workspaces_.get(),
+    auto result = ExecSharded(values, effective(i), pool, workspaces_.get(),
                               &contexts[i], options_.max_workspace_bytes);
     if (!result.ok()) {
       PROBSYN_RETURN_IF_ERROR(run_floor(i, result.status()));

@@ -5,9 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#include "core/haar.h"
 #include "util/logging.h"
-#include "util/math.h"
 
 namespace probsyn {
 
@@ -25,29 +23,20 @@ ServedSynopsis::ServedSynopsis(DecodedSynopsis decoded)
     return;
   }
   domain_size_ = decoded.wavelet.domain_size();
-  transform_size_ = decoded.wavelet.transform_size();
-  const auto& coeffs = decoded.wavelet.coefficients();
-  coeff_indices_.reserve(coeffs.size());
-  coeff_values_.reserve(coeffs.size());
-  for (const WaveletCoefficient& c : coeffs) {
-    coeff_indices_.push_back(c.index);
-    coeff_values_.push_back(c.value);
-  }
+  wavelet_ = SparseHaar(decoded.wavelet.transform_size(),
+                        decoded.wavelet.coefficients());
   // Precompute the |value|-desc / index-asc ranking (the same order the
   // greedy builder uses) so TopCoefficients is O(k) per query.
-  magnitude_order_.resize(coeff_values_.size());
+  const std::vector<WaveletCoefficient>& coeffs = wavelet_.coefficients();
+  magnitude_order_.resize(coeffs.size());
   std::iota(magnitude_order_.begin(), magnitude_order_.end(), std::size_t{0});
   std::sort(magnitude_order_.begin(), magnitude_order_.end(),
-            [this](std::size_t a, std::size_t b) {
-              double fa = std::fabs(coeff_values_[a]);
-              double fb = std::fabs(coeff_values_[b]);
+            [&coeffs](std::size_t a, std::size_t b) {
+              double fa = std::fabs(coeffs[a].value);
+              double fb = std::fabs(coeffs[b].value);
               if (fa != fb) return fa > fb;
-              return coeff_indices_[a] < coeff_indices_[b];
+              return coeffs[a].index < coeffs[b].index;
             });
-  // Cache the frequency vector through the exact construction-side path
-  // (sparse fill + HaarInverse) so range sums are bitwise-equal to
-  // WaveletSynopsis::EstimateRangeSum.
-  frequencies_ = decoded.wavelet.ToFrequencyVector();
 }
 
 double ServedSynopsis::PointEstimate(std::size_t i) const {
@@ -56,8 +45,7 @@ double ServedSynopsis::PointEstimate(std::size_t i) const {
     auto it = std::lower_bound(bucket_ends_.begin(), bucket_ends_.end(), i);
     return bucket_reps_[static_cast<std::size_t>(it - bucket_ends_.begin())];
   }
-  return ReconstructPointSparse(coeff_indices_, coeff_values_, i,
-                                transform_size_);
+  return wavelet_.Point(i);
 }
 
 double ServedSynopsis::RangeSum(std::size_t a, std::size_t b) const {
@@ -77,9 +65,7 @@ double ServedSynopsis::RangeSum(std::size_t a, std::size_t b) const {
     }
     return total;
   }
-  KahanSum sum;
-  for (std::size_t i = a; i <= b; ++i) sum.Add(frequencies_[i]);
-  return sum.value();
+  return wavelet_.RangeSum(a, b);
 }
 
 std::vector<WaveletCoefficient> ServedSynopsis::TopCoefficients(
@@ -88,8 +74,7 @@ std::vector<WaveletCoefficient> ServedSynopsis::TopCoefficients(
   std::size_t take = std::min(k, magnitude_order_.size());
   top.reserve(take);
   for (std::size_t r = 0; r < take; ++r) {
-    std::size_t slot = magnitude_order_[r];
-    top.push_back({coeff_indices_[slot], coeff_values_[slot]});
+    top.push_back(wavelet_.coefficients()[magnitude_order_[r]]);
   }
   return top;
 }

@@ -14,17 +14,20 @@
 namespace probsyn {
 
 /// One synopsis decoded out of a store and laid out for query answering:
-/// flat boundary/representative arrays for histograms, sorted coefficient
-/// arrays plus a cached top-|value| ranking and reconstructed frequency
-/// vector for wavelets. Immutable after construction, so any number of
-/// reader threads may query one instance concurrently without locking.
+/// flat boundary/representative arrays for histograms; for wavelets, the
+/// SparseHaar lookup (coefficients sorted by index behind a presence
+/// bitmap with per-word ranks, O(n/8) bytes) plus a cached top-|value|
+/// ranking. Immutable after construction, so any number of reader threads
+/// may query one instance concurrently without locking.
 ///
 /// Answer contract: every query is BITWISE-equal to evaluating the same
 /// query on the construction-side object (Histogram::Estimate /
 /// EstimateRangeSum, WaveletSynopsis::Estimate / EstimateRangeSum) — the
-/// serving tier replays the same arithmetic in the same order over the
-/// round-tripped doubles, a property the 200-case differential sweep in
-/// tests/synopsis_server_test.cc pins across SIMD dispatch modes. The
+/// histogram path replays the construction-side loop in the same order,
+/// and both wavelet sides run SparseHaar's one arithmetic (only the
+/// coefficient lookup differs), over the round-tripped doubles. The
+/// 200-case differential sweep in tests/synopsis_server_test.cc pins this
+/// across SIMD dispatch modes. The
 /// hot-path accessors below skip per-call validation (bounds are DCHECKed);
 /// the SynopsisServer wrappers validate and return Status instead.
 class ServedSynopsis {
@@ -36,15 +39,19 @@ class ServedSynopsis {
   /// Domain size n the synopsis answers queries over.
   std::size_t domain_size() const { return domain_size_; }
   /// Retained coefficient count (0 for histograms).
-  std::size_t num_coefficients() const { return coeff_values_.size(); }
+  std::size_t num_coefficients() const {
+    return wavelet_.coefficients().size();
+  }
   /// Bucket count (0 for wavelets).
   std::size_t num_buckets() const { return bucket_reps_.size(); }
 
-  /// ghat_i. O(log B) for histograms, O(log n log B) for wavelets.
+  /// ghat_i. O(log B) for histograms, O(log n) for wavelets.
   /// Precondition: i < domain_size().
   double PointEstimate(std::size_t i) const;
 
-  /// Estimate of sum_{i=a..b} g_i. Precondition: a <= b < domain_size().
+  /// Estimate of sum_{i=a..b} g_i: O(log B + buckets in range) for
+  /// histograms, O(log n) for wavelets.
+  /// Precondition: a <= b < domain_size().
   double RangeSum(std::size_t a, std::size_t b) const;
 
   /// RangeSum(a, b) / (b - a + 1).
@@ -65,13 +72,10 @@ class ServedSynopsis {
   std::vector<std::size_t> bucket_ends_;
   std::vector<double> bucket_reps_;
 
-  // Wavelet layout: coefficients sorted by index, the |value| ranking, and
-  // the reconstructed frequency vector backing range queries.
-  std::size_t transform_size_ = 0;
-  std::vector<std::size_t> coeff_indices_;
-  std::vector<double> coeff_values_;
+  // Wavelet layout: the coefficient lookup and the |value| ranking (slots
+  // of wavelet_.coefficients()).
+  SparseHaar wavelet_;
   std::vector<std::size_t> magnitude_order_;
-  std::vector<double> frequencies_;
 };
 
 /// The query tier over a synopsis store: maps the file, decodes (and

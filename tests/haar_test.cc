@@ -1,9 +1,12 @@
 #include "core/haar.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "reference/reference_solvers.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -125,16 +128,77 @@ TEST(Haar, ReconstructPointSparseMatchesDenseInverse) {
   // Keep an arbitrary subset of coefficients.
   std::vector<std::size_t> indices{0, 1, 3, 8, 21, 31};
   std::vector<double> values;
+  std::vector<WaveletCoefficient> kept;
   std::vector<double> dense(n, 0.0);
   for (std::size_t idx : indices) {
     values.push_back(coeffs[idx]);
+    kept.push_back({idx, coeffs[idx]});
     dense[idx] = coeffs[idx];
   }
+  const SparseHaar sparse(n, kept);
   std::vector<double> expected = HaarInverse(dense);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(ReconstructPointSparse(indices, values, i, n), expected[i],
-                1e-10)
+    EXPECT_NEAR(sparse.Point(i), expected[i], 1e-10) << "i=" << i;
+    EXPECT_NEAR(SparseHaarPoint(kept, n, i), expected[i], 1e-10) << "i=" << i;
+    EXPECT_NEAR(reference::ReconstructPointSparse(indices, values, i, n),
+                expected[i], 1e-10)
         << "i=" << i;
+  }
+}
+
+// Both lookups of the sparse query path reproduce the textbook
+// reconstruction bit for bit, on random coefficient subsets including the
+// empty set, a single coefficient and every coefficient, and on negative
+// zeros (whose sign a reordered sum would lose).
+TEST(Haar, SparsePointMatchesReferenceBitwise) {
+  Rng rng(23);
+  for (std::size_t n : {1u, 2u, 4u, 64u, 128u, 1024u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<std::size_t> indices;
+      std::vector<double> values;
+      std::vector<WaveletCoefficient> kept;
+      const double keep = trial == 0 ? 0.0 : trial == 1 ? 1.0
+                                                        : rng.NextDouble();
+      for (std::size_t k = 0; k < n; ++k) {
+        if (rng.NextDouble() >= keep) continue;
+        const double v = trial == 2 ? -0.0 : rng.NextUniform(-50, 50);
+        indices.push_back(k);
+        values.push_back(v);
+        kept.push_back({k, v});
+      }
+      const SparseHaar sparse(n, kept);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want =
+            reference::ReconstructPointSparse(indices, values, i, n);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                  std::bit_cast<std::uint64_t>(sparse.Point(i)))
+            << "n=" << n << " trial=" << trial << " i=" << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                  std::bit_cast<std::uint64_t>(SparseHaarPoint(kept, n, i)))
+            << "n=" << n << " trial=" << trial << " i=" << i;
+      }
+    }
+  }
+}
+
+// A coefficient's range contribution is v * s * (items of [a, b] in the
+// left half of its support - items in the right half): check it on single
+// coefficients against the dense inverse, where every term is exact.
+TEST(Haar, SparseRangeSumOfOneCoefficientCountsHalves) {
+  const std::size_t n = 16;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::vector<double> dense(n, 0.0);
+    dense[k] = 1.0;
+    const std::vector<double> leaf = HaarInverse(dense);
+    const SparseHaar sparse(n, {{k, 1.0}});
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a; b < n; ++b) {
+        double want = 0.0;
+        for (std::size_t i = a; i <= b; ++i) want += leaf[i];
+        EXPECT_NEAR(sparse.RangeSum(a, b), want, 1e-12)
+            << "k=" << k << " [" << a << "," << b << "]";
+      }
+    }
   }
 }
 

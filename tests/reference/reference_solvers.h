@@ -111,6 +111,15 @@ StatusOr<Histogram2DResult> BuildGuillotineHistogram2D(
     const ProbGrid2D& grid, const SynopsisOptions& options,
     std::size_t num_buckets);
 
+/// Sparse Haar point reconstruction as first written: a root-to-leaf walk
+/// over coefficients given as parallel arrays sorted by index, with one
+/// binary search and one LeafContributionScale call per level. The
+/// library's SparseHaar::Point and SparseHaarPoint must match it bit for
+/// bit.
+double ReconstructPointSparse(std::span<const std::size_t> indices,
+                              std::span<const double> values, std::size_t i,
+                              std::size_t n);
+
 }  // namespace probsyn::reference
 
 #endif  // PROBSYN_TESTS_REFERENCE_REFERENCE_SOLVERS_H_

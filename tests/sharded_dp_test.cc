@@ -138,6 +138,30 @@ TEST(ShardedDifferentialTest, SweepNeverBeatsOptimumAndStaysInEnvelope) {
                 << ErrorMetricName(metric) << " n=" << n << " B=" << budget
                 << " S=" << shards << " seed=" << seed;
           }
+
+          // (1+eps) shards on the same plan: never below the optimum, and
+          // at most (1 + eps) times the exact sharded cost, because the
+          // traced histograms cost the merge fold's value (up to rounding)
+          // and the fold is at most the approx curves summed at the exact
+          // allocation.
+          if (IsCumulativeMetric(metric)) {
+            const double eps = cases % 2 == 0 ? 0.1 : 0.5;
+            ShardedDpOptions approx_options = sharded;
+            approx_options.solver = ShardSolver::kApprox;
+            approx_options.epsilon = eps;
+            auto approx =
+                BuildShardedHistogram(input, budget, options, approx_options);
+            ASSERT_TRUE(approx.ok()) << approx.status();
+            EXPECT_EQ(approx->max_shard_budget, result->max_shard_budget);
+            EXPECT_LE(approx->histogram.num_buckets(), budget);
+            ASSERT_TRUE(approx->histogram.Validate(n).ok());
+            EXPECT_GE(approx->cost, optimum * (1.0 - 1e-9))
+                << ErrorMetricName(metric) << " n=" << n << " B=" << budget
+                << " S=" << shards << " seed=" << seed;
+            EXPECT_LE(approx->cost, (1.0 + eps) * result->cost * (1.0 + 1e-9))
+                << ErrorMetricName(metric) << " n=" << n << " B=" << budget
+                << " S=" << shards << " eps=" << eps << " seed=" << seed;
+          }
           ++cases;
         }
       }
@@ -251,6 +275,40 @@ TEST(ShardedApproxCurveTest, CurveIsMonotoneAndEndsAtTheDpValue) {
   // reported cost re-sums the extracted buckets through the oracle.
   EXPECT_NEAR(approx->cost_curve.back(), approx->cost,
               1e-9 * std::max(1.0, approx->cost));
+}
+
+// Tracing the kept rows back at any budget gives a histogram of at most
+// that many buckets costing that layer's curve value (up to the re-costing
+// rounding); at the solved budget it is the solve's own histogram.
+TEST(ShardedApproxCurveTest, TraceAtEveryBudgetCostsTheCurveValue) {
+  for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kSae}) {
+    ValuePdfInput input =
+        GenerateRandomValuePdf({.domain_size = 150, .seed = 4});
+    auto bundle = MakeBucketOracle(input, OptionsFor(metric));
+    ASSERT_TRUE(bundle.ok()) << bundle.status();
+    auto approx = SolveApproxHistogramDpWithKernel(
+        *bundle->oracle, 12, 0.1, {.keep_choices = true});
+    ASSERT_TRUE(approx.ok()) << approx.status();
+    ASSERT_EQ(approx->choices.size(), 11u * 150u);
+    for (std::size_t b = 1; b <= 12; ++b) {
+      CostedHistogram traced =
+          TraceApproxHistogram(*bundle->oracle, *approx, b);
+      ASSERT_TRUE(traced.histogram.Validate(150).ok()) << "b=" << b;
+      EXPECT_LE(traced.histogram.num_buckets(), b);
+      EXPECT_NEAR(traced.cost, approx->cost_curve[b - 1],
+                  1e-9 * std::max(1.0, traced.cost))
+          << ErrorMetricName(metric) << " b=" << b;
+    }
+    CostedHistogram at_cap = TraceApproxHistogram(*bundle->oracle, *approx, 12);
+    EXPECT_TRUE(at_cap.histogram == approx->histogram);
+    EXPECT_EQ(at_cap.cost, approx->cost);
+
+    // Rows are dropped unless asked for.
+    auto plain = SolveApproxHistogramDp(*bundle->oracle, 12, 0.1);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    EXPECT_TRUE(plain->choices.empty());
+    EXPECT_TRUE(plain->histogram == approx->histogram);
+  }
 }
 
 // --- Engine route. -------------------------------------------------------

@@ -23,6 +23,7 @@
 
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
+#include "reference/reference_solvers.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 
@@ -93,16 +94,29 @@ TEST_P(SynopsisServeDifferentialTest, ServedQueriesMatchConstructionBitwise) {
     EXPECT_EQ(sh->domain_size(), n);
     EXPECT_EQ(sw->domain_size(), n);
 
-    // Point estimates: every item, both kinds, bit for bit.
+    // Point estimates: every item, both kinds, bit for bit; wavelet point
+    // estimates on both sides also equal the textbook sparse
+    // reconstruction (tests/reference) bit for bit.
+    std::vector<std::size_t> indices;
+    std::vector<double> values;
+    for (const WaveletCoefficient& c : wave->wavelet.coefficients()) {
+      indices.push_back(c.index);
+      values.push_back(c.value);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(Bits(hist->histogram.Estimate(i)), Bits(sh->PointEstimate(i)))
           << "seed " << seed << " i=" << i;
       EXPECT_EQ(Bits(wave->wavelet.Estimate(i)), Bits(sw->PointEstimate(i)))
           << "seed " << seed << " i=" << i;
+      EXPECT_EQ(Bits(reference::ReconstructPointSparse(
+                    indices, values, i, wave->wavelet.transform_size())),
+                Bits(sw->PointEstimate(i)))
+          << "seed " << seed << " i=" << i;
     }
 
     // Range sums and averages, bit for bit against the construction-side
-    // arithmetic (same loop order, same Kahan accumulation).
+    // arithmetic (same loop order for histograms, the shared SparseHaar
+    // arithmetic for wavelets).
     for (auto [a, b] : ProbeRanges(n, seed)) {
       const double want_h = hist->histogram.EstimateRangeSum(a, b);
       const double want_w = wave->wavelet.EstimateRangeSum(a, b);

@@ -3,8 +3,11 @@
 #include "core/wavelet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +62,60 @@ TEST(WaveletSynopsis, RangeSumQueries) {
   // The retained coefficient is the scaling one; the range sums are exact.
   EXPECT_NEAR(synopsis.EstimateRangeSum(0, 3), 4.0, 1e-10);
   EXPECT_NEAR(synopsis.EstimateRangeSum(1, 2), 2.0, 1e-10);
+}
+
+// The range sum reads only the coefficients whose support straddles an end
+// of the range, so it rounds differently from summing the reconstructed
+// estimates: check it against a long-double sum of ToFrequencyVector(),
+// with a tolerance scaled by the magnitude of the terms, and check that the
+// server-side lookup (SparseHaar) gives the same bits.
+TEST(WaveletSynopsis, RangeSumMatchesLongDoubleSumOfEstimates) {
+  Rng rng(41);
+  for (std::size_t n : {1u, 2u, 3u, 1000u, 65536u}) {
+    for (std::size_t budget : {std::size_t{1}, std::size_t{7}, n / 3 + 1, n}) {
+      std::vector<double> data(n);
+      for (double& d : data) d = rng.NextUniform(0, 100);
+      const WaveletSynopsis synopsis =
+          BuildSseWaveletFromFrequencies(data, budget);
+      const std::size_t nt = synopsis.transform_size();
+      const SparseHaar served(nt, synopsis.coefficients());
+      const std::vector<double> ghat = synopsis.ToFrequencyVector();
+
+      std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+          {0, n - 1}, {0, 0}, {n - 1, n - 1}, {n / 2, n - 1}, {0, n / 2}};
+      for (int k = 0; k < 24; ++k) {
+        const std::size_t a = rng.NextBounded(n);
+        const std::size_t b = a + rng.NextBounded(n - a);
+        ranges.emplace_back(a, b);
+        ranges.emplace_back(a, a);
+        ranges.emplace_back(a, n - 1);  // ends below nt - 1 when n < nt
+      }
+      for (auto [a, b] : ranges) {
+        long double want = 0.0L;
+        double magnitude = 0.0;
+        for (std::size_t i = a; i <= b; ++i) {
+          want += ghat[i];
+          magnitude += std::fabs(ghat[i]);
+        }
+        for (const WaveletCoefficient& c : synopsis.coefficients()) {
+          const SupportRange r = CoefficientSupport(c.index, nt);
+          const std::size_t lo = std::max(a, r.lo);
+          const std::size_t hi = std::min(b + 1, r.hi);
+          if (hi > lo) {
+            magnitude += std::fabs(c.value) *
+                         LeafContributionScale(c.index, nt) *
+                         static_cast<double>(hi - lo);
+          }
+        }
+        const double got = synopsis.EstimateRangeSum(a, b);
+        EXPECT_NEAR(got, static_cast<double>(want), 1e-12 * magnitude)
+            << "n=" << n << " B=" << budget << " [" << a << "," << b << "]";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(served.RangeSum(a, b)))
+            << "n=" << n << " B=" << budget << " [" << a << "," << b << "]";
+      }
+    }
+  }
 }
 
 TEST(WaveletSse, GreedySelectionKeepsLargestCoefficients) {
