@@ -120,7 +120,7 @@ void RunExactDp(benchmark::State& state, DpCombiner combiner) {
 
   for (auto _ : state) {
     if (kernelized) {
-      HistogramDpResult dp = SolveHistogramDpWithKernel(
+      HistogramDpResult dp = SolveHistogramDp(
           *bundle->oracle, kBuckets, combiner, options);
       benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
     } else {
@@ -384,7 +384,7 @@ void BM_ExactDpSaeWarmSweep(benchmark::State& state) {
   DpWorkspace workspace;
   for (auto _ : state) {
     if (kernelized) {
-      HistogramDpResult dp = SolveHistogramDpWithKernel(
+      HistogramDpResult dp = SolveHistogramDp(
           *bundle->oracle, kBuckets, bundle->combiner,
           {.workspace = &workspace});
       benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));

@@ -15,25 +15,28 @@
 
 namespace probsyn {
 
-/// The two naive deterministic baselines the paper's experiments compare
-/// against (sections 2.3 and 5):
-///
-///  * Expectation — replace each uncertain item by its expected frequency
-///    E[g_i], build the optimal deterministic synopsis of that vector.
-///  * Sampled World — draw one possible world W ~ Pr[W], build the optimal
-///    deterministic synopsis of W's frequency vector.
-///
-/// Both produce ordinary synopses that are then re-costed under the true
-/// distribution with the evaluate.h routines; the paper's headline result
-/// is how much worse they are than the direct probabilistic optimization.
+// The two naive deterministic baselines the paper's experiments compare
+// against (sections 2.3 and 5):
+//
+//  * Expectation — replace each uncertain item by its expected frequency
+//    E[g_i], build the optimal deterministic synopsis of that vector.
+//  * Sampled World — draw one possible world W ~ Pr[W], build the optimal
+//    deterministic synopsis of W's frequency vector.
+//
+// Both produce ordinary synopses that are then re-costed under the true
+// distribution with the evaluate.h routines; the paper's headline result
+// is how much worse they are than the direct probabilistic optimization.
 
 /// Expected-frequency vector of the input (the "Expectation" data).
 std::vector<double> ExpectationFrequencies(const ValuePdfInput& input);
+/// Tuple-pdf overload: E[g_i] = sum over tuples t of Pr[t = i].
 std::vector<double> ExpectationFrequencies(const TuplePdfInput& input);
 
 /// One sampled possible world's frequency vector.
 std::vector<double> SampleWorldFrequencies(const ValuePdfInput& input,
                                            Rng& rng);
+/// Tuple-pdf overload: one independent categorical draw per tuple (one of
+/// its alternatives, or absent).
 std::vector<double> SampleWorldFrequencies(const TuplePdfInput& input,
                                            Rng& rng);
 

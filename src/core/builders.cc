@@ -16,7 +16,7 @@ HistogramBuilder::HistogramBuilder(OracleBundle bundle,
                                    std::size_t max_buckets, ThreadPool* pool)
     : bundle_(std::move(bundle)),
       dp_(SolveHistogramDp(*bundle_.oracle, max_buckets, bundle_.combiner,
-                           pool)) {}
+                           {.pool = pool})) {}
 
 StatusOr<HistogramBuilder> HistogramBuilder::Create(
     const ValuePdfInput& input, const SynopsisOptions& options,

@@ -1390,10 +1390,9 @@ DpWorkspacePool::Stats DpWorkspacePool::stats() const {
   return stats_;
 }
 
-HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
-                                             std::size_t max_buckets,
-                                             DpCombiner combiner,
-                                             const DpKernelOptions& options) {
+HistogramDpResult SolveHistogramDp(const BucketCostOracle& oracle,
+                                   std::size_t max_buckets, DpCombiner combiner,
+                                   const DpKernelOptions& options) {
   const std::size_t n = oracle.domain_size();
   PROBSYN_CHECK(n > 0 && max_buckets >= 1);
   // Budgets beyond n buckets cannot help; cap the table, not the API.
@@ -1424,7 +1423,7 @@ HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
   return result;
 }
 
-StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
+StatusOr<ApproxHistogramResult> SolveApproxHistogramDp(
     const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
     const ApproxDpKernelOptions& options) {
   return DispatchOnOracle(

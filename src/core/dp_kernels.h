@@ -322,10 +322,9 @@ class DpWorkspace {
   StreamChainStore& stream_chains() { return stream_chains_; }
 
  private:
-  friend HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle&,
-                                                      std::size_t,
-                                                      DpCombiner,
-                                                      const DpKernelOptions&);
+  friend HistogramDpResult SolveHistogramDp(const BucketCostOracle&,
+                                            std::size_t, DpCombiner,
+                                            const DpKernelOptions&);
 
   std::vector<double> err_;            // cap x n, row-major
   std::vector<std::int64_t> choice_;   // cap x n
@@ -393,83 +392,6 @@ class DpWorkspacePool {
   std::vector<std::unique_ptr<DpWorkspace>> free_;
   Stats stats_;
 };
-
-/// Knobs of the kernel-level solve entry point. Defaults reproduce
-/// SolveHistogramDp(oracle, max_buckets, combiner): sequential, self-owned
-/// storage.
-struct DpKernelOptions {
-  /// Non-null runs the blocked data-parallel DP (bit-identical output).
-  ThreadPool* pool = nullptr;
-  /// Non-null reuses the given arena; the result then only borrows its
-  /// storage (see HistogramDpResult lifetime note).
-  DpWorkspace* workspace = nullptr;
-  /// Non-null arms cooperative stopping: the solver polls per column /
-  /// layer batch (work units far above the poll cost, so overhead stays
-  /// under the engine's 2% budget) and on a hit abandons the fill and
-  /// returns a result whose status() is kDeadlineExceeded/kCancelled. The
-  /// workspace stays reusable — every buffer is fully overwritten by the
-  /// next solve.
-  const ExecContext* context = nullptr;
-};
-
-/// The exact-DP solver behind SolveHistogramDp, with explicit control over
-/// parallelism, storage reuse, and stopping. The kernel follows from the
-/// oracle's dynamic type alone (see DpKernelKind); every kernel, lane count,
-/// and SIMD path is bit-identical in costs, traceback choices, and
-/// representatives to the textbook scan of equation (2) — the kernels only
-/// change how fast the table is filled:
-///
-///  * column fills run devirtualized — each concrete oracle's prefix-sum
-///    tables are hoisted into flat spans (SSE/SSRE), its ternary search is
-///    inlined over the raw U/D banks (SAE/SARE), or its concrete sweep is
-///    driven directly (tuple SSE) — instead of one virtual
-///    Cost()/Extend() call per cell; oracle types defined outside the
-///    library fill through their virtual StartSweep() (kGeneric);
-///  * kSum transitions use a chunked branch-free min-reduction that
-///    auto-vectorizes, then resolve the textbook tie-break (first index
-///    attaining the minimum, inherit wins ties) inside the winning chunk;
-///  * kMax transitions exploit that prefix errors are non-decreasing and
-///    bucket costs non-increasing in the split point: the optimal split is
-///    bisected at the crossing in O(log j) instead of scanned in O(j),
-///    with the same first-attaining-index tie-break.
-HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle& oracle,
-                                             std::size_t max_buckets,
-                                             DpCombiner combiner,
-                                             const DpKernelOptions& options);
-
-/// Knobs of the kernel-level approximate-DP entry point. Defaults reproduce
-/// SolveApproxHistogramDp(oracle, max_buckets, epsilon).
-struct ApproxDpKernelOptions {
-  /// Non-null arms cooperative stopping (poll per budget layer and every
-  /// 256 columns); the solve then fails with kDeadlineExceeded/kCancelled.
-  const ExecContext* context = nullptr;
-  /// Keep the traceback rows in ApproxHistogramResult::choices (4 bytes
-  /// per cell) so TraceApproxHistogram can extract the histogram of any
-  /// budget up to the solved one without solving again.
-  bool keep_choices = false;
-};
-
-/// The (1 + epsilon)-approximate DP behind SolveApproxHistogramDp, with
-/// cooperative stopping. Unlike the exact DP — whose
-/// kernels fill whole bucket-cost columns — the approximate DP evaluates a
-/// SPARSE set of candidate buckets (Theorem 5's geometric error classes),
-/// so its kernels are devirtualized point-cost evaluators: each candidate's
-/// Cost(s, e) arithmetic is inlined over the oracle's raw prefix-sum spans
-/// (SSE/SSRE), run through the cold convex search with the probe lambda
-/// inlined (SAE/SARE — cold rather than warm-started, because the
-/// oracle's own Cost() searches cold and plateau rounding can make a
-/// warm-accepted optimum land on a different grid index), or issued as a
-/// concrete `final`-class call (MAE/MARE, tuple-SSE) — never a virtual
-/// dispatch per candidate. Oracle types defined outside the library are
-/// evaluated through their virtual Cost() (kGeneric).
-///
-/// Every kernel is bit-identical to the generic path in the returned
-/// histogram, cost, and oracle_evaluations count (the driver is shared;
-/// only the cost evaluation is specialized), pinned by
-/// tests/dp_kernel_parity_test.cc.
-StatusOr<ApproxHistogramResult> SolveApproxHistogramDpWithKernel(
-    const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
-    const ApproxDpKernelOptions& options);
 
 /// A histogram and its exact cost under the oracle it was built on.
 struct CostedHistogram {

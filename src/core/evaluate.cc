@@ -101,12 +101,7 @@ StatusOr<double> EvaluateWaveletOnValuePdf(const ValuePdfInput& input,
 
   // Pad with deterministic zeros so the evaluation domain matches the
   // transform domain the synopsis was selected over.
-  std::vector<ValuePdf> items = input.items();
-  items.reserve(synopsis.transform_size());
-  while (items.size() < synopsis.transform_size()) {
-    items.push_back(ValuePdf::PointMass(0.0));
-  }
-  ValuePdfInput padded(std::move(items));
+  ValuePdfInput padded = PadWithZeros(input, synopsis.transform_size());
   PointErrorTables tables(padded, options.sanity_c);
 
   std::vector<double> dense(synopsis.transform_size(), 0.0);

@@ -44,6 +44,8 @@ StatusOr<double> EvaluateHistogram(const TuplePdfInput& input,
 /// the within-tuple anticorrelation for tuple-pdf input.
 StatusOr<double> EvaluateHistogramWorldMeanSse(const ValuePdfInput& input,
                                                const Histogram& h);
+/// Tuple-pdf overload: E[(sum_i g_i)^2] keeps the within-tuple
+/// anticorrelation between a bucket's items.
 StatusOr<double> EvaluateHistogramWorldMeanSse(const TuplePdfInput& input,
                                                const Histogram& h);
 

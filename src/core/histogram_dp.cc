@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/dp_kernels.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace probsyn {
 
@@ -82,21 +80,6 @@ Histogram HistogramDpResult::ExtractHistogram(std::size_t num_buckets) const {
   }
   std::reverse(buckets.begin(), buckets.end());
   return Histogram(std::move(buckets));
-}
-
-HistogramDpResult SolveHistogramDp(const BucketCostOracle& oracle,
-                                   std::size_t max_buckets, DpCombiner combiner,
-                                   ThreadPool* pool) {
-  DpKernelOptions options;
-  options.pool = pool;
-  return SolveHistogramDpWithKernel(oracle, max_buckets, combiner, options);
-}
-
-StatusOr<ApproxHistogramResult> SolveApproxHistogramDp(
-    const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon) {
-  // The driver and all comparisons live in core/dp_kernels.cc and are
-  // bit-identical across kernels.
-  return SolveApproxHistogramDpWithKernel(oracle, max_buckets, epsilon, {});
 }
 
 }  // namespace probsyn

@@ -13,9 +13,11 @@
 
 namespace probsyn {
 
+class ExecContext;
 class ThreadPool;
 // Declared in core/dp_kernels.h.
 class DpWorkspace;
+// Defined below, next to SolveHistogramDp.
 struct DpKernelOptions;
 
 /// How per-bucket errors aggregate into the histogram error: the paper's
@@ -105,10 +107,9 @@ class HistogramDpResult {
   static constexpr std::int64_t kWholePrefix = -1;
 
  private:
-  friend HistogramDpResult SolveHistogramDpWithKernel(const BucketCostOracle&,
-                                                      std::size_t,
-                                                      DpCombiner,
-                                                      const DpKernelOptions&);
+  friend HistogramDpResult SolveHistogramDp(const BucketCostOracle&,
+                                            std::size_t, DpCombiner,
+                                            const DpKernelOptions&);
 
   // err_[(b-1) * n_ + j]: optimal cost of covering prefix [0..j] with <= b
   // buckets. choice_: split l (last bucket is [l+1, j]). rep_: cached
@@ -126,6 +127,23 @@ class HistogramDpResult {
                                         // workspace
 };
 
+/// Knobs of the exact DP. The defaults solve sequentially into storage the
+/// result owns, without stopping.
+struct DpKernelOptions {
+  /// Non-null runs the blocked data-parallel DP (bit-identical output).
+  ThreadPool* pool = nullptr;
+  /// Non-null reuses the given arena; the result then only borrows its
+  /// storage (see HistogramDpResult lifetime note).
+  DpWorkspace* workspace = nullptr;
+  /// Non-null arms cooperative stopping: the solver polls per column /
+  /// layer batch (work units far above the poll cost, so overhead stays
+  /// under the engine's 2% budget) and on a hit abandons the fill and
+  /// returns a result whose status() is kDeadlineExceeded/kCancelled. The
+  /// workspace stays reusable — every buffer is fully overwritten by the
+  /// next solve.
+  const ExecContext* context = nullptr;
+};
+
 /// Solves the optimal-histogram DP (paper equation (2)) for every budget
 /// 1..max_buckets in one pass.
 ///
@@ -139,25 +157,39 @@ class HistogramDpResult {
 /// The principle of optimality holds for probabilistic data because
 /// expectation distributes over the per-bucket sum/max (section 3, opening).
 ///
-/// The kernel follows from the oracle's concrete type (see DpKernelKind);
-/// results are bit-identical to the textbook scalar scan in every
-/// configuration. When `pool` is
-/// non-null the DP runs in a blocked data-parallel form: columns are
-/// processed in blocks, each block's bucket-cost column fills run in one
-/// fan-out, then the block's budget layers run either sequentially on the
-/// caller (max-combiner fast cells, whose O(log n) bisections are cheaper
-/// than any fan-out) or through a staggered diagonal schedule that fuses
-/// layer batches into a handful of fork-joins (sum combiners). Every cell
-/// is produced by the same per-cell
-/// computation on the same inputs as the sequential solver, so the result
-/// (costs AND traceback choices) is bit-identical.
+/// The kernel follows from the oracle's dynamic type alone (see
+/// DpKernelKind); every kernel, lane count, and SIMD path is bit-identical
+/// in costs, traceback choices, and representatives to the textbook scan of
+/// equation (2) — the kernels (core/dp_kernels.cc) only change how fast the
+/// table is filled:
 ///
-/// For zero-allocation workspace reuse or cooperative stopping, use
-/// SolveHistogramDpWithKernel (core/dp_kernels.h).
+///  * column fills run devirtualized — each concrete oracle's prefix-sum
+///    tables are hoisted into flat spans (SSE/SSRE), its ternary search is
+///    inlined over the raw U/D banks (SAE/SARE), or its concrete sweep is
+///    driven directly (tuple SSE) — instead of one virtual
+///    Cost()/Extend() call per cell; oracle types defined outside the
+///    library fill through their virtual StartSweep() (kGeneric);
+///  * kSum transitions use a chunked branch-free min-reduction that
+///    auto-vectorizes, then resolve the textbook tie-break (first index
+///    attaining the minimum, inherit wins ties) inside the winning chunk;
+///  * kMax transitions exploit that prefix errors are non-decreasing and
+///    bucket costs non-increasing in the split point: the optimal split is
+///    bisected at the crossing in O(log j) instead of scanned in O(j),
+///    with the same first-attaining-index tie-break.
+///
+/// With DpKernelOptions::pool set the DP runs in a blocked data-parallel
+/// form: columns are processed in blocks, each block's bucket-cost column
+/// fills run in one fan-out, then the block's budget layers run either
+/// sequentially on the caller (max-combiner fast cells, whose O(log n)
+/// bisections are cheaper than any fan-out) or through a staggered
+/// diagonal schedule that fuses layer batches into a handful of fork-joins
+/// (sum combiners). Every cell is produced by the same per-cell computation
+/// on the same inputs as the sequential solver, so the result (costs AND
+/// traceback choices) is bit-identical.
 HistogramDpResult SolveHistogramDp(const BucketCostOracle& oracle,
                                    std::size_t max_buckets,
                                    DpCombiner combiner,
-                                   ThreadPool* pool = nullptr);
+                                   const DpKernelOptions& options = {});
 
 /// Result of the approximate DP: the histogram and its (exact) cost under
 /// the oracle, guaranteed within (1 + epsilon) of the optimum.
@@ -182,9 +214,21 @@ struct ApproxHistogramResult {
   std::vector<double> cost_curve;
   /// The traceback rows of budgets 2..cost_curve.size(), flat: entry
   /// (b - 2) * n + j is the split chosen for prefix [0, j] under b buckets.
-  /// Empty unless the solve kept them (ApproxDpKernelOptions::keep_choices
-  /// in core/dp_kernels.h); TraceApproxHistogram reads them.
+  /// Empty unless the solve kept them (ApproxDpKernelOptions::keep_choices);
+  /// TraceApproxHistogram (core/dp_kernels.h) reads them.
   std::vector<std::int32_t> choices;
+};
+
+/// Knobs of the approximate DP. The defaults solve without stopping and
+/// keep no traceback rows.
+struct ApproxDpKernelOptions {
+  /// Non-null arms cooperative stopping (poll per budget layer and every
+  /// 256 columns); the solve then fails with kDeadlineExceeded/kCancelled.
+  const ExecContext* context = nullptr;
+  /// Keep the traceback rows in ApproxHistogramResult::choices (4 bytes
+  /// per cell) so TraceApproxHistogram can extract the histogram of any
+  /// budget up to the solved one without solving again.
+  bool keep_choices = false;
 };
 
 /// (1 + epsilon)-approximate histogram construction in the style of Guha,
@@ -197,13 +241,25 @@ struct ApproxHistogramResult {
 ///
 /// Cumulative (sum-combiner) metrics only, matching Theorem 5's scope.
 ///
-/// The point-cost kernel follows from the oracle's concrete type and is
-/// bit-identical to the generic virtual-dispatch path in histogram, cost,
-/// and evaluation count (pinned by the dp_kernel_parity tests). For
-/// cooperative stopping use SolveApproxHistogramDpWithKernel
-/// (core/dp_kernels.h).
+/// Unlike the exact DP — whose kernels fill whole bucket-cost columns —
+/// the approximate DP evaluates a SPARSE set of candidate buckets, so its
+/// kernels are devirtualized point-cost evaluators: each candidate's
+/// Cost(s, e) arithmetic is inlined over the oracle's raw prefix-sum spans
+/// (SSE/SSRE), run through the cold convex search with the probe lambda
+/// inlined (SAE/SARE — cold rather than warm-started, because the
+/// oracle's own Cost() searches cold and plateau rounding can make a
+/// warm-accepted optimum land on a different grid index), or issued as a
+/// concrete `final`-class call (MAE/MARE, tuple-SSE) — never a virtual
+/// dispatch per candidate. Oracle types defined outside the library are
+/// evaluated through their virtual Cost() (kGeneric).
+///
+/// Every kernel is bit-identical to the generic path in the returned
+/// histogram, cost, and oracle_evaluations count (the driver is shared;
+/// only the cost evaluation is specialized), pinned by
+/// tests/dp_kernel_parity_test.cc.
 StatusOr<ApproxHistogramResult> SolveApproxHistogramDp(
-    const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon);
+    const BucketCostOracle& oracle, std::size_t max_buckets, double epsilon,
+    const ApproxDpKernelOptions& options = {});
 
 }  // namespace probsyn
 

@@ -24,6 +24,16 @@ StatusOr<OracleBundle> MakeBucketOracle(const ValuePdfInput& input,
                                         PointErrorTablesCache* tables_cache) {
   PROBSYN_RETURN_IF_ERROR(options.Validate());
   PROBSYN_RETURN_IF_ERROR(input.Validate());
+  return oracle_factory_internal::BuildBucketOracle(input, options, pool,
+                                                    tables_cache);
+}
+
+namespace oracle_factory_internal {
+
+StatusOr<OracleBundle> BuildBucketOracle(const ValuePdfInput& input,
+                                         const SynopsisOptions& options,
+                                         ThreadPool* pool,
+                                         PointErrorTablesCache* tables_cache) {
   PROBSYN_RETURN_IF_ERROR(MaybeInjectFault(FaultSite::kOraclePreprocess));
   if (input.domain_size() == 0) {
     return Status::InvalidArgument("empty domain");
@@ -79,6 +89,8 @@ StatusOr<OracleBundle> MakeBucketOracle(const ValuePdfInput& input,
   }
   return bundle;
 }
+
+}  // namespace oracle_factory_internal
 
 StatusOr<OracleBundle> MakeBucketOracle(const TuplePdfInput& input,
                                         const SynopsisOptions& options,

@@ -66,6 +66,19 @@ StatusOr<OracleBundle> MakeBucketOracle(const TuplePdfInput& input,
                                         PointErrorTablesCache* tables_cache =
                                             nullptr);
 
+namespace oracle_factory_internal {
+/// The construction step of the value-pdf MakeBucketOracle without its
+/// validation of `options` and `input`, for callers that validated the
+/// whole problem once and build oracles over parts of it (the sharded
+/// route's shard slices, whose workload slice may be all zero). Still
+/// rolls the oracle-preprocess fault site and rejects an empty domain or
+/// a workload of another length.
+StatusOr<OracleBundle> BuildBucketOracle(const ValuePdfInput& input,
+                                         const SynopsisOptions& options,
+                                         ThreadPool* pool,
+                                         PointErrorTablesCache* tables_cache);
+}  // namespace oracle_factory_internal
+
 }  // namespace probsyn
 
 #endif  // PROBSYN_CORE_ORACLE_FACTORY_H_

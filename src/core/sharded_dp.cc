@@ -87,6 +87,7 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
   if (options.HasWorkload() && options.workload.size() != n) {
     return Status::InvalidArgument("workload size must match the domain");
   }
+  PROBSYN_RETURN_IF_ERROR(input.Validate());
 
   const std::size_t total_budget = std::min(budget, n);
   const std::size_t num_shards =
@@ -160,7 +161,10 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
           options.workload.begin() + static_cast<std::ptrdiff_t>(range.begin),
           options.workload.begin() + static_cast<std::ptrdiff_t>(range.end));
     }
-    auto bundle = MakeBucketOracle(slot.sub, shard_options);
+    // The whole problem was validated above; a slice alone need not pass
+    // (its workload slice may be all zero).
+    auto bundle = oracle_factory_internal::BuildBucketOracle(
+        slot.sub, shard_options, /*pool=*/nullptr, /*tables_cache=*/nullptr);
     if (!bundle.ok()) {
       slot.status = bundle.status();
       return;
@@ -171,7 +175,7 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
       slot.status = MaybeInjectFault(FaultSite::kWorkspaceAlloc);
       if (!slot.status.ok()) return;
       slot.lease.emplace(workspaces->Acquire());
-      slot.dp = SolveHistogramDpWithKernel(
+      slot.dp = SolveHistogramDp(
           *slot.bundle.oracle, cap_s, combiner,
           {.workspace = slot.lease->get(), .context = ctx});
       if (!slot.dp.status().ok()) {
@@ -183,7 +187,7 @@ StatusOr<ShardedDpResult> BuildShardedHistogram(
         slot.curve[b] = slot.dp.OptimalCost(b);
       }
     } else {
-      auto approx = SolveApproxHistogramDpWithKernel(
+      auto approx = SolveApproxHistogramDp(
           *slot.bundle.oracle, cap_s, sharded.epsilon,
           {.context = ctx, .keep_choices = true});
       if (!approx.ok()) {

@@ -344,16 +344,6 @@ class WaveletDpSolver {
   std::vector<double> weights_;  // empty = uniform
 };
 
-// Pads value-pdf input to a power-of-two domain with deterministic zeros.
-ValuePdfInput PadInput(const ValuePdfInput& input) {
-  std::size_t n = NextPowerOfTwo(input.domain_size());
-  if (n == input.domain_size()) return input;
-  std::vector<ValuePdf> items = input.items();
-  items.reserve(n);
-  while (items.size() < n) items.push_back(ValuePdf::PointMass(0.0));
-  return ValuePdfInput(std::move(items));
-}
-
 }  // namespace
 
 StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
@@ -383,7 +373,8 @@ StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
         "restricted wavelet DP supports padded domains up to 65536");
   }
 
-  ValuePdfInput padded = PadInput(input);
+  ValuePdfInput padded =
+      PadWithZeros(input, NextPowerOfTwo(input.domain_size()));
   WaveletDpArena local_arena;
   WaveletDpArena* arena =
       workspace != nullptr ? &workspace->wavelet_arena() : &local_arena;

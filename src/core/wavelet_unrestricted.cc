@@ -256,15 +256,6 @@ class UnrestrictedSolver {
   std::vector<std::vector<Decision>> node_decision_;
 };
 
-ValuePdfInput PadInput(const ValuePdfInput& input) {
-  std::size_t n = NextPowerOfTwo(input.domain_size());
-  if (n == input.domain_size()) return input;
-  std::vector<ValuePdf> items = input.items();
-  items.reserve(n);
-  while (items.size() < n) items.push_back(ValuePdf::PointMass(0.0));
-  return ValuePdfInput(std::move(items));
-}
-
 }  // namespace
 
 StatusOr<UnrestrictedWaveletResult> BuildUnrestrictedWaveletDp(
@@ -287,7 +278,8 @@ StatusOr<UnrestrictedWaveletResult> BuildUnrestrictedWaveletDp(
     return Status::InvalidArgument("range padding must be nonnegative");
   }
 
-  ValuePdfInput padded = PadInput(input);
+  ValuePdfInput padded =
+      PadWithZeros(input, NextPowerOfTwo(input.domain_size()));
   UnrestrictedSolver solver(padded, num_coefficients, options, dp_options);
   PROBSYN_ASSIGN_OR_RETURN(UnrestrictedWaveletResult result, solver.Solve());
   result.synopsis = WaveletSynopsis(

@@ -48,47 +48,83 @@ OracleKey MakeOracleKey(const SynopsisOptions& options) {
           options.workload};
 }
 
-std::string FormatSolver(const char* route, ThreadPool* pool) {
-  char buffer[96];
-  if (pool != nullptr) {
-    std::snprintf(buffer, sizeof(buffer), "%s[parallel=%zu]", route,
-                  pool->num_threads() + 1);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%s[sequential]", route);
-  }
-  return buffer;
+// The construction routes a request can run. PlanBatch resolves every
+// request to one before any work starts; the executors, the run-time
+// floor and the solver string read only that plan.
+enum class Route {
+  kExact,
+  kApprox,
+  kShardedExact,
+  kShardedApprox,
+  kStreaming,
+  kExpectation,
+  kSampledWorld,
+  kEquiDepth,
+  kGreedy,
+  kRestricted,
+  kUnrestricted,
+};
+
+// Per route, in Route order: the solver-string name, whether the name
+// carries the request's epsilon, and the label the route goes by in a
+// `[degraded=<from>-><to>]` suffix.
+struct RouteInfo {
+  const char* name;
+  bool has_epsilon;
+  const char* label;
+};
+constexpr RouteInfo kRoutes[] = {
+    {"histogram/exact-dp", false, "exact-dp"},
+    {"histogram/approx-dp", true, "approx-dp"},
+    {"histogram/sharded-dp", false, "sharded-dp"},
+    {"histogram/sharded-approx", true, "sharded-approx"},
+    {"histogram/streaming-ahist", true, "streaming"},
+    {"histogram/baseline-expectation", false, "baseline-expectation"},
+    {"histogram/baseline-sampled-world", false, "baseline-sampled-world"},
+    {"histogram/baseline-equidepth", false, "equidepth"},
+    {"wavelet/greedy-sse", false, "greedy-sse"},
+    {"wavelet/restricted-dp", false, "restricted-dp"},
+    {"wavelet/unrestricted-dp", false, "unrestricted-dp"},
+};
+
+const RouteInfo& Info(Route route) {
+  return kRoutes[static_cast<std::size_t>(route)];
 }
 
-
-// DP-backed routes always record which kernel filled their tables AND the
-// SIMD path the min-reductions dispatched to, e.g.
-// "histogram/approx-dp(eps=0.1)[kernel=sse-moment,simd=avx2,sequential]" or
-// "wavelet/restricted-dp[kernel=budget-split,memo=dense-arena,simd=avx2,
-// par=4]" — a forced scalar dispatch says simd=scalar rather than omitting
-// the label. Routes that report their own lane count (the restricted
-// wavelet DP's parallel arena fill) pass `lanes` > 0 and get a `par=` label
-// instead of the pool-derived parallel=/sequential suffix.
-std::string FormatKernelSolver(const char* route, const char* kernel_name,
-                               ThreadPool* pool, const char* memo = nullptr,
-                               std::size_t lanes = 0) {
-  std::string out = std::string(route) + "[kernel=" + kernel_name;
-  if (memo != nullptr) out += std::string(",memo=") + memo;
-  out += std::string(",simd=") + SimdPathName(ActiveSimdPath());
-  if (lanes > 0) {
-    out += ",par=" + std::to_string(lanes);
-  } else if (pool != nullptr) {
-    out += ",parallel=" + std::to_string(pool->num_threads() + 1);
-  } else {
-    out += ",sequential";
-  }
-  return out + "]";
+bool IsSharded(Route route) {
+  return route == Route::kShardedExact || route == Route::kShardedApprox;
 }
 
-std::string FormatApproxDpSolver(DpKernelKind kernel, double epsilon) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "histogram/approx-dp(eps=%g)",
-                epsilon);
-  return FormatKernelSolver(buffer, DpKernelKindName(kernel), nullptr);
+// The solver string of a result served by `route`, e.g.
+// "histogram/approx-dp(eps=0.1)[kernel=sse-moment,simd=avx2,sequential]".
+std::string FormatSolver(Route route, double epsilon,
+                         const std::string& detail) {
+  std::string out = Info(route).name;
+  if (Info(route).has_epsilon) {
+    char eps[32];
+    std::snprintf(eps, sizeof(eps), "(eps=%g)", epsilon);
+    out += eps;
+  }
+  return out + "[" + detail + "]";
+}
+
+// The detail of a DP-backed route: the kernel that filled its tables, the
+// SIMD path its min-reductions dispatched to (a forced scalar dispatch says
+// simd=scalar rather than omitting the label), then its lanes.
+std::string KernelDetail(const std::string& kernel, const std::string& lanes) {
+  return "kernel=" + kernel + ",simd=" + SimdPathName(ActiveSimdPath()) +
+         "," + lanes;
+}
+
+// The lanes of a route that runs on the engine pool as handed to it.
+std::string PoolLanes(ThreadPool* pool) {
+  return pool != nullptr ? "parallel=" + std::to_string(pool->num_threads() + 1)
+                         : "sequential";
+}
+
+std::string DegradeSuffix(Route from, Route to) {
+  return std::string("[degraded=") + Info(from).label + "->" +
+         Info(to).label + "]";
 }
 
 // The value-pdf form of a batch's input, for the routes that consume
@@ -125,162 +161,151 @@ class ValuePdfSource {
   std::optional<StatusOr<ValuePdfInput>> induced_;  // tuple input only
 };
 
+// What the executors of one batch share: the input in both forms, the
+// batch's leased workspace, the engine's workspace pool (the sharded
+// route's per-shard leases) and the pool the batch's solvers run on.
+template <typename Input>
+struct Batch {
+  const Input& input;
+  ValuePdfSource<Input> values;
+  DpWorkspace* workspace;
+  DpWorkspacePool* workspaces;
+  ThreadPool* pool;
+};
+
 /// Baseline histograms have no oracle-native cost; re-cost them under the
 /// true distribution (the section-5 experimental protocol). World-mean SSE
 /// reads the input itself (on tuple input it needs the joint
 /// distribution); every other metric reads the value pdfs.
 template <typename Input>
-StatusOr<double> EvaluateHistogramCost(const Input& input,
-                                       ValuePdfSource<Input>& values,
+StatusOr<double> EvaluateHistogramCost(Batch<Input>& batch,
                                        const Histogram& h,
                                        const SynopsisOptions& options) {
   if (options.metric == ErrorMetric::kSse &&
       options.sse_variant == SseVariant::kWorldMean) {
-    return EvaluateHistogramWorldMeanSse(input, h);
+    return EvaluateHistogramWorldMeanSse(batch.input, h);
   }
-  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
+                           batch.values.Get());
   return EvaluateHistogram(*value_input, h, options);
 }
 
-StatusOr<SynopsisResult> ExecStreaming(const ValuePdfInput& input,
+// Items the streaming route pushes per PushBatch call (the builder's
+// internal block width), polling its context before each block.
+constexpr std::size_t kStreamBlock = 32;
+
+template <typename Input>
+StatusOr<SynopsisResult> ExecStreaming(Batch<Input>& batch,
                                        const SynopsisRequest& request,
-                                       double preprocess_seconds,
-                                       DpWorkspace* workspace,
                                        const ExecContext* ctx) {
+  // The stream consumes per-item frequency pdfs (exact for tuple input:
+  // SSE fixed-rep is per-item decomposable).
+  SynopsisResult result;
+  PROBSYN_ASSIGN_OR_RETURN(
+      const ValuePdfInput* input,
+      batch.values.Get(&result.timing.preprocess_seconds));
   Stopwatch watch;
   // The leased workspace hosts the boundary-chain store, so steady-state
   // streaming requests allocate no chain nodes (the builder releases every
   // reference on destruction).
   StreamingHistogramBuilder builder(
       request.budget, request.epsilon,
-      workspace != nullptr ? &workspace->stream_chains() : nullptr);
-  std::size_t pushed = 0;
-  // Pushes cost ~100us+ each once the bucket chains grow (merges
-  // dominate), so PollGate's default 16-item cadence keeps cancellation
-  // latency in the tens of milliseconds while the poll cost stays far
-  // below 1% of the push cost.
-  PollGate gate;
-  for (const ValuePdf& pdf : input.items()) {
-    if (gate.ShouldStop(ctx)) {
-      return ctx->StopStatus("streaming", "item", pushed,
-                             input.domain_size());
+      batch.workspace != nullptr ? &batch.workspace->stream_chains()
+                                 : nullptr);
+  const std::span<const ValuePdf> items = input->items();
+  for (std::size_t done = 0; done < items.size(); done += kStreamBlock) {
+    if (StopRequested(ctx)) {
+      return ctx->StopStatus("streaming", "item", done, items.size());
     }
-    builder.Push(pdf);
-    ++pushed;
+    builder.PushBatch(
+        items.subspan(done, std::min(kStreamBlock, items.size() - done)));
   }
   PROBSYN_ASSIGN_OR_RETURN(auto finished, builder.Finish());
-
-  SynopsisResult result;
-  result.kind = SynopsisKind::kHistogram;
   result.histogram = std::move(finished.histogram);
   result.cost = finished.cost;
-  {
-    char route[64];
-    std::snprintf(route, sizeof(route), "histogram/streaming-ahist(eps=%g)",
-                  request.epsilon);
-    result.solver = FormatKernelSolver(route, "point-cost", nullptr);
-  }
-  result.timing.preprocess_seconds = preprocess_seconds;
+  result.solver = FormatSolver(Route::kStreaming, request.epsilon,
+                               KernelDetail("point-cost", "sequential"));
   result.timing.solve_seconds = watch.ElapsedSeconds();
   return result;
 }
 
 template <typename Input>
-StatusOr<SynopsisResult> ExecHistogramBaseline(const Input& input,
-                                               ValuePdfSource<Input>& values,
-                                               const SynopsisRequest& request) {
+StatusOr<SynopsisResult> ExecBaseline(Route route, Batch<Input>& batch,
+                                      const SynopsisRequest& request) {
   Stopwatch watch;
-  StatusOr<Histogram> histogram = Status::Internal("unrouted baseline");
-  const char* route = "";
-  switch (request.method) {
-    case HistogramMethod::kExpectation:
-      histogram =
-          BuildExpectationHistogram(input, request.options, request.budget);
-      route = "histogram/baseline-expectation";
-      break;
-    case HistogramMethod::kSampledWorld: {
-      Rng rng(request.seed);
-      histogram = BuildSampledWorldHistogram(input, request.options,
-                                             request.budget, rng);
-      route = "histogram/baseline-sampled-world";
-      break;
-    }
-    case HistogramMethod::kEquiDepth:
-      histogram =
-          BuildEquiDepthHistogram(input, request.options, request.budget);
-      route = "histogram/baseline-equidepth";
-      break;
-    default:
-      return Status::Internal("non-baseline method routed to baseline path");
-  }
+  Rng rng(request.seed);
+  StatusOr<Histogram> histogram =
+      route == Route::kExpectation
+          ? BuildExpectationHistogram(batch.input, request.options,
+                                      request.budget)
+      : route == Route::kSampledWorld
+          ? BuildSampledWorldHistogram(batch.input, request.options,
+                                       request.budget, rng)
+          : BuildEquiDepthHistogram(batch.input, request.options,
+                                    request.budget);
   if (!histogram.ok()) return histogram.status();
   double solve_seconds = watch.ElapsedSeconds();
 
   watch.Restart();
-  auto cost = EvaluateHistogramCost(input, values, *histogram,
-                                    request.options);
+  auto cost = EvaluateHistogramCost(batch, *histogram, request.options);
   if (!cost.ok()) return cost.status();
 
   SynopsisResult result;
   result.kind = SynopsisKind::kHistogram;
   result.histogram = std::move(histogram).value();
   result.cost = *cost;
-  result.solver = FormatSolver(route, nullptr);
+  result.solver = FormatSolver(route, request.epsilon, "sequential");
   result.timing.solve_seconds = solve_seconds;
   result.timing.preprocess_seconds = watch.ElapsedSeconds();  // re-costing
   return result;
 }
 
 template <typename Input>
-StatusOr<SynopsisResult> ExecWavelet(const Input& input,
-                                     ValuePdfSource<Input>& values,
+StatusOr<SynopsisResult> ExecWavelet(Route route, Batch<Input>& batch,
                                      const SynopsisRequest& request,
-                                     DpWorkspace* workspace, ThreadPool* pool,
                                      const ExecContext* ctx,
                                      std::size_t max_workspace_bytes) {
-  WaveletMethod method = request.wavelet_method;
-  if (method == WaveletMethod::kAuto) {
-    method = request.options.metric == ErrorMetric::kSse
-                 ? WaveletMethod::kGreedySse
-                 : WaveletMethod::kRestrictedDp;
-  }
-
   SynopsisResult result;
   result.kind = SynopsisKind::kWavelet;
 
-  if (method == WaveletMethod::kGreedySse) {
+  if (route == Route::kGreedy) {
     Stopwatch watch;
-    auto synopsis = BuildSseOptimalWavelet(input, request.budget);
+    auto synopsis = BuildSseOptimalWavelet(batch.input, request.budget);
     if (!synopsis.ok()) return synopsis.status();
     result.wavelet = std::move(synopsis).value();
     result.timing.solve_seconds = watch.ElapsedSeconds();
     watch.Restart();
-    PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
+    PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
+                             batch.values.Get());
     auto cost = EvaluateWavelet(*value_input, result.wavelet, request.options);
     if (!cost.ok()) return cost.status();
     result.cost = *cost;
     result.timing.preprocess_seconds = watch.ElapsedSeconds();
-    result.solver = FormatSolver("wavelet/greedy-sse", nullptr);
+    result.solver = FormatSolver(route, request.epsilon, "sequential");
     return result;
   }
 
   // The coefficient-tree DPs consume value-pdf input.
-  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
-                           values.Get(&result.timing.preprocess_seconds));
+  PROBSYN_ASSIGN_OR_RETURN(
+      const ValuePdfInput* value_input,
+      batch.values.Get(&result.timing.preprocess_seconds));
 
   Stopwatch watch;
-  if (method == WaveletMethod::kRestrictedDp) {
+  if (route == Route::kRestricted) {
     // The batch's leased workspace hosts the solver's flat state arena, so
     // steady-state wavelet requests allocate no DP state; the engine pool
     // fans the level sweeps out (bit-identical, recorded as par=).
     auto dp = BuildRestrictedWaveletDp(
         *value_input, request.budget, request.options,
-        request.wavelet_max_domain, workspace, pool, ctx, max_workspace_bytes);
+        request.wavelet_max_domain, batch.workspace, batch.pool, ctx,
+        max_workspace_bytes);
     if (!dp.ok()) return dp.status();
     result.wavelet = std::move(dp->synopsis);
     result.cost = dp->cost;
-    result.solver = FormatKernelSolver("wavelet/restricted-dp", "budget-split",
-                                       nullptr, dp->memo, dp->lanes);
+    result.solver = FormatSolver(
+        route, request.epsilon,
+        KernelDetail(std::string("budget-split,memo=") + dp->memo,
+                     "par=" + std::to_string(dp->lanes)));
   } else {
     UnrestrictedWaveletOptions unrestricted = request.unrestricted;
     unrestricted.context = ctx;
@@ -289,18 +314,16 @@ StatusOr<SynopsisResult> ExecWavelet(const Input& input,
     if (!dp.ok()) return dp.status();
     result.wavelet = std::move(dp->synopsis);
     result.cost = dp->cost;
-    result.solver =
-        FormatKernelSolver("wavelet/unrestricted-dp", "budget-split", nullptr);
+    result.solver = FormatSolver(route, request.epsilon,
+                                 KernelDetail("budget-split", "sequential"));
   }
   result.timing.solve_seconds = watch.ElapsedSeconds();
   return result;
 }
 
 template <typename Input>
-StatusOr<SynopsisResult> ExecSharded(ValuePdfSource<Input>& values,
+StatusOr<SynopsisResult> ExecSharded(Route route, Batch<Input>& batch,
                                      const SynopsisRequest& request,
-                                     ThreadPool* pool,
-                                     DpWorkspacePool* workspaces,
                                      const ExecContext* ctx,
                                      std::size_t max_workspace_bytes) {
   if (std::is_same_v<Input, TuplePdfInput> &&
@@ -314,116 +337,81 @@ StatusOr<SynopsisResult> ExecSharded(ValuePdfSource<Input>& values,
   }
   // Every other metric is per-item decomposable; shard the value pdfs
   // (exact, same as the other induced routes).
-  double preprocess_seconds = 0.0;
-  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* input,
-                           values.Get(&preprocess_seconds));
+  SynopsisResult result;
+  PROBSYN_ASSIGN_OR_RETURN(
+      const ValuePdfInput* input,
+      batch.values.Get(&result.timing.preprocess_seconds));
   Stopwatch watch;
   ShardedDpOptions sharded;
   sharded.shards = request.sharding.shards;
   sharded.max_shard_budget = request.sharding.max_shard_budget;
-  sharded.solver = request.method == HistogramMethod::kOptimal
-                       ? ShardSolver::kExact
-                       : ShardSolver::kApprox;
+  sharded.solver = route == Route::kShardedExact ? ShardSolver::kExact
+                                                 : ShardSolver::kApprox;
   sharded.epsilon = request.epsilon;
-  sharded.pool = pool;
-  sharded.workspaces = workspaces;
+  sharded.pool = batch.pool;
+  sharded.workspaces = batch.workspaces;
   sharded.context = ctx;
   sharded.max_workspace_bytes = max_workspace_bytes;
   PROBSYN_ASSIGN_OR_RETURN(
       ShardedDpResult built,
       BuildShardedHistogram(*input, request.budget, request.options, sharded));
 
-  SynopsisResult result;
-  result.kind = SynopsisKind::kHistogram;
   result.histogram = std::move(built.histogram);
   result.cost = built.cost;
   result.oracle_evaluations = built.oracle_evaluations;
-  {
-    char route[64];
-    if (sharded.solver == ShardSolver::kExact) {
-      std::snprintf(route, sizeof(route), "histogram/sharded-dp");
-    } else {
-      std::snprintf(route, sizeof(route), "histogram/sharded-approx(eps=%g)",
-                    request.epsilon);
-    }
-    char buffer[176];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s[kernel=%s,simd=%s,shards=%zu,par=%zu]", route,
-                  DpKernelKindName(built.kernel),
-                  SimdPathName(ActiveSimdPath()), built.shards, built.lanes);
-    result.solver = buffer;
-  }
+  result.solver = FormatSolver(
+      route, request.epsilon,
+      KernelDetail(DpKernelKindName(built.kernel),
+                   "shards=" + std::to_string(built.shards) +
+                       ",par=" + std::to_string(built.lanes)));
   // Per-shard oracle builds happen inside the shard solves, so preprocess
   // only carries the tuple->value-pdf induction (if this route ran it).
-  result.timing.preprocess_seconds = preprocess_seconds;
   result.timing.solve_seconds = watch.ElapsedSeconds();
   return result;
 }
 
-// Whether a request takes the sharded route: explicit kOn always (only
-// valid on the exact/approx histogram methods — Validate enforces that);
-// kAuto only for kApprox at domains where the unsharded approximate DP is
-// infeasible, and never for tuple-input world-mean SSE (whose joint oracle
-// cannot shard — kAuto falls back to the unsharded route, kOn reports
-// Unimplemented).
-bool RoutesSharded(const SynopsisRequest& request, std::size_t domain_size,
-                   std::size_t shard_auto_domain, bool tuple_world_mean_sse) {
-  if (request.kind != SynopsisKind::kHistogram) return false;
-  if (request.method != HistogramMethod::kOptimal &&
-      request.method != HistogramMethod::kApprox) {
-    return false;
-  }
-  switch (request.sharding.mode) {
-    case RequestSharding::Mode::kOn:
-      return true;
-    case RequestSharding::Mode::kOff:
-      return false;
-    case RequestSharding::Mode::kAuto:
-      return request.method == HistogramMethod::kApprox &&
-             domain_size >= shard_auto_domain && !tuple_world_mean_sse;
-  }
-  return false;
-}
-
+// Runs one request on `route`. The exact and approximate DPs run per
+// oracle group in BuildBatchImpl, never through here.
 template <typename Input>
-StatusOr<SynopsisResult> ExecuteSingle(const Input& input,
-                                       ValuePdfSource<Input>& values,
-                                       const SynopsisRequest& request,
-                                       DpWorkspace* workspace,
-                                       ThreadPool* pool,
-                                       const ExecContext* ctx,
-                                       std::size_t max_workspace_bytes) {
-  if (request.kind == SynopsisKind::kWavelet) {
-    return ExecWavelet(input, values, request, workspace, pool, ctx,
-                       max_workspace_bytes);
+StatusOr<SynopsisResult> Execute(Route route, Batch<Input>& batch,
+                                 const SynopsisRequest& request,
+                                 const ExecContext* ctx,
+                                 std::size_t max_workspace_bytes) {
+  switch (route) {
+    case Route::kStreaming:
+      return ExecStreaming(batch, request, ctx);
+    case Route::kExpectation:
+    case Route::kSampledWorld:
+    case Route::kEquiDepth:
+      return ExecBaseline(route, batch, request);
+    case Route::kShardedExact:
+    case Route::kShardedApprox:
+      return ExecSharded(route, batch, request, ctx, max_workspace_bytes);
+    case Route::kGreedy:
+    case Route::kRestricted:
+    case Route::kUnrestricted:
+      return ExecWavelet(route, batch, request, ctx, max_workspace_bytes);
+    case Route::kExact:
+    case Route::kApprox:
+      break;
   }
-  if (request.method == HistogramMethod::kStreaming) {
-    // The stream consumes per-item frequency pdfs (exact for tuple input:
-    // SSE fixed-rep is per-item decomposable).
-    double induce_seconds = 0.0;
-    PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
-                             values.Get(&induce_seconds));
-    return ExecStreaming(*value_input, request, induce_seconds, workspace,
-                         ctx);
-  }
-  return ExecHistogramBaseline(input, values, request);
+  return Status::Internal("oracle-group route executed alone");
 }
 
 // The oracle of one sharing group. Tuple-input SSE reads the tuples
 // directly (its moments, and the world-mean variant's joint distribution,
 // need no per-item pdfs); every other oracle is built over the value pdfs.
 template <typename Input>
-StatusOr<OracleBundle> MakeGroupOracle(const Input& input,
-                                       ValuePdfSource<Input>& values,
+StatusOr<OracleBundle> MakeGroupOracle(Batch<Input>& batch,
                                        const SynopsisOptions& options,
-                                       ThreadPool* pool,
                                        PointErrorTablesCache* tables_cache) {
   if (std::is_same_v<Input, TuplePdfInput> &&
       options.metric == ErrorMetric::kSse) {
-    return MakeBucketOracle(input, options, pool, tables_cache);
+    return MakeBucketOracle(batch.input, options, batch.pool, tables_cache);
   }
-  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input, values.Get());
-  return MakeBucketOracle(*value_input, options, pool, tables_cache);
+  PROBSYN_ASSIGN_OR_RETURN(const ValuePdfInput* value_input,
+                           batch.values.Get());
+  return MakeBucketOracle(*value_input, options, batch.pool, tables_cache);
 }
 
 // --- Deadline-aware degradation (RequestFallback::kDegrade) ----------------
@@ -435,7 +423,7 @@ StatusOr<OracleBundle> MakeGroupOracle(const Input& input,
 // approximate build of n=1e6 over 64 shards lands near 0.13s, and the
 // linear baselines stream ~1e8 items/s. The rungs of the ladder sit
 // decades apart, so order-of-magnitude fidelity is all the planner needs;
-// the 2x margin in PlanDegradedRoute absorbs the rest.
+// the 2x margin in DegradeRoute absorbs the rest.
 
 double EstimateExactDpSeconds(std::size_t n, std::size_t budget) {
   const double nn = static_cast<double>(n);
@@ -457,7 +445,9 @@ double EstimateShardedSeconds(std::size_t n, std::size_t budget, bool exact,
   const std::size_t cap =
       ResolveMaxShardBudget(total, shards, sharding.max_shard_budget);
   const std::size_t ns = (n + shards - 1) / shards;
-  // Phase A dominates; approximate shards pay phase C's re-solve too.
+  // Phase A dominates. Approximate shards no longer re-solve in phase C,
+  // but the 2x factor that paid for it stays, so that no degradation
+  // decision moves before the model is refit from measured runs.
   const double per_shard =
       exact ? EstimateExactDpSeconds(ns, cap)
             : 2.0 * EstimateApproxDpSeconds(ns, cap, epsilon);
@@ -482,128 +472,147 @@ double EstimateUnrestrictedWaveletSeconds(std::size_t n, std::size_t budget,
   return nn * qq * qq * bb * bb / 1e9;
 }
 
-// The from-label of a `[degraded=<from>-><to>]` suffix: the route the
-// caller originally asked for.
-const char* RouteLabel(const SynopsisRequest& request) {
-  if (request.kind == SynopsisKind::kWavelet) {
-    WaveletMethod method = request.wavelet_method;
-    if (method == WaveletMethod::kAuto) {
-      method = request.options.metric == ErrorMetric::kSse
-                   ? WaveletMethod::kGreedySse
-                   : WaveletMethod::kRestrictedDp;
-    }
-    switch (method) {
-      case WaveletMethod::kGreedySse: return "greedy-sse";
-      case WaveletMethod::kRestrictedDp: return "restricted-dp";
-      case WaveletMethod::kUnrestrictedDp: return "unrestricted-dp";
-      case WaveletMethod::kAuto: break;  // resolved above
-    }
-    return "wavelet";
+// Predicted seconds of one of the DP routes the ladder degrades.
+double PredictSeconds(Route route, const SynopsisRequest& request,
+                      std::size_t n, std::size_t lanes) {
+  switch (route) {
+    case Route::kExact:
+      return EstimateExactDpSeconds(n, request.budget);
+    case Route::kApprox:
+      return EstimateApproxDpSeconds(n, request.budget, request.epsilon);
+    case Route::kShardedExact:
+    case Route::kShardedApprox:
+      return EstimateShardedSeconds(n, request.budget,
+                                    route == Route::kShardedExact,
+                                    request.epsilon, request.sharding, lanes);
+    case Route::kRestricted:
+      return EstimateRestrictedWaveletSeconds(n, request.budget);
+    case Route::kUnrestricted:
+      return EstimateUnrestrictedWaveletSeconds(
+          n, request.budget, request.unrestricted.grid_points);
+    default:
+      return 0.0;
   }
-  switch (request.method) {
-    case HistogramMethod::kOptimal: return "exact-dp";
-    case HistogramMethod::kApprox: return "approx-dp";
-    case HistogramMethod::kStreaming: return "streaming";
-    case HistogramMethod::kExpectation: return "baseline-expectation";
-    case HistogramMethod::kSampledWorld: return "baseline-sampled-world";
-    case HistogramMethod::kEquiDepth: return "baseline-equidepth";
-  }
-  return "histogram";
 }
 
-std::string DegradeSuffix(const char* from, const char* to) {
-  return std::string("[degraded=") + from + "->" + to + "]";
-}
-
-// Outcome of plan-time degradation: the rewritten request plus the suffix
-// recorded on the served solver string.
-struct DegradedPlan {
-  SynopsisRequest request;
-  std::string suffix;
-};
-
-// Picks the highest ladder rung whose predicted cost fits the request's
-// remaining deadline budget (with a 2x margin for the model's coarseness).
-// Returns nullopt when the requested route already fits — mid-solve
-// overruns are still caught by the solver polls and fall to the ladder
-// floor at run time.
-template <typename Input>
-std::optional<DegradedPlan> PlanDegradedRoute(const SynopsisRequest& request,
-                                              std::size_t n,
-                                              std::size_t lanes,
-                                              std::size_t shard_auto_domain) {
+// Plan-time degradation of a request that would run `run`: the highest
+// ladder rung whose predicted cost fits the request's remaining deadline
+// budget (with a 2x margin for the model's coarseness). Returns `run`
+// itself when it fits, when the request does not degrade, or when `run`
+// is not a DP route — mid-solve overruns are still caught by the solver
+// polls and fall to the ladder floor at run time.
+Route DegradeRoute(const SynopsisRequest& request, Route run, std::size_t n,
+                   std::size_t lanes, bool tuple_world_mean_sse) {
+  const bool wavelet_dp =
+      run == Route::kRestricted || run == Route::kUnrestricted;
   if (request.fallback != RequestFallback::kDegrade ||
-      request.deadline.IsNever()) {
-    return std::nullopt;
+      request.deadline.IsNever() ||
+      !(wavelet_dp || IsSharded(run) || run == Route::kExact ||
+        run == Route::kApprox)) {
+    return run;
   }
   const double allow = request.deadline.RemainingSeconds() / 2.0;
-  const bool tuple_world_mean_sse =
-      std::is_same_v<Input, TuplePdfInput> &&
-      request.options.metric == ErrorMetric::kSse &&
-      request.options.sse_variant == SseVariant::kWorldMean;
-
-  if (request.kind == SynopsisKind::kWavelet) {
-    WaveletMethod method = request.wavelet_method;
-    if (method == WaveletMethod::kAuto) {
-      method = request.options.metric == ErrorMetric::kSse
-                   ? WaveletMethod::kGreedySse
-                   : WaveletMethod::kRestrictedDp;
-    }
-    if (method == WaveletMethod::kGreedySse) return std::nullopt;
-    const double predicted =
-        method == WaveletMethod::kRestrictedDp
-            ? EstimateRestrictedWaveletSeconds(n, request.budget)
-            : EstimateUnrestrictedWaveletSeconds(
-                  n, request.budget, request.unrestricted.grid_points);
-    if (predicted <= allow) return std::nullopt;
-    DegradedPlan plan{request, DegradeSuffix(RouteLabel(request),
-                                             "greedy-sse")};
-    plan.request.wavelet_method = WaveletMethod::kGreedySse;
-    return plan;
-  }
-
-  if (request.method != HistogramMethod::kOptimal &&
-      request.method != HistogramMethod::kApprox) {
-    return std::nullopt;
-  }
-  const bool sharded_already = RoutesSharded(request, n, shard_auto_domain,
-                                             tuple_world_mean_sse);
-  const bool exact = request.method == HistogramMethod::kOptimal;
-  const double predicted =
-      sharded_already
-          ? EstimateShardedSeconds(n, request.budget, exact, request.epsilon,
-                                   request.sharding, lanes)
-          : (exact ? EstimateExactDpSeconds(n, request.budget)
-                   : EstimateApproxDpSeconds(n, request.budget,
-                                             request.epsilon));
-  if (predicted <= allow) return std::nullopt;
+  if (PredictSeconds(run, request, n, lanes) <= allow) return run;
+  if (wavelet_dp) return Route::kGreedy;
 
   // Middle rung: sharded construction — approximate for cumulative
   // metrics, exact for maximum ones (whose approximate DP does not apply).
   // The joint-distribution world-mean SSE oracle cannot shard at all.
-  if (!sharded_already && !tuple_world_mean_sse) {
-    const bool cumulative = IsCumulativeMetric(request.options.metric);
-    const double sharded_predicted = EstimateShardedSeconds(
-        n, request.budget, /*exact=*/!cumulative, request.epsilon,
-        request.sharding, lanes);
-    if (sharded_predicted <= allow) {
-      DegradedPlan plan{
-          request,
-          DegradeSuffix(RouteLabel(request),
-                        cumulative ? "sharded-approx" : "sharded-dp")};
-      plan.request.method =
-          cumulative ? HistogramMethod::kApprox : HistogramMethod::kOptimal;
-      plan.request.sharding.mode = RequestSharding::Mode::kOn;
-      return plan;
-    }
+  const Route sharded = IsCumulativeMetric(request.options.metric)
+                            ? Route::kShardedApprox
+                            : Route::kShardedExact;
+  if (!IsSharded(run) && !tuple_world_mean_sse &&
+      PredictSeconds(sharded, request, n, lanes) <= allow) {
+    return sharded;
   }
-
   // Floor: equi-depth boundaries, truthfully re-costed. Always served,
   // even when the model predicts the deadline is unmeetable — a
   // best-effort cheap synopsis beats a guaranteed failure.
-  DegradedPlan plan{request, DegradeSuffix(RouteLabel(request), "equidepth")};
-  plan.request.method = HistogramMethod::kEquiDepth;
-  plan.request.sharding.mode = RequestSharding::Mode::kOff;
+  return Route::kEquiDepth;
+}
+
+// The route a request's method names, wavelet kAuto resolved: greedy
+// selection for SSE (Theorem 7), the restricted DP otherwise.
+Route AskedRoute(const SynopsisRequest& request) {
+  if (request.kind == SynopsisKind::kWavelet) {
+    switch (request.wavelet_method) {
+      case WaveletMethod::kAuto:
+        return request.options.metric == ErrorMetric::kSse
+                   ? Route::kGreedy
+                   : Route::kRestricted;
+      case WaveletMethod::kGreedySse: return Route::kGreedy;
+      case WaveletMethod::kRestrictedDp: return Route::kRestricted;
+      case WaveletMethod::kUnrestrictedDp: return Route::kUnrestricted;
+    }
+  }
+  switch (request.method) {
+    case HistogramMethod::kOptimal: return Route::kExact;
+    case HistogramMethod::kApprox: return Route::kApprox;
+    case HistogramMethod::kStreaming: return Route::kStreaming;
+    case HistogramMethod::kExpectation: return Route::kExpectation;
+    case HistogramMethod::kSampledWorld: return Route::kSampledWorld;
+    case HistogramMethod::kEquiDepth: break;
+  }
+  return Route::kEquiDepth;
+}
+
+// One request as planned: the route its method names and the route that
+// runs it. They differ when sharding or plan-time degradation moved the
+// request; only degradation is recorded on the solver string.
+struct PlannedRoute {
+  Route asked;
+  Route run;
+  bool degraded;
+};
+
+// A batch's plan: each request's route, the exact and approximate
+// requests grouped by the oracle they share, and every other request in
+// execution order (unsharded routes first, then the sharded builds).
+struct Plan {
+  std::vector<PlannedRoute> routes;
+  std::map<OracleKey, std::vector<std::size_t>> oracle_groups;
+  std::vector<std::size_t> order;
+};
+
+template <typename Input>
+Plan PlanBatch(std::span<const SynopsisRequest> requests, std::size_t n,
+               const SynopsisEngine::Options& options) {
+  Plan plan;
+  std::vector<std::size_t> sharded;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SynopsisRequest& request = requests[i];
+    const bool tuple_world_mean_sse =
+        std::is_same_v<Input, TuplePdfInput> &&
+        request.options.metric == ErrorMetric::kSse &&
+        request.options.sse_variant == SseVariant::kWorldMean;
+    const Route asked = AskedRoute(request);
+    // Sharding: explicit kOn always (only valid on the exact/approx
+    // histogram methods — Validate enforces that); kAuto only for kApprox
+    // at domains where the unsharded approximate DP is infeasible, and
+    // never for tuple-input world-mean SSE (whose joint oracle cannot
+    // shard — kAuto keeps the unsharded route, kOn reports Unimplemented).
+    const RequestSharding::Mode mode = request.sharding.mode;
+    Route run = asked;
+    if (mode == RequestSharding::Mode::kOn ||
+        (mode == RequestSharding::Mode::kAuto && asked == Route::kApprox &&
+         n >= options.shard_auto_domain && !tuple_world_mean_sse)) {
+      if (asked == Route::kExact) run = Route::kShardedExact;
+      if (asked == Route::kApprox) run = Route::kShardedApprox;
+    }
+    const Route degraded = DegradeRoute(request, run, n, options.parallelism,
+                                        tuple_world_mean_sse);
+    plan.routes.push_back({asked, degraded, degraded != run});
+    // The sharded route builds its own per-shard oracles, so it never
+    // joins an oracle-sharing group.
+    if (degraded == Route::kExact || degraded == Route::kApprox) {
+      plan.oracle_groups[MakeOracleKey(request.options)].push_back(i);
+    } else if (IsSharded(degraded)) {
+      sharded.push_back(i);
+    } else {
+      plan.order.push_back(i);
+    }
+  }
+  plan.order.insert(plan.order.end(), sharded.begin(), sharded.end());
   return plan;
 }
 
@@ -686,9 +695,9 @@ template <typename Input>
 StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
     const Input& input, std::span<const SynopsisRequest> requests) const {
   // --- Plan: validate everything up front (all-or-nothing batches), bind
-  // each request's deadline/cancel into an ExecContext, apply plan-time
-  // degradation, then group histogram exact/approx requests by their
-  // oracle requirements.
+  // each request's deadline/cancel into an ExecContext, then resolve every
+  // request to its route (sharding and plan-time degradation included)
+  // and group the exact/approx requests by their oracle requirements.
   Stopwatch plan_watch;
   if (input.domain_size() == 0) {
     return Status::InvalidArgument("empty domain");
@@ -712,55 +721,10 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
       return contexts[i].StopStatus("engine", "request", i, requests.size());
     }
   }
-
-  // Plan-time degradation: rewrite requests whose predicted route cost
-  // cannot fit their deadline. `overrides` keeps the common case (no
-  // degradation) copy-free — SynopsisRequest carries workload vectors.
-  const std::size_t n = input.domain_size();
-  std::vector<std::optional<SynopsisRequest>> overrides(requests.size());
-  std::vector<std::string> degraded(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto plan = PlanDegradedRoute<Input>(requests[i], n,
-                                             options_.parallelism,
-                                             options_.shard_auto_domain)) {
-      overrides[i] = std::move(plan->request);
-      degraded[i] = std::move(plan->suffix);
-    }
-  }
-  auto effective = [&](std::size_t i) -> const SynopsisRequest& {
-    return overrides[i] ? *overrides[i] : requests[i];
-  };
-
-  std::map<OracleKey, std::vector<std::size_t>> oracle_groups;
-  std::vector<std::size_t> singles;
-  std::vector<std::size_t> sharded;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SynopsisRequest& request = effective(i);
-    // The sharded route builds its own per-shard oracles, so it never
-    // joins an oracle-sharing group.
-    const bool tuple_world_mean_sse =
-        std::is_same_v<Input, TuplePdfInput> &&
-        request.options.metric == ErrorMetric::kSse &&
-        request.options.sse_variant == SseVariant::kWorldMean;
-    if (RoutesSharded(request, input.domain_size(),
-                      options_.shard_auto_domain, tuple_world_mean_sse)) {
-      sharded.push_back(i);
-      continue;
-    }
-    bool oracle_backed =
-        request.kind == SynopsisKind::kHistogram &&
-        (request.method == HistogramMethod::kOptimal ||
-         request.method == HistogramMethod::kApprox);
-    if (oracle_backed) {
-      oracle_groups[MakeOracleKey(request.options)].push_back(i);
-    } else {
-      singles.push_back(i);
-    }
-  }
+  const Plan plan = PlanBatch<Input>(requests, input.domain_size(), options_);
   const double plan_seconds = plan_watch.ElapsedSeconds();
 
   std::vector<SynopsisResult> results(requests.size());
-  ThreadPool* pool = PoolFor(input.domain_size());
 
   // --- Execute oracle-backed groups: one preprocessed oracle per group,
   // one exact DP per group (solved to the largest requested budget). The
@@ -769,7 +733,19 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
   // one PointErrorTables cache across the MAE/MARE groups.
   PROBSYN_RETURN_IF_ERROR(MaybeInjectFault(FaultSite::kWorkspaceAlloc));
   DpWorkspacePool::Lease workspace = workspaces_->Acquire();
-  ValuePdfSource<Input> values(input);
+  ThreadPool* pool = PoolFor(input.domain_size());
+  Batch<Input> batch{input, ValuePdfSource<Input>(input), workspace.get(),
+                     workspaces_.get(), pool};
+
+  // Stores request i's result, marked with its plan-time degradation.
+  auto serve = [&](std::size_t i, SynopsisResult result) {
+    const PlannedRoute& planned = plan.routes[i];
+    if (planned.degraded) {
+      result.solver += DegradeSuffix(planned.asked, planned.run);
+    }
+    result.timing.plan_seconds = plan_seconds;
+    results[i] = std::move(result);
+  };
 
   // Run-time degradation floor: when request i's (possibly already
   // plan-degraded) route stopped with `stop`, serve the ladder floor
@@ -784,36 +760,23 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
         requests[i].fallback == RequestFallback::kDegrade &&
         (stop.code() == StatusCode::kDeadlineExceeded ||
          stop.code() == StatusCode::kResourceExhausted);
-    if (!degradable) return stop;
-    SynopsisRequest floor = requests[i];
-    const char* to = nullptr;
-    if (floor.kind == SynopsisKind::kWavelet) {
-      WaveletMethod method = floor.wavelet_method;
-      if (method == WaveletMethod::kAuto) {
-        method = floor.options.metric == ErrorMetric::kSse
-                     ? WaveletMethod::kGreedySse
-                     : WaveletMethod::kRestrictedDp;
-      }
-      if (method == WaveletMethod::kGreedySse) return stop;  // already floor
-      floor.wavelet_method = WaveletMethod::kGreedySse;
-      to = "greedy-sse";
-    } else {
-      if (floor.method == HistogramMethod::kEquiDepth) return stop;
-      floor.method = HistogramMethod::kEquiDepth;
-      floor.sharding.mode = RequestSharding::Mode::kOff;
-      to = "equidepth";
-    }
-    auto served = ExecuteSingle(input, values, floor, workspace.get(), pool,
-                                /*ctx=*/nullptr, /*max_workspace_bytes=*/0);
-    if (!served.ok()) return served.status();
-    results[i] = std::move(served).value();
-    results[i].solver += DegradeSuffix(RouteLabel(requests[i]), to);
-    results[i].timing.plan_seconds = plan_seconds;
+    const Route asked = plan.routes[i].asked;
+    const Route floor = requests[i].kind == SynopsisKind::kWavelet
+                            ? Route::kGreedy
+                            : Route::kEquiDepth;
+    if (!degradable || asked == floor) return stop;
+    PROBSYN_ASSIGN_OR_RETURN(
+        SynopsisResult served,
+        Execute(floor, batch, requests[i], /*ctx=*/nullptr,
+                /*max_workspace_bytes=*/0));
+    served.solver += DegradeSuffix(asked, floor);
+    served.timing.plan_seconds = plan_seconds;
+    results[i] = std::move(served);
     return Status::OK();
   };
 
   PointErrorTablesCache tables_cache;
-  for (const auto& [key, indices] : oracle_groups) {
+  for (const auto& [key, indices] : plan.oracle_groups) {
     // Shared phases (oracle build, group exact DP) run under the group's
     // earliest member deadline plus every member's cancellation token:
     // shared work stops as soon as any member must stop.
@@ -831,9 +794,8 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
         group_context.Unbounded() ? nullptr : &group_context;
 
     Stopwatch watch;
-    auto bundle = MakeGroupOracle(input, values,
-                                  requests[indices.front()].options, pool,
-                                  &tables_cache);
+    auto bundle =
+        MakeGroupOracle(batch, requests[indices.front()].options, &tables_cache);
     if (!bundle.ok()) {
       // Preprocessing failed (e.g. an injected resource fault): the whole
       // group degrades or the batch fails.
@@ -844,132 +806,103 @@ StatusOr<std::vector<SynopsisResult>> SynopsisEngine::BuildBatchImpl(
     }
     const double oracle_seconds = watch.ElapsedSeconds();
 
+    // Serves exact request i from `dp` (extract before the next solve
+    // reuses the workspace). The solver picks its kernel from the oracle's
+    // type; the solver string records it for observability.
+    auto serve_exact = [&](std::size_t i, const HistogramDpResult& dp,
+                           double dp_seconds) {
+      Stopwatch extract_watch;
+      SynopsisResult result;
+      result.histogram = dp.ExtractHistogram(requests[i].budget);
+      result.cost = dp.OptimalCost(requests[i].budget);
+      result.solver = FormatSolver(
+          Route::kExact, requests[i].epsilon,
+          KernelDetail(DpKernelKindName(dp.kernel()), PoolLanes(pool)));
+      result.timing.preprocess_seconds = oracle_seconds;
+      result.timing.solve_seconds = dp_seconds + extract_watch.ElapsedSeconds();
+      serve(i, std::move(result));
+    };
     std::size_t max_exact_budget = 0;
     for (std::size_t i : indices) {
-      if (effective(i).method == HistogramMethod::kOptimal) {
-        max_exact_budget = std::max(max_exact_budget, effective(i).budget);
+      if (plan.routes[i].run == Route::kExact) {
+        max_exact_budget = std::max(max_exact_budget, requests[i].budget);
       }
     }
     if (max_exact_budget > 0) {
       watch.Restart();
-      // The solver picks its kernel from the oracle's type; the solver
-      // string records it for observability.
-      HistogramDpResult dp = SolveHistogramDpWithKernel(
+      HistogramDpResult dp = SolveHistogramDp(
           *bundle->oracle, max_exact_budget, bundle->combiner,
           {.pool = pool, .workspace = workspace.get(), .context = group_ctx});
       const double dp_seconds = watch.ElapsedSeconds();
-      if (dp.status().ok()) {
-        for (std::size_t i : indices) {
-          if (effective(i).method != HistogramMethod::kOptimal) continue;
-          Stopwatch extract_watch;
-          SynopsisResult& result = results[i];
-          result.kind = SynopsisKind::kHistogram;
-          result.histogram = dp.ExtractHistogram(effective(i).budget);
-          result.cost = dp.OptimalCost(effective(i).budget);
-          result.solver = FormatKernelSolver("histogram/exact-dp",
-                                             DpKernelKindName(dp.kernel()),
-                                             pool) +
-                          degraded[i];
-          result.timing.plan_seconds = plan_seconds;
-          result.timing.preprocess_seconds = oracle_seconds;
-          result.timing.solve_seconds =
-              dp_seconds + extract_watch.ElapsedSeconds();
+      for (std::size_t i : indices) {
+        if (plan.routes[i].run != Route::kExact) continue;
+        if (dp.status().ok()) {
+          serve_exact(i, dp, dp_seconds);
+          continue;
         }
-      } else {
         // The shared solve stopped (one member's deadline/cancel, or a
         // fault). One member's signal must not fail the others: members
         // whose own context is still live re-solve solo at their own
         // budget; stopped members degrade or fail.
-        for (std::size_t i : indices) {
-          if (effective(i).method != HistogramMethod::kOptimal) continue;
-          if (StopRequested(&contexts[i])) {
-            PROBSYN_RETURN_IF_ERROR(run_floor(
-                i, contexts[i].StopStatus("exact-dp", "budget layer", 0,
-                                          effective(i).budget)));
-            continue;
-          }
-          watch.Restart();
-          HistogramDpResult solo = SolveHistogramDpWithKernel(
-              *bundle->oracle, effective(i).budget, bundle->combiner,
-              {.pool = pool,
-               .workspace = workspace.get(),
-               .context = &contexts[i]});
-          if (!solo.status().ok()) {
-            PROBSYN_RETURN_IF_ERROR(run_floor(i, solo.status()));
-            continue;
-          }
-          // Extract before the next solo solve reuses the workspace.
-          SynopsisResult& result = results[i];
-          result.kind = SynopsisKind::kHistogram;
-          result.histogram = solo.ExtractHistogram(effective(i).budget);
-          result.cost = solo.OptimalCost(effective(i).budget);
-          result.solver = FormatKernelSolver("histogram/exact-dp",
-                                             DpKernelKindName(solo.kernel()),
-                                             pool) +
-                          degraded[i];
-          result.timing.plan_seconds = plan_seconds;
-          result.timing.preprocess_seconds = oracle_seconds;
-          result.timing.solve_seconds = watch.ElapsedSeconds();
+        if (StopRequested(&contexts[i])) {
+          PROBSYN_RETURN_IF_ERROR(run_floor(
+              i, contexts[i].StopStatus("exact-dp", "budget layer", 0,
+                                        requests[i].budget)));
+          continue;
         }
+        watch.Restart();
+        HistogramDpResult solo = SolveHistogramDp(
+            *bundle->oracle, requests[i].budget, bundle->combiner,
+            {.pool = pool,
+             .workspace = workspace.get(),
+             .context = &contexts[i]});
+        if (!solo.status().ok()) {
+          PROBSYN_RETURN_IF_ERROR(run_floor(i, solo.status()));
+          continue;
+        }
+        serve_exact(i, solo, watch.ElapsedSeconds());
       }
     }
 
     for (std::size_t i : indices) {
-      if (effective(i).method != HistogramMethod::kApprox) continue;
+      if (plan.routes[i].run != Route::kApprox) continue;
       watch.Restart();
       // The chosen point-cost kernel lands in the solver string. Approximate
       // solves are per-request, so each runs under its own context.
-      auto approx = SolveApproxHistogramDpWithKernel(
-          *bundle->oracle, effective(i).budget, effective(i).epsilon,
-          {.context = &contexts[i]});
+      auto approx =
+          SolveApproxHistogramDp(*bundle->oracle, requests[i].budget,
+                                 requests[i].epsilon, {.context = &contexts[i]});
       if (!approx.ok()) {
         PROBSYN_RETURN_IF_ERROR(run_floor(i, approx.status()));
         continue;
       }
-      SynopsisResult& result = results[i];
-      result.kind = SynopsisKind::kHistogram;
+      SynopsisResult result;
       result.histogram = std::move(approx->histogram);
       result.cost = approx->cost;
       result.oracle_evaluations = approx->oracle_evaluations;
-      result.solver =
-          FormatApproxDpSolver(approx->kernel, effective(i).epsilon) +
-          degraded[i];
-      result.timing.plan_seconds = plan_seconds;
+      result.solver = FormatSolver(
+          Route::kApprox, requests[i].epsilon,
+          KernelDetail(DpKernelKindName(approx->kernel), "sequential"));
       result.timing.preprocess_seconds = oracle_seconds;
       result.timing.solve_seconds = watch.ElapsedSeconds();
+      serve(i, std::move(result));
     }
   }
 
-  // --- Execute everything else individually. Requests run after the
-  // oracle groups have extracted their results, so sharing the batch's
-  // leased workspace (the wavelet route's state arena) is safe.
-  for (std::size_t i : singles) {
-    auto result =
-        ExecuteSingle(input, values, effective(i), workspace.get(), pool,
-                      &contexts[i], options_.max_workspace_bytes);
+  // --- Execute everything else individually, in plan order. The unsharded
+  // routes run after the oracle groups have extracted their results, so
+  // they share the batch's leased workspace (the wavelet route's state
+  // arena); each sharded build fans its shard solves out on the engine
+  // pool and leases per-shard workspaces from the engine's workspace pool
+  // (shard solves run concurrently and each needs its own arena).
+  for (std::size_t i : plan.order) {
+    auto result = Execute(plan.routes[i].run, batch, requests[i],
+                          &contexts[i], options_.max_workspace_bytes);
     if (!result.ok()) {
       PROBSYN_RETURN_IF_ERROR(run_floor(i, result.status()));
       continue;
     }
-    results[i] = std::move(result).value();
-    results[i].solver += degraded[i];
-    results[i].timing.plan_seconds = plan_seconds;
-  }
-
-  // --- Execute sharded requests. Each build fans its shard solves out on
-  // the engine pool and leases per-shard workspaces from the engine's
-  // workspace pool (the batch lease above is NOT shared: shard solves run
-  // concurrently and each needs its own arena).
-  for (std::size_t i : sharded) {
-    auto result = ExecSharded(values, effective(i), pool, workspaces_.get(),
-                              &contexts[i], options_.max_workspace_bytes);
-    if (!result.ok()) {
-      PROBSYN_RETURN_IF_ERROR(run_floor(i, result.status()));
-      continue;
-    }
-    results[i] = std::move(result).value();
-    results[i].solver += degraded[i];
-    results[i].timing.plan_seconds = plan_seconds;
+    serve(i, std::move(result).value());
   }
 
   // Inputs whose magnitudes overflow double arithmetic (moment sums past

@@ -167,8 +167,10 @@ struct SynopsisResult {
   /// Bucket-oracle evaluations (kApprox route only; Theorem 5's currency).
   std::size_t oracle_evaluations = 0;
   /// Human-readable route, e.g.
-  /// "histogram/exact-dp[kernel=sse-moment,parallel=4]" — exact-DP routes
-  /// record which kernel (core/dp_kernels.h) the solver picked.
+  /// "histogram/exact-dp[kernel=sse-moment,simd=avx2,parallel=4]" — DP
+  /// routes record which kernel (core/dp_kernels.h) the solver picked and
+  /// the SIMD path it ran; a degraded answer ends in
+  /// "[degraded=<from>-><to>]".
   std::string solver;
   SynopsisTiming timing;
 };

@@ -134,18 +134,18 @@ inline bool StopRequested(const ExecContext* context) {
   return context != nullptr && context->StopRequested();
 }
 
-/// Amortized ExecContext polling for tight per-item loops (the streaming
-/// engine's Push loop, the ingest tier's drain loop): counts calls and
-/// consults the context only on every `interval`-th one, so the poll cost
-/// stays far below the per-item work while cancellation latency stays
-/// bounded by `interval` items. The very first call polls (matching the
-/// hand-rolled `(pushed & 15) == 0` cadence this helper replaces), and a
-/// null context never stops, like StopRequested above.
+/// Amortized ExecContext polling for tight per-item loops (the ingest
+/// tier's drain loop): counts calls and consults the context only on every
+/// `interval`-th one, so the poll cost stays far below the per-item work
+/// while cancellation latency stays bounded by `interval` items. The very
+/// first call polls (matching the hand-rolled `(pushed & 15) == 0` cadence
+/// this helper replaces), and a null context never stops, like
+/// StopRequested above.
 class PollGate {
  public:
   /// `interval` items between polls; must be a power of two (the cadence
-  /// check is a single mask). Defaults to the streaming loop's historical
-  /// 16-item cadence; 1 polls on every call.
+  /// check is a single mask). Defaults to a 16-item cadence; 1 polls on
+  /// every call.
   explicit PollGate(std::size_t interval = 16) : mask_(interval - 1) {}
 
   /// True when this call lands on the poll cadence AND the context asked

@@ -84,19 +84,19 @@ void CheckKernelParity(const BucketCostOracle& oracle, DpCombiner combiner,
       ExpectBitIdenticalTables(want, sequential, where + "/sequential");
 
       HistogramDpResult parallel =
-          SolveHistogramDp(*solved, max_buckets, combiner, &pool);
+          SolveHistogramDp(*solved, max_buckets, combiner, {.pool = &pool});
       ExpectBitIdenticalTables(want, parallel, where + "/parallel");
 
       DpWorkspace workspace;
       {
         // Dirty the workspace with an unrelated solve (different budget),
         // then reuse it: stale storage must not leak into the result.
-        HistogramDpResult scratch = SolveHistogramDpWithKernel(
+        HistogramDpResult scratch = SolveHistogramDp(
             *solved, std::max<std::size_t>(1, max_buckets / 2), combiner,
             {.workspace = &workspace});
         (void)scratch;
       }
-      HistogramDpResult reused = SolveHistogramDpWithKernel(
+      HistogramDpResult reused = SolveHistogramDp(
           *solved, max_buckets, combiner, {.workspace = &workspace});
       ExpectBitIdenticalTables(want, reused, where + "/workspace-reuse");
     }
@@ -319,7 +319,8 @@ TEST(DpKernelParity, CallerDefinedOracleRunsTheGenericPath) {
             std::string(combiner == DpCombiner::kSum ? "sum" : "max") +
             " simd=" + SimdPathName(path) +
             (lanes == nullptr ? " lanes=1" : " lanes=4");
-        HistogramDpResult dp = SolveHistogramDp(oracle, 6, combiner, lanes);
+        HistogramDpResult dp =
+            SolveHistogramDp(oracle, 6, combiner, {.pool = lanes});
         EXPECT_EQ(dp.kernel(), DpKernelKind::kGeneric) << label;
         ExpectBitIdenticalTables(want, dp, label);
       }

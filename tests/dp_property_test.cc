@@ -235,7 +235,7 @@ TEST_P(StreamingDifferentialTest, StreamMatchesOfflineDpAndCopyChains) {
     const reference::ExactDpTables ref_dp =
         reference::SolveExactDp(*bundle->oracle, buckets, bundle->combiner);
     DpWorkspace workspace;
-    HistogramDpResult fast_dp = SolveHistogramDpWithKernel(
+    HistogramDpResult fast_dp = SolveHistogramDp(
         *bundle->oracle, buckets, bundle->combiner, {.workspace = &workspace});
     const double opt = ref_dp.ErrorRow(ref_dp.layers)[input.domain_size() - 1];
     EXPECT_EQ(opt, fast_dp.OptimalCost(buckets)) << "seed " << seed;

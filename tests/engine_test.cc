@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/builders.h"
+#include "core/dp_kernels.h"
 #include "core/histogram_dp.h"
 #include "core/oracle_factory.h"
 #include "core/wavelet.h"
@@ -132,7 +134,8 @@ TEST(ParallelDp, MatchesSequentialAcrossMetricsAndBudgets) {
     HistogramDpResult sequential =
         SolveHistogramDp(*bundle->oracle, kBuckets, bundle->combiner);
     HistogramDpResult parallel =
-        SolveHistogramDp(*bundle->oracle, kBuckets, bundle->combiner, &pool);
+        SolveHistogramDp(*bundle->oracle, kBuckets, bundle->combiner,
+                         {.pool = &pool});
     for (std::size_t b = 1; b <= kBuckets; ++b) {
       EXPECT_EQ(parallel.OptimalCost(b), sequential.OptimalCost(b))
           << ErrorMetricName(metric) << " B=" << b;
@@ -155,7 +158,7 @@ TEST(ParallelDp, MatchesSequentialOnTupleSweepOracle) {
   HistogramDpResult sequential =
       SolveHistogramDp(*bundle->oracle, 8, bundle->combiner);
   HistogramDpResult parallel =
-      SolveHistogramDp(*bundle->oracle, 8, bundle->combiner, &pool);
+      SolveHistogramDp(*bundle->oracle, 8, bundle->combiner, {.pool = &pool});
   for (std::size_t b = 1; b <= 8; ++b) {
     EXPECT_EQ(parallel.OptimalCost(b), sequential.OptimalCost(b)) << b;
     EXPECT_TRUE(parallel.ExtractHistogram(b) == sequential.ExtractHistogram(b));
@@ -378,6 +381,156 @@ TEST(EngineErrors, RejectsInvalidRequests) {
   ok_request.budget = 2;
   EXPECT_EQ(engine.Build(empty, ok_request).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- Solver strings. -----------------------------------------------------
+
+// Every route spells its whole solver string: route name, epsilon where the
+// route has one, kernel, SIMD path, lanes or shard plan, and the
+// run-time degradation suffix. One build per route on a small input.
+// Plan-time degradation is left to the Robustness tests, whose deadlines
+// depend on machine speed.
+TEST(EngineSolverString, EveryRouteSpellsItsFullString) {
+  const std::string simd = SimdPathName(ActiveSimdPath());
+  const ValuePdfInput values = TestValuePdf();  // n = 48
+  const TuplePdfInput tuples = TestTuplePdf();  // n = 40
+  const SynopsisEngine::Options one_lane{.parallelism = 1};
+  const SynopsisEngine::Options four_lanes{.parallelism = 4,
+                                           .min_parallel_domain = 1};
+  const SynopsisEngine::Options auto_shard{.parallelism = 4,
+                                           .min_parallel_domain = 1,
+                                           .shard_auto_domain = 32};
+  const SynopsisEngine::Options tiny_workspace{.parallelism = 1,
+                                               .max_workspace_bytes = 1024};
+
+  auto histogram = [](ErrorMetric metric, HistogramMethod method) {
+    SynopsisRequest request;
+    request.budget = 6;
+    request.options = OptionsFor(metric);
+    request.method = method;
+    return request;
+  };
+  auto wavelet = [](ErrorMetric metric, WaveletMethod method) {
+    SynopsisRequest request;
+    request.kind = SynopsisKind::kWavelet;
+    request.budget = 6;
+    request.options = OptionsFor(metric);
+    request.wavelet_method = method;
+    return request;
+  };
+  const RequestSharding on4{.mode = RequestSharding::Mode::kOn, .shards = 4};
+  const SynopsisRequest exact_sse =
+      histogram(ErrorMetric::kSse, HistogramMethod::kOptimal);
+  const SynopsisRequest exact_sae =
+      histogram(ErrorMetric::kSae, HistogramMethod::kOptimal);
+  const SynopsisRequest exact_mae =
+      histogram(ErrorMetric::kMae, HistogramMethod::kOptimal);
+  const SynopsisRequest approx_sse =
+      histogram(ErrorMetric::kSse, HistogramMethod::kApprox);
+  SynopsisRequest sharded_exact = exact_sse;
+  sharded_exact.sharding = on4;
+  SynopsisRequest sharded_approx = approx_sse;
+  sharded_approx.sharding = on4;
+  SynopsisRequest streaming =
+      histogram(ErrorMetric::kSse, HistogramMethod::kStreaming);
+  streaming.options.sse_variant = SseVariant::kFixedRepresentative;
+  const SynopsisRequest expectation =
+      histogram(ErrorMetric::kSse, HistogramMethod::kExpectation);
+  const SynopsisRequest sampled =
+      histogram(ErrorMetric::kSse, HistogramMethod::kSampledWorld);
+  const SynopsisRequest equidepth =
+      histogram(ErrorMetric::kSse, HistogramMethod::kEquiDepth);
+  const SynopsisRequest greedy =
+      wavelet(ErrorMetric::kSse, WaveletMethod::kAuto);
+  const SynopsisRequest restricted =
+      wavelet(ErrorMetric::kSae, WaveletMethod::kAuto);
+  const SynopsisRequest unrestricted =
+      wavelet(ErrorMetric::kSse, WaveletMethod::kUnrestrictedDp);
+  SynopsisRequest restricted_floor = restricted;
+  restricted_floor.fallback = RequestFallback::kDegrade;
+  SynopsisRequest sharded_floor = sharded_exact;
+  sharded_floor.fallback = RequestFallback::kDegrade;
+
+  struct Case {
+    SynopsisEngine::Options engine;
+    SynopsisRequest request;
+    bool tuple_input;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {one_lane, exact_sse, false,
+       "histogram/exact-dp[kernel=sse-moment,simd=" + simd + ",sequential]"},
+      {four_lanes, exact_sse, false,
+       "histogram/exact-dp[kernel=sse-moment,simd=" + simd + ",parallel=4]"},
+      {one_lane, exact_sae, false,
+       "histogram/exact-dp[kernel=abs-cumulative,simd=" + simd +
+           ",sequential]"},
+      {four_lanes, exact_sae, false,
+       "histogram/exact-dp[kernel=abs-cumulative,simd=" + simd +
+           ",parallel=4]"},
+      {one_lane, exact_mae, false,
+       "histogram/exact-dp[kernel=max-error,simd=" + simd + ",sequential]"},
+      {four_lanes, exact_mae, false,
+       "histogram/exact-dp[kernel=max-error,simd=" + simd + ",parallel=4]"},
+      {one_lane, approx_sse, false,
+       "histogram/approx-dp(eps=0.1)[kernel=sse-moment,simd=" + simd +
+           ",sequential]"},
+      {four_lanes, approx_sse, false,
+       "histogram/approx-dp(eps=0.1)[kernel=sse-moment,simd=" + simd +
+           ",sequential]"},
+      {one_lane, sharded_exact, false,
+       "histogram/sharded-dp[kernel=sse-moment,simd=" + simd +
+           ",shards=4,par=1]"},
+      {four_lanes, sharded_exact, false,
+       "histogram/sharded-dp[kernel=sse-moment,simd=" + simd +
+           ",shards=4,par=4]"},
+      {one_lane, sharded_approx, false,
+       "histogram/sharded-approx(eps=0.1)[kernel=sse-moment,simd=" + simd +
+           ",shards=4,par=1]"},
+      {four_lanes, sharded_approx, false,
+       "histogram/sharded-approx(eps=0.1)[kernel=sse-moment,simd=" + simd +
+           ",shards=4,par=4]"},
+      {auto_shard, approx_sse, false,
+       "histogram/sharded-approx(eps=0.1)[kernel=sse-moment,simd=" + simd +
+           ",shards=2,par=2]"},
+      {one_lane, streaming, false,
+       "histogram/streaming-ahist(eps=0.1)[kernel=point-cost,simd=" + simd +
+           ",sequential]"},
+      {one_lane, expectation, false,
+       "histogram/baseline-expectation[sequential]"},
+      {one_lane, sampled, false,
+       "histogram/baseline-sampled-world[sequential]"},
+      {one_lane, equidepth, false, "histogram/baseline-equidepth[sequential]"},
+      {one_lane, greedy, false, "wavelet/greedy-sse[sequential]"},
+      {one_lane, restricted, false,
+       "wavelet/restricted-dp[kernel=budget-split,memo=dense-arena,simd=" +
+           simd + ",par=1]"},
+      {four_lanes, restricted, false,
+       "wavelet/restricted-dp[kernel=budget-split,memo=dense-arena,simd=" +
+           simd + ",par=4]"},
+      {one_lane, unrestricted, false,
+       "wavelet/unrestricted-dp[kernel=budget-split,simd=" + simd +
+           ",sequential]"},
+      {one_lane, exact_sse, true,
+       "histogram/exact-dp[kernel=tuple-sse,simd=" + simd + ",sequential]"},
+      {one_lane, approx_sse, true,
+       "histogram/approx-dp(eps=0.1)[kernel=tuple-sse,simd=" + simd +
+           ",sequential]"},
+      {one_lane, greedy, true, "wavelet/greedy-sse[sequential]"},
+      {tiny_workspace, restricted_floor, false,
+       "wavelet/greedy-sse[sequential][degraded=restricted-dp->greedy-sse]"},
+      {tiny_workspace, sharded_floor, false,
+       "histogram/baseline-equidepth[sequential][degraded=exact-dp->"
+       "equidepth]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.want);
+    SynopsisEngine engine(c.engine);
+    auto result = c.tuple_input ? engine.Build(tuples, c.request)
+                                : engine.Build(values, c.request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->solver, c.want);
+  }
 }
 
 TEST(EngineErrors, MethodNamesRoundTrip) {

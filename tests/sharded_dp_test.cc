@@ -286,7 +286,7 @@ TEST(ShardedApproxCurveTest, TraceAtEveryBudgetCostsTheCurveValue) {
         GenerateRandomValuePdf({.domain_size = 150, .seed = 4});
     auto bundle = MakeBucketOracle(input, OptionsFor(metric));
     ASSERT_TRUE(bundle.ok()) << bundle.status();
-    auto approx = SolveApproxHistogramDpWithKernel(
+    auto approx = SolveApproxHistogramDp(
         *bundle->oracle, 12, 0.1, {.keep_choices = true});
     ASSERT_TRUE(approx.ok()) << approx.status();
     ASSERT_EQ(approx->choices.size(), 11u * 150u);
@@ -308,6 +308,59 @@ TEST(ShardedApproxCurveTest, TraceAtEveryBudgetCostsTheCurveValue) {
     ASSERT_TRUE(plain.ok()) << plain.status();
     EXPECT_TRUE(plain->choices.empty());
     EXPECT_TRUE(plain->histogram == approx->histogram);
+  }
+}
+
+// A workload that is zero over whole shards is valid for the request; the
+// shard slices must not be judged by it on their own. Built through the
+// engine, sharded explicitly (4 shards) and automatically, with the exact
+// shard solver under every metric and the (1+eps) one under the
+// cumulative metrics.
+TEST(ShardedDpTest, WorkloadZeroOverWholeShards) {
+  const std::size_t n = 256;
+  const std::size_t budget = 8;
+  ValuePdfInput input = GenerateRandomValuePdf(
+      {.domain_size = n, .max_support = 4, .max_value = 8, .seed = 67});
+  SynopsisEngine explicit_engine;
+  SynopsisEngine auto_engine({.shard_auto_domain = 256});
+  const ErrorMetric metrics[] = {ErrorMetric::kSse,  ErrorMetric::kSsre,
+                                 ErrorMetric::kSae,  ErrorMetric::kSare,
+                                 ErrorMetric::kMae,  ErrorMetric::kMare};
+  for (ErrorMetric metric : metrics) {
+    SynopsisOptions options = OptionsFor(metric);
+    options.sse_variant = SseVariant::kFixedRepresentative;
+    options.workload.assign(n, 0.0);
+    std::fill(options.workload.begin(), options.workload.begin() + n / 2, 1.0);
+    const double optimum = UnshardedOptimum(input, budget, options);
+
+    SynopsisRequest request;
+    request.budget = budget;
+    request.options = options;
+    request.sharding.mode = RequestSharding::Mode::kOn;
+    request.sharding.shards = 4;
+    std::vector<HistogramMethod> methods = {HistogramMethod::kOptimal};
+    if (IsCumulativeMetric(metric)) methods.push_back(HistogramMethod::kApprox);
+    for (HistogramMethod method : methods) {
+      request.method = method;
+      auto result = explicit_engine.Build(input, request);
+      ASSERT_TRUE(result.ok()) << ErrorMetricName(metric) << " "
+                               << HistogramMethodName(method) << ": "
+                               << result.status();
+      EXPECT_NE(result->solver.find("shards=4"), std::string::npos)
+          << result->solver;
+      EXPECT_GE(result->cost, optimum * (1.0 - 1e-9))
+          << ErrorMetricName(metric) << " " << HistogramMethodName(method);
+    }
+    if (!IsCumulativeMetric(metric)) continue;
+    SynopsisRequest auto_request = request;
+    auto_request.method = HistogramMethod::kApprox;
+    auto_request.sharding = {};
+    auto result = auto_engine.Build(input, auto_request);
+    ASSERT_TRUE(result.ok()) << ErrorMetricName(metric) << " auto: "
+                             << result.status();
+    EXPECT_NE(result->solver.find("sharded-approx"), std::string::npos)
+        << result->solver;
+    EXPECT_GE(result->cost, optimum * (1.0 - 1e-9)) << ErrorMetricName(metric);
   }
 }
 
