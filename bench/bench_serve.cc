@@ -18,6 +18,11 @@
 //   BM_ServeWaveletRangeSum
 //                        the same random ranges against the wavelet (the
 //                        <= 2 log2 n coefficients straddling the ends)
+//   BM_ServeNamedPoints  one probe of the perfbench serve workload: 16
+//                        name-keyed SynopsisServer::PointEstimate calls on
+//                        one entry of a 64-entry store (48 histograms,
+//                        16 wavelets), so the per-call name lookup and
+//                        Status boxing show next to the handle rows above
 //   BM_CodecRoundTrip    EncodeHistogram + DecodeHistogram of a B-bucket
 //                        synopsis (bytes_per_second = blob bytes each way)
 //   BM_StoreOpen         SynopsisStore::Open of a 64-entry store — the
@@ -161,6 +166,46 @@ void BM_ServeWaveletRangeSum(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+void BM_ServeNamedPoints(benchmark::State& state) {
+  constexpr std::size_t kEntries = 64;
+  constexpr std::size_t kCallsPerProbe = 16;
+  // One entry in four is a wavelet; histograms take B = 32..2048 and
+  // wavelets 64..1024 coefficients.
+  SynopsisStoreWriter writer;
+  std::vector<std::string> names;
+  for (std::size_t k = 0; k < kEntries; ++k) {
+    names.push_back("s" + std::to_string(k));
+    if (k % 4 == 3) {
+      PROBSYN_CHECK(writer
+                        .AddWavelet(names.back(),
+                                    MakeWavelet(std::size_t{64} << (k / 4 % 5)))
+                        .ok());
+    } else {
+      PROBSYN_CHECK(writer
+                        .AddHistogram(names.back(),
+                                      MakeHistogram(std::size_t{32} << (k % 8)))
+                        .ok());
+    }
+  }
+  const std::string path = "/tmp/probsyn_bench_named.synstore";
+  PROBSYN_CHECK(writer.WriteFile(path).ok());
+  auto server = SynopsisServer::Open(path);
+  PROBSYN_CHECK(server.ok());
+  std::remove(path.c_str());
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const std::string& name = names[(lcg >> 33) % kEntries];
+    for (std::size_t c = 0; c < kCallsPerProbe; ++c) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      auto value = server->PointEstimate(name, (lcg >> 16) % kDomain);
+      benchmark::DoNotOptimize(value);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    kCallsPerProbe));
+}
+
 void BM_CodecRoundTrip(benchmark::State& state) {
   Histogram histogram = MakeHistogram(static_cast<std::size_t>(state.range(0)));
   std::size_t blob_bytes = 0;
@@ -203,6 +248,7 @@ BENCHMARK(probsyn::BM_ServeQpsThreaded)
 BENCHMARK(probsyn::BM_ServeWaveletQps)->Arg(64)->Arg(1024);
 BENCHMARK(probsyn::BM_ServeRangeSum)->Arg(64)->Arg(1024);
 BENCHMARK(probsyn::BM_ServeWaveletRangeSum)->Arg(64)->Arg(1024);
+BENCHMARK(probsyn::BM_ServeNamedPoints);
 BENCHMARK(probsyn::BM_CodecRoundTrip)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(probsyn::BM_StoreOpen);
 

@@ -44,6 +44,8 @@ std::vector<double> SampleWorldFrequencies(const TuplePdfInput& input,
 StatusOr<Histogram> BuildExpectationHistogram(const ValuePdfInput& input,
                                               const SynopsisOptions& options,
                                               std::size_t num_buckets);
+/// Tuple-pdf overload: the expectation vector sums each tuple's
+/// alternatives (ExpectationFrequencies).
 StatusOr<Histogram> BuildExpectationHistogram(const TuplePdfInput& input,
                                               const SynopsisOptions& options,
                                               std::size_t num_buckets);
@@ -53,6 +55,8 @@ StatusOr<Histogram> BuildSampledWorldHistogram(const ValuePdfInput& input,
                                                const SynopsisOptions& options,
                                                std::size_t num_buckets,
                                                Rng& rng);
+/// Tuple-pdf overload: the world draws one alternative (or none) per tuple
+/// (SampleWorldFrequencies).
 StatusOr<Histogram> BuildSampledWorldHistogram(const TuplePdfInput& input,
                                                const SynopsisOptions& options,
                                                std::size_t num_buckets,
@@ -69,6 +73,8 @@ StatusOr<Histogram> BuildSampledWorldHistogram(const TuplePdfInput& input,
 StatusOr<Histogram> BuildEquiDepthHistogram(const ValuePdfInput& input,
                                             const SynopsisOptions& options,
                                             std::size_t num_buckets);
+/// Tuple-pdf overload: boundaries from the tuples' expected frequencies,
+/// representatives from the metric's tuple-input bucket oracle.
 StatusOr<Histogram> BuildEquiDepthHistogram(const TuplePdfInput& input,
                                             const SynopsisOptions& options,
                                             std::size_t num_buckets);
@@ -80,6 +86,7 @@ StatusOr<Histogram> BuildEquiDepthHistogram(const TuplePdfInput& input,
 StatusOr<WaveletSynopsis> BuildSampledWorldWavelet(const ValuePdfInput& input,
                                                    std::size_t num_coefficients,
                                                    Rng& rng);
+/// Tuple-pdf overload: the world draws one alternative (or none) per tuple.
 StatusOr<WaveletSynopsis> BuildSampledWorldWavelet(const TuplePdfInput& input,
                                                    std::size_t num_coefficients,
                                                    Rng& rng);

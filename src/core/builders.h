@@ -76,6 +76,8 @@ class HistogramBuilder {
 StatusOr<Histogram> BuildOptimalHistogram(const ValuePdfInput& input,
                                           const SynopsisOptions& options,
                                           std::size_t num_buckets);
+/// Tuple-pdf overload: world-mean SSE runs on the exact joint-distribution
+/// oracle, every other metric on the induced value pdf (MakeBucketOracle).
 StatusOr<Histogram> BuildOptimalHistogram(const TuplePdfInput& input,
                                           const SynopsisOptions& options,
                                           std::size_t num_buckets);
@@ -85,6 +87,7 @@ StatusOr<Histogram> BuildOptimalHistogram(const TuplePdfInput& input,
 StatusOr<ApproxHistogramResult> BuildApproxHistogram(
     const ValuePdfInput& input, const SynopsisOptions& options,
     std::size_t num_buckets, double epsilon);
+/// Tuple-pdf overload, over the same oracle as BuildOptimalHistogram's.
 StatusOr<ApproxHistogramResult> BuildApproxHistogram(
     const TuplePdfInput& input, const SynopsisOptions& options,
     std::size_t num_buckets, double epsilon);

@@ -865,15 +865,19 @@ decltype(auto) DispatchOnOracle(const BucketCostOracle& oracle, Run&& run) {
 // function, so all configurations produce the same table bit-for-bit.
 
 // The workspace's buffers, unwrapped by the friend entry point (only it can
-// reach DpWorkspace's privates).
+// reach DpWorkspace's privates). Every element the solve reads it has
+// written first, so growth leaves them unwritten.
 struct DpTables {
-  std::vector<double>& err;
-  std::vector<std::int64_t>& choice;
-  std::vector<double>& rep;
-  std::vector<double>& cost_cols;
-  std::vector<double>& rep_cols;
-  std::vector<double>& layer_cmin;
-  std::vector<double>& cost_cmin;
+  template <typename T>
+  using Buffer = arena_internal::UninitializedBuffer<T>;
+
+  Buffer<double>& err;
+  Buffer<std::int64_t>& choice;
+  Buffer<double>& rep;
+  Buffer<double>& cost_cols;
+  Buffer<double>& rep_cols;
+  Buffer<double>& layer_cmin;
+  Buffer<double>& cost_cmin;
 };
 
 template <typename Kernel>
@@ -881,9 +885,9 @@ Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
              DpCombiner combiner, ThreadPool* pool, const ExecContext* ctx,
              DpTables ws) {
   const SimdOps& ops = Ops();  // one dispatch resolution per solve
-  ws.err.resize(cap * n);
-  ws.choice.resize(cap * n);
-  ws.rep.resize(cap * n);
+  ws.err.Reserve(cap * n);
+  ws.choice.Reserve(cap * n);
+  ws.rep.Reserve(cap * n);
   double* err = ws.err.data();
   std::int64_t* choice = ws.choice.data();
   double* rep = ws.rep.data();
@@ -895,7 +899,7 @@ Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
   const std::size_t nchunks = NumChunks(n);
   double* layer_cmin = nullptr;
   if (track_bounds) {
-    ws.layer_cmin.resize(cap * nchunks);
+    ws.layer_cmin.Reserve(cap * nchunks);
     layer_cmin = ws.layer_cmin.data();
   }
   // Chunk minima of err row `layer_idx` are rebuilt left-to-right as the
@@ -942,9 +946,9 @@ Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
   if (pool == nullptr || pool->num_threads() == 0 || n < 2) {
     // Sequential path: one leftward cost-column fill per right end j, then
     // every budget layer's cell for column j.
-    ws.cost_cols.resize(n);
-    ws.rep_cols.resize(n);
-    if (track_bounds) ws.cost_cmin.resize(nchunks);
+    ws.cost_cols.Reserve(n);
+    ws.rep_cols.Reserve(n);
+    if (track_bounds) ws.cost_cmin.Reserve(nchunks);
     double* costcol = ws.cost_cols.data();
     double* repcol = ws.rep_cols.data();
     double* cost_cmin = track_bounds ? ws.cost_cmin.data() : nullptr;
@@ -997,9 +1001,9 @@ Status RunDp(const Kernel& kernel, std::size_t n, std::size_t cap,
   //    Fork-joins per block: ~(cap-1)/tbatch + lanes instead of cap - 1.
   const std::size_t block =
       std::clamp<std::size_t>((16u << 20) / (sizeof(double) * n), 16, 512);
-  ws.cost_cols.resize(block * n);
-  ws.rep_cols.resize(block * n);
-  if (track_bounds) ws.cost_cmin.resize(block * nchunks);
+  ws.cost_cols.Reserve(block * n);
+  ws.rep_cols.Reserve(block * n);
+  if (track_bounds) ws.cost_cmin.Reserve(block * nchunks);
   double* cost_block = ws.cost_cols.data();
   double* rep_block = ws.rep_cols.data();
   double* cost_cmin_block = track_bounds ? ws.cost_cmin.data() : nullptr;

@@ -243,10 +243,10 @@ class StreamChainStore {
 namespace arena_internal {
 
 // Grow-only storage that leaves new elements unwritten. Growing allocates
-// once and touches nothing: std::vector::resize would still run one
-// (no-op) construct call per element, a pass that costs real time in
-// unoptimized builds on the O(n^2 B) wavelet arena. Contents do not
-// survive a growth.
+// once and touches nothing: std::vector::resize would zero-fill the new
+// elements, or for default-initialized ones still run one (no-op)
+// construct call per element, a pass that costs real time in unoptimized
+// builds on the O(n^2 B) wavelet arena. Contents do not survive a growth.
 template <typename T>
 class UninitializedBuffer {
  public:
@@ -292,9 +292,11 @@ struct WaveletDpArena {
 /// Reusable storage arena for the exact-DP solver: the err/choice/rep
 /// layers plus the bucket-cost column buffers of the sequential and blocked
 /// parallel paths. Repeated solves through the same workspace reach zero
-/// steady-state allocation — buffers are resized (never shrunk below
-/// capacity) and every cell is overwritten before it is read, so no
-/// clearing pass is needed either.
+/// steady-state allocation — buffers grow but never shrink — and every
+/// element is written before it is read within a solve, so they grow
+/// without any per-element pass (arena_internal::UninitializedBuffer): a
+/// fresh workspace's pages are first touched by the polled fill, so a
+/// cancel is seen while they fault in.
 ///
 /// The workspace also hosts the restricted wavelet DP's flat arena
 /// (wavelet_arena()) and the streaming builder's boundary-chain store
@@ -326,16 +328,19 @@ class DpWorkspace {
                                             std::size_t, DpCombiner,
                                             const DpKernelOptions&);
 
-  std::vector<double> err_;            // cap x n, row-major
-  std::vector<std::int64_t> choice_;   // cap x n
-  std::vector<double> rep_;            // cap x n
-  std::vector<double> cost_cols_;      // n (sequential) or block x n
-  std::vector<double> rep_cols_;       // same shape as cost_cols_
+  template <typename T>
+  using Buffer = arena_internal::UninitializedBuffer<T>;
+
+  Buffer<double> err_;            // cap x n, row-major
+  Buffer<std::int64_t> choice_;   // cap x n
+  Buffer<double> rep_;            // cap x n
+  Buffer<double> cost_cols_;      // n (sequential) or block x n
+  Buffer<double> rep_cols_;       // same shape as cost_cols_
   // Chunk-minimum bound tables of the fast kMax cell (see dp_kernels.cc):
   // per-layer minima of the err rows and per-column minima of the cost
   // columns, at 512-split granularity.
-  std::vector<double> layer_cmin_;     // cap x ceil(n/512)
-  std::vector<double> cost_cmin_;     // ceil(n/512) or block x ceil(n/512)
+  Buffer<double> layer_cmin_;     // cap x ceil(n/512)
+  Buffer<double> cost_cmin_;      // ceil(n/512) or block x ceil(n/512)
 
   WaveletDpArena wavelet_arena_;
   StreamChainStore stream_chains_;

@@ -27,6 +27,9 @@ namespace probsyn {
 double EvaluateHistogram(const PointErrorTables& tables, const Histogram& h,
                          ErrorMetric metric,
                          std::span<const double> weights = {});
+/// Validating form over a value pdf: checks the options, the input and the
+/// partition (and the workload's length), then builds the point-error
+/// tables and weighs items by options.workload.
 StatusOr<double> EvaluateHistogram(const ValuePdfInput& input,
                                    const Histogram& h,
                                    const SynopsisOptions& options);
@@ -57,6 +60,8 @@ StatusOr<double> EvaluateHistogramWorldMeanSse(const TuplePdfInput& input,
 StatusOr<double> EvaluateWavelet(const ValuePdfInput& input,
                                  const WaveletSynopsis& synopsis,
                                  const SynopsisOptions& options);
+/// Tuple-pdf overload, evaluated on the induced value pdf: a wavelet's
+/// reconstruction is fixed per item, so every metric decomposes per item.
 StatusOr<double> EvaluateWavelet(const TuplePdfInput& input,
                                  const WaveletSynopsis& synopsis,
                                  const SynopsisOptions& options);

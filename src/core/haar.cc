@@ -1,7 +1,6 @@
 #include "core/haar.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -12,6 +11,16 @@ namespace probsyn {
 
 namespace {
 const double kInvSqrt2 = 1.0 / std::sqrt(2.0);
+
+// Number of set bits of v, inline on every target: std::popcount becomes
+// a call to libgcc's __popcountdi2 when the target lacks a popcount
+// instruction, as baseline x86-64 does.
+constexpr std::size_t PopCount64(std::uint64_t v) {
+  v -= (v >> 1) & 0x5555555555555555ull;
+  v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+  v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<std::size_t>((v * 0x0101010101010101ull) >> 56);
+}
 }  // namespace
 
 std::vector<double> HaarTransform(std::span<const double> data) {
@@ -100,11 +109,14 @@ std::size_t FillLevelScales(std::size_t n, double* scales) {
 template <typename Lookup>
 double PointOf(const Lookup& lookup, const double* scales,
                std::size_t levels, std::size_t i) {
+  // +1 on the left half of a support, -1 on the right: indexed by the bit
+  // of i below the level's node bits, so the walk has no branch on i.
+  static constexpr double kHalfSign[2] = {1.0, -1.0};
   double total = lookup(0) * scales[0];
   for (std::size_t l = 0; l < levels; ++l) {
     const std::size_t shift = levels - l;  // level-l supports: 2^shift items
     const std::size_t node = (std::size_t{1} << l) + (i >> shift);
-    const double sign = ((i >> (shift - 1)) & 1) == 0 ? 1.0 : -1.0;
+    const double sign = kHalfSign[(i >> (shift - 1)) & 1];
     total += sign * lookup(node) * scales[l + 1];
   }
   return total;
@@ -174,7 +186,7 @@ SparseHaar::SparseHaar(std::size_t n,
   std::uint32_t before = 0;
   for (std::size_t w = 0; w < words; ++w) {
     rank_[w] = before;
-    before += static_cast<std::uint32_t>(std::popcount(present_[w]));
+    before += static_cast<std::uint32_t>(PopCount64(present_[w]));
   }
   scales_.resize(FloorLog2(n) + 1);
   FillLevelScales(n, scales_.data());
@@ -184,8 +196,8 @@ double SparseHaar::Lookup(std::size_t index) const {
   const std::uint64_t word = present_[index / 64];
   const std::uint64_t bit = std::uint64_t{1} << (index % 64);
   if ((word & bit) == 0) return 0.0;
-  const auto below = static_cast<std::size_t>(std::popcount(word & (bit - 1)));
-  return coefficients_[rank_[index / 64] + below].value;
+  return coefficients_[rank_[index / 64] + PopCount64(word & (bit - 1))]
+      .value;
 }
 
 double SparseHaar::Point(std::size_t i) const {

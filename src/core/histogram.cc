@@ -47,15 +47,17 @@ double Histogram::Estimate(std::size_t i) const {
 
 double Histogram::EstimateRangeSum(std::size_t a, std::size_t b) const {
   PROBSYN_CHECK(a <= b);
-  double total = 0.0;
-  for (std::size_t k = BucketIndexOf(a); k < buckets_.size(); ++k) {
-    const HistogramBucket& bucket = buckets_[k];
-    if (bucket.start > b) break;
-    std::size_t lo = std::max(a, bucket.start);
-    std::size_t hi = std::min(b, bucket.end);
-    total += static_cast<double>(hi - lo + 1) * bucket.representative;
+  const std::size_t first = BucketIndexOf(a);
+  const std::size_t last = BucketIndexOf(b);
+  // One pass sums P_1..P_{max(last, first + 1)}, keeping P_{first + 1}.
+  double mass = 0.0;
+  double mass_after_first = 0.0;
+  for (std::size_t k = 0; k <= first || k < last; ++k) {
+    mass = AddBucketMass(mass, buckets_[k]);
+    if (k == first) mass_after_first = mass;
   }
-  return total;
+  return PrefixMassRangeSum(a, b, buckets_[first], buckets_[last],
+                            mass_after_first, mass);
 }
 
 std::vector<double> Histogram::ToFrequencyVector() const {

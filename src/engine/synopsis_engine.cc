@@ -516,11 +516,14 @@ Route DegradeRoute(const SynopsisRequest& request, Route run, std::size_t n,
   if (wavelet_dp) return Route::kGreedy;
 
   // Middle rung: sharded construction — approximate for cumulative
-  // metrics, exact for maximum ones (whose approximate DP does not apply).
-  // The joint-distribution world-mean SSE oracle cannot shard at all.
-  const Route sharded = IsCumulativeMetric(request.options.metric)
-                            ? Route::kShardedApprox
-                            : Route::kShardedExact;
+  // metrics, exact for maximum ones (whose approximate DP does not apply)
+  // and for a request without a positive epsilon (whose (1+eps) rung
+  // would be rejected). The joint-distribution world-mean SSE oracle
+  // cannot shard at all.
+  const Route sharded =
+      IsCumulativeMetric(request.options.metric) && request.epsilon > 0.0
+          ? Route::kShardedApprox
+          : Route::kShardedExact;
   if (!IsSharded(run) && !tuple_world_mean_sse &&
       PredictSeconds(sharded, request, n, lanes) <= allow) {
     return sharded;

@@ -9,6 +9,23 @@
 
 namespace probsyn {
 
+namespace {
+
+// std::lower_bound(ends, i) for i <= ends.back(): the first k with
+// ends[k] >= i. The window halves log2(B) times whatever i is, and its low
+// end moves by a select, not a branch, so no probe mispredicts.
+std::size_t LowerBound(const std::vector<std::size_t>& ends, std::size_t i) {
+  std::size_t lo = 0;
+  for (std::size_t len = ends.size(); len > 1;) {
+    const std::size_t half = len / 2;
+    lo = ends[lo + half] < i ? lo + half : lo;
+    len -= half;
+  }
+  return lo + (ends[lo] < i);
+}
+
+}  // namespace
+
 ServedSynopsis::ServedSynopsis(DecodedSynopsis decoded)
     : kind_(decoded.kind) {
   if (kind_ == SynopsisBlobKind::kHistogram) {
@@ -16,9 +33,12 @@ ServedSynopsis::ServedSynopsis(DecodedSynopsis decoded)
     domain_size_ = decoded.histogram.domain_size();
     bucket_ends_.reserve(buckets.size());
     bucket_reps_.reserve(buckets.size());
+    bucket_masses_.reserve(buckets.size() + 1);
+    bucket_masses_.push_back(0.0);
     for (const HistogramBucket& b : buckets) {
       bucket_ends_.push_back(b.end);
       bucket_reps_.push_back(b.representative);
+      bucket_masses_.push_back(AddBucketMass(bucket_masses_.back(), b));
     }
     return;
   }
@@ -42,8 +62,7 @@ ServedSynopsis::ServedSynopsis(DecodedSynopsis decoded)
 double ServedSynopsis::PointEstimate(std::size_t i) const {
   PROBSYN_DCHECK(i < domain_size_);
   if (kind_ == SynopsisBlobKind::kHistogram) {
-    auto it = std::lower_bound(bucket_ends_.begin(), bucket_ends_.end(), i);
-    return bucket_reps_[static_cast<std::size_t>(it - bucket_ends_.begin())];
+    return bucket_reps_[LowerBound(bucket_ends_, i)];
   }
   return wavelet_.Point(i);
 }
@@ -51,19 +70,16 @@ double ServedSynopsis::PointEstimate(std::size_t i) const {
 double ServedSynopsis::RangeSum(std::size_t a, std::size_t b) const {
   PROBSYN_DCHECK(a <= b && b < domain_size_);
   if (kind_ == SynopsisBlobKind::kHistogram) {
-    // Mirrors Histogram::EstimateRangeSum operation-for-operation (bucket
-    // starts are implied by the partition: start_k = end_{k-1} + 1).
-    double total = 0.0;
-    auto it = std::lower_bound(bucket_ends_.begin(), bucket_ends_.end(), a);
-    for (std::size_t k = static_cast<std::size_t>(it - bucket_ends_.begin());
-         k < bucket_ends_.size(); ++k) {
-      std::size_t start = k == 0 ? 0 : bucket_ends_[k - 1] + 1;
-      if (start > b) break;
-      std::size_t lo = std::max(a, start);
-      std::size_t hi = std::min(b, bucket_ends_[k]);
-      total += static_cast<double>(hi - lo + 1) * bucket_reps_[k];
-    }
-    return total;
+    // Starts are implied by the partition: start_k = end_{k-1} + 1.
+    auto bucket = [this](std::size_t k) -> HistogramBucket {
+      return {k == 0 ? 0 : bucket_ends_[k - 1] + 1, bucket_ends_[k],
+              bucket_reps_[k]};
+    };
+    const std::size_t first = LowerBound(bucket_ends_, a);
+    const std::size_t last = LowerBound(bucket_ends_, b);
+    return PrefixMassRangeSum(a, b, bucket(first), bucket(last),
+                              bucket_masses_[first + 1],
+                              bucket_masses_[std::max(last, first + 1)]);
   }
   return wavelet_.RangeSum(a, b);
 }

@@ -14,7 +14,8 @@
 namespace probsyn {
 
 /// One synopsis decoded out of a store and laid out for query answering:
-/// flat boundary/representative arrays for histograms; for wavelets, the
+/// for histograms, flat arrays of bucket ends, representatives and prefix
+/// masses (see PrefixMassRangeSum in core/histogram.h); for wavelets, the
 /// SparseHaar lookup (coefficients sorted by index behind a presence
 /// bitmap with per-word ranks, O(n/8) bytes) plus a cached top-|value|
 /// ranking. Immutable after construction, so any number of reader threads
@@ -22,9 +23,10 @@ namespace probsyn {
 ///
 /// Answer contract: every query is BITWISE-equal to evaluating the same
 /// query on the construction-side object (Histogram::Estimate /
-/// EstimateRangeSum, WaveletSynopsis::Estimate / EstimateRangeSum) — the
-/// histogram path replays the construction-side loop in the same order,
-/// and both wavelet sides run SparseHaar's one arithmetic (only the
+/// EstimateRangeSum, WaveletSynopsis::Estimate / EstimateRangeSum) — a
+/// histogram point reads the same bucket's representative, a histogram
+/// range combines prefix masses summed with the same helper in the same
+/// order, and both wavelet sides run SparseHaar's one arithmetic (only the
 /// coefficient lookup differs), over the round-tripped doubles. The
 /// 200-case differential sweep in tests/synopsis_server_test.cc pins this
 /// across SIMD dispatch modes. The
@@ -45,12 +47,19 @@ class ServedSynopsis {
   /// Bucket count (0 for wavelets).
   std::size_t num_buckets() const { return bucket_reps_.size(); }
 
-  /// ghat_i. O(log B) for histograms, O(log n) for wavelets.
+  /// ghat_i. O(log B) for histograms, O(log n) for wavelets. A histogram
+  /// finds i's bucket with a branch-free binary search over the bucket
+  /// ends (a select per halving step, log2 B steps for every i).
   /// Precondition: i < domain_size().
   double PointEstimate(std::size_t i) const;
 
-  /// Estimate of sum_{i=a..b} g_i: O(log B + buckets in range) for
-  /// histograms, O(log n) for wavelets.
+  /// Estimate of sum_{i=a..b} g_i: O(log B) for histograms, O(log n) for
+  /// wavelets. A histogram finds the buckets ka and kb of a and b as
+  /// PointEstimate does and reads the prefix masses P_k = sum_{j<k}
+  /// width_j rep_j, summed left to right at open:
+  /// (head + (P_kb - P_{ka+1})) + tail. The masses round, so the sum can
+  /// differ in its last bits from adding the estimates one by one; the
+  /// error grows with kb (see PrefixMassRangeSum).
   /// Precondition: a <= b < domain_size().
   double RangeSum(std::size_t a, std::size_t b) const;
 
@@ -68,9 +77,11 @@ class ServedSynopsis {
   SynopsisBlobKind kind_;
   std::size_t domain_size_ = 0;
 
-  // Histogram layout: bucket ends (ascending) + representatives.
+  // Histogram layout: bucket ends (ascending), representatives, and the
+  // B + 1 prefix masses P_0 = 0 .. P_B.
   std::vector<std::size_t> bucket_ends_;
   std::vector<double> bucket_reps_;
+  std::vector<double> bucket_masses_;
 
   // Wavelet layout: the coefficient lookup and the |value| ranking (slots
   // of wavelet_.coefficients()).

@@ -179,6 +179,46 @@ TEST(Haar, SparsePointMatchesReferenceBitwise) {
       }
     }
   }
+
+  // The bitmap lookup's edges: retained and absent coefficients in the
+  // first and the last 64-bit word, the last retained index below and at
+  // n - 1, -0.0 values, n = 1 and n = 2^16.
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  auto check = [&](std::size_t n, const std::vector<std::size_t>& indices,
+                   double value) {
+    std::vector<double> values(indices.size(), value);
+    std::vector<WaveletCoefficient> kept;
+    for (std::size_t k : indices) kept.push_back({k, value});
+    const SparseHaar sparse(n, kept);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want =
+          reference::ReconstructPointSparse(indices, values, i, n);
+      ASSERT_EQ(bits(want), bits(sparse.Point(i)))
+          << "n=" << n << " kept=" << indices.size() << " i=" << i;
+      ASSERT_EQ(bits(want), bits(SparseHaarPoint(kept, n, i)))
+          << "n=" << n << " kept=" << indices.size() << " i=" << i;
+    }
+  };
+  for (std::size_t n : {128u, 65536u}) {
+    for (double value : {-0.0, 2.5, -7.25}) {
+      check(n, {0, 1, 63, n - 64, n - 2}, value);  // last retained < n - 1
+      check(n, {2, 62, n - 63, n - 1}, value);     // last retained = n - 1
+      check(n, {n - 1}, value);
+    }
+  }
+  // A retained -0.0 comes back as -0.0 and an absent coefficient as +0.0:
+  // at n = 1 the point is the scaling coefficient itself, and at n = 2 the
+  // left leaf adds (-0.0) + (+1)(-0.0) while the right adds
+  // (-0.0) + (-1)(-0.0) = +0.0.
+  EXPECT_EQ(bits(SparseHaar(1, {{0, -0.0}}).Point(0)), bits(-0.0));
+  EXPECT_EQ(bits(SparseHaar(1, {}).Point(0)), bits(0.0));
+  const SparseHaar negative_zeros(2, {{0, -0.0}, {1, -0.0}});
+  EXPECT_EQ(bits(negative_zeros.Point(0)), bits(-0.0));
+  EXPECT_EQ(bits(negative_zeros.Point(1)), bits(0.0));
+  EXPECT_EQ(bits(SparseHaar(2, {}).Point(0)), bits(0.0));
+  check(1, {0}, -0.0);
+  check(1, {}, 0.0);
+  check(2, {0, 1}, -0.0);
 }
 
 // A coefficient's range contribution is v * s * (items of [a, b] in the

@@ -391,6 +391,29 @@ TEST(Robustness, ExactCumulativeDegradesToShardedRung) {
   ExpectNoLeakedLeases(engine);
 }
 
+// Without a positive epsilon the (1+eps) rung would reject the request,
+// so the middle rung is the sharded exact DP for every metric, priced as
+// an exact sharded build: predicted exact ~5.7s against a 5s allowance,
+// sharded exact (8 shards of one bucket each) ~0.09s at one lane. The
+// sharded build takes ~1.2s at one lane in Release and ~4.2s in Debug
+// (4-CPU Xeon), inside the 10s deadline.
+TEST(Robustness, ExactCumulativeDegradesToShardedRungWithoutEpsilon) {
+  static const ValuePdfInput input =
+      GenerateRandomValuePdf({.domain_size = 65536, .seed = 43});
+  SynopsisEngine engine;
+  SynopsisRequest request;
+  request.budget = 8;
+  request.epsilon = 0.0;
+  request.fallback = RequestFallback::kDegrade;
+  request.deadline = Deadline::After(10.0);
+  auto result = engine.Build(input, request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_NE(result->solver.find("[degraded=exact-dp->sharded-dp]"),
+            std::string::npos)
+      << result->solver;
+  ExpectNoLeakedLeases(engine);
+}
+
 TEST(Robustness, RestrictedWaveletDegradesToGreedy) {
   static const ValuePdfInput input =
       GenerateRandomValuePdf({.domain_size = 1024, .seed = 47});

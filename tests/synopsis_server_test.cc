@@ -26,6 +26,7 @@
 #include "reference/reference_solvers.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
+#include "util/random.h"
 
 namespace probsyn {
 namespace {
@@ -173,6 +174,138 @@ TEST_P(SynopsisServeDifferentialTest, ServedQueriesMatchConstructionBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Blocks, SynopsisServeDifferentialTest,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+// --- Served histogram lookups on edge layouts. ------------------------------
+
+// Histograms at the edges of the served bucket search and of the prefix
+// masses: n = 1, one bucket, one bucket per item, n not a power of two,
+// runs of width-1 buckets beside one wide bucket at either end, and random
+// partitions up to B = 4096; representatives of both signs.
+std::vector<Histogram> EdgeLayoutHistograms() {
+  Rng rng(2026);
+  auto from_ends = [&rng](const std::vector<std::size_t>& ends) {
+    std::vector<HistogramBucket> buckets;
+    std::size_t start = 0;
+    for (std::size_t end : ends) {
+      buckets.push_back({start, end, rng.NextUniform(-50.0, 50.0)});
+      start = end + 1;
+    }
+    return Histogram(std::move(buckets));
+  };
+  auto run = [](std::size_t first, std::size_t last) {
+    std::vector<std::size_t> ends;
+    for (std::size_t e = first; e <= last; ++e) ends.push_back(e);
+    return ends;
+  };
+  std::vector<Histogram> layouts;
+  layouts.push_back(from_ends({0}));         // n = 1
+  layouts.push_back(from_ends({36}));        // B = 1
+  layouts.push_back(from_ends(run(0, 36)));  // B = n = 37
+  layouts.push_back(from_ends(run(0, 63)));  // B = n = 64
+  std::vector<std::size_t> left_run = run(0, 9);
+  left_run.push_back(99);
+  layouts.push_back(from_ends(left_run));
+  std::vector<std::size_t> right_run = run(89, 99);
+  layouts.push_back(from_ends(right_run));
+  for (auto [n, b] : {std::pair<std::size_t, std::size_t>{1000, 7},
+                      {1000, 64},
+                      {65535, 3000},
+                      {65536, 4096}}) {
+    std::vector<std::size_t> ends;
+    std::vector<bool> cut(n - 1, false);
+    while (ends.size() + 1 < b) {
+      const std::size_t e = rng.NextBounded(n - 1);
+      if (!cut[e]) {
+        cut[e] = true;
+        ends.push_back(e);
+      }
+    }
+    std::sort(ends.begin(), ends.end());
+    ends.push_back(n - 1);
+    layouts.push_back(from_ends(ends));
+  }
+  return layouts;
+}
+
+ServedSynopsis ServeHistogram(const Histogram& histogram) {
+  return ServedSynopsis(
+      DecodedSynopsis{SynopsisBlobKind::kHistogram, histogram, {}});
+}
+
+// The branch-free bucket search returns std::lower_bound's bucket, so
+// every served point keeps the construction side's bits.
+TEST(SynopsisServer, HistogramPointsMatchEstimateOnEdgeLayouts) {
+  for (const Histogram& h : EdgeLayoutHistograms()) {
+    const ServedSynopsis served = ServeHistogram(h);
+    const std::size_t n = h.domain_size();
+    ASSERT_EQ(served.domain_size(), n);
+    ASSERT_EQ(served.num_buckets(), h.num_buckets());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      mismatches += Bits(h.Estimate(i)) != Bits(served.PointEstimate(i));
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n << " B=" << h.num_buckets();
+  }
+}
+
+// Range sums read prefix masses on both sides: the served sum equals the
+// construction-side sum bitwise, and both stay within
+// 1e-12 * sum_{k<=kb} |width_k rep_k| of the long-double sum of the
+// estimates over [a, b]. A range inside one bucket is exact.
+TEST(SynopsisServer, HistogramRangeSumsFromPrefixMassesOnEdgeLayouts) {
+  Rng rng(2027);
+  for (const Histogram& h : EdgeLayoutHistograms()) {
+    const ServedSynopsis served = ServeHistogram(h);
+    const std::vector<HistogramBucket>& buckets = h.buckets();
+    const std::size_t n = h.domain_size();
+    const std::vector<double> estimate = h.ToFrequencyVector();
+    // masses[k]: sum_{j<=k} |width_j rep_j|, the scale of the bound.
+    std::vector<double> masses;
+    double running = 0.0;
+    for (const HistogramBucket& b : buckets) {
+      running += std::fabs(static_cast<double>(b.width()) * b.representative);
+      masses.push_back(running);
+    }
+
+    std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+        {0, n - 1}, {n - 1, n - 1}, {n / 2, n - 1}, {0, 0}};
+    for (std::size_t k = 0; k < buckets.size(); ++k) {
+      const HistogramBucket& b = buckets[k];
+      ranges.emplace_back(b.start, b.end);
+      ranges.emplace_back(b.start + b.width() / 4, b.end - b.width() / 4);
+      if (k + 1 < buckets.size()) {
+        ranges.emplace_back(b.end, b.end + 1);
+        ranges.emplace_back(b.start, buckets[k + 1].end);
+      }
+    }
+    for (int r = 0; r < 40; ++r) {
+      const std::size_t a = rng.NextBounded(n);
+      ranges.emplace_back(a, a + rng.NextBounded(n - a));
+      ranges.emplace_back(a, n - 1);
+    }
+
+    for (auto [a, b] : ranges) {
+      const double built = h.EstimateRangeSum(a, b);
+      ASSERT_EQ(Bits(built), Bits(served.RangeSum(a, b)))
+          << "n=" << n << " B=" << buckets.size() << " [" << a << "," << b
+          << "]";
+      long double exact = 0.0L;
+      for (std::size_t i = a; i <= b; ++i) exact += estimate[i];
+      const std::size_t first = h.BucketIndexOf(a);
+      const std::size_t last = h.BucketIndexOf(b);
+      if (first == last) {
+        ASSERT_EQ(built, static_cast<double>(b - a + 1) *
+                             buckets[first].representative)
+            << "n=" << n << " [" << a << "," << b << "]";
+      }
+      const long double error =
+          std::fabs(static_cast<long double>(built) - exact);
+      ASSERT_LE(error, 1e-12L * masses[last])
+          << "n=" << n << " B=" << buckets.size() << " [" << a << "," << b
+          << "]";
+    }
+  }
+}
 
 // --- Store unit tests. ------------------------------------------------------
 

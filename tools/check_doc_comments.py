@@ -100,14 +100,14 @@ def check_header(path: str):
             decl_continuation = False
             continue
 
-        if decl_continuation:
-            continue
-        if is_declaration(line):
+        if not decl_continuation and is_declaration(line):
             problems.append(
                 f"{path}:{number}: public declaration without a /// doc "
                 f"comment: {stripped[:60]}")
         # A namespace-scope statement may span lines; swallow until it
-        # closes so continuation lines aren't re-flagged.
+        # closes so continuation lines aren't re-flagged. Every line,
+        # continuation lines included, decides whether the statement goes
+        # on, so the declaration after a multi-line one is checked.
         decl_continuation = not (
             stripped.endswith((";", "{", "}")))
     return problems
