@@ -144,6 +144,44 @@ void BM_ExactDpMaxCombiner(benchmark::State& state) {
   RunExactDp(state, DpCombiner::kMax);
 }
 
+// The exact DP over the MAE / MARE oracles, {n, lanes}: every bucket cost
+// probes the point-error tables (EnvelopeAt, then AbsoluteErrorLine per
+// item of the two candidate segments). The oracle is built once.
+void RunExactDpMaxMetric(benchmark::State& state, ErrorMetric metric) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t lanes = static_cast<std::size_t>(state.range(1));
+  const std::size_t kBuckets = 16;
+
+  ValuePdfInput input = MakeInput(n);
+  SynopsisOptions options;
+  options.metric = metric;
+  options.sanity_c = 0.5;
+  auto bundle = MakeBucketOracle(input, options);
+  PROBSYN_CHECK(bundle.ok());
+  ThreadPool pool(lanes > 1 ? lanes - 1 : 0);
+  DpWorkspace workspace;
+  DpKernelOptions dp_options;
+  dp_options.pool = lanes > 1 ? &pool : nullptr;
+  dp_options.workspace = &workspace;
+
+  for (auto _ : state) {
+    HistogramDpResult dp = SolveHistogramDp(*bundle->oracle, kBuckets,
+                                            DpCombiner::kMax, dp_options);
+    benchmark::DoNotOptimize(dp.OptimalCost(kBuckets));
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["lanes"] = static_cast<double>(lanes);
+  state.counters["B"] = static_cast<double>(kBuckets);
+}
+
+void BM_ExactDpMae(benchmark::State& state) {
+  RunExactDpMaxMetric(state, ErrorMetric::kMae);
+}
+
+void BM_ExactDpMare(benchmark::State& state) {
+  RunExactDpMaxMetric(state, ErrorMetric::kMare);
+}
+
 // (d) The approximate DP's sparse candidate evaluations: virtual Cost()
 // through a forwarding oracle's generic path (kernelized = 0) vs the
 // devirtualized point-cost kernel (kernelized = 1).
@@ -565,6 +603,14 @@ BENCHMARK(probsyn::BM_ExactDp)
 BENCHMARK(probsyn::BM_ExactDpMaxCombiner)
     ->Args({4096, 1, 0})
     ->Args({4096, 1, 1})
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(probsyn::BM_ExactDpMae)
+    ->Args({256, 1})
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(probsyn::BM_ExactDpMare)
+    ->Args({256, 1})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(probsyn::BM_EngineSweep)

@@ -13,6 +13,7 @@ namespace probsyn {
 double EvaluateHistogram(const PointErrorTables& tables, const Histogram& h,
                          ErrorMetric metric, std::span<const double> weights) {
   PROBSYN_CHECK(h.domain_size() == tables.domain_size());
+  PROBSYN_CHECK(tables.Covers(metric));
   PROBSYN_CHECK(weights.empty() || weights.size() == tables.domain_size());
   bool cumulative = IsCumulativeMetric(metric);
   KahanSum sum;
@@ -41,7 +42,8 @@ StatusOr<double> EvaluateHistogram(const ValuePdfInput& input,
       options.workload.size() != input.domain_size()) {
     return Status::InvalidArgument("workload size must equal the domain size");
   }
-  PointErrorTables tables(input, options.sanity_c);
+  PointErrorTables tables(input, options.sanity_c, options.metric,
+                          input.domain_size());
   return EvaluateHistogram(tables, h, options.metric, options.workload);
 }
 
@@ -99,10 +101,10 @@ StatusOr<double> EvaluateWaveletOnValuePdf(const ValuePdfInput& input,
     return Status::InvalidArgument("workload size must equal the domain size");
   }
 
-  // Pad with deterministic zeros so the evaluation domain matches the
-  // transform domain the synopsis was selected over.
-  ValuePdfInput padded = PadWithZeros(input, synopsis.transform_size());
-  PointErrorTables tables(padded, options.sanity_c);
+  // Items past the input are deterministic zeros, so the evaluation domain
+  // matches the transform domain the synopsis was selected over.
+  PointErrorTables tables(input, options.sanity_c, options.metric,
+                          synopsis.transform_size());
 
   std::vector<double> dense(synopsis.transform_size(), 0.0);
   for (const WaveletCoefficient& c : synopsis.coefficients()) {
@@ -113,7 +115,7 @@ StatusOr<double> EvaluateWaveletOnValuePdf(const ValuePdfInput& input,
   bool cumulative = IsCumulativeMetric(options.metric);
   KahanSum sum;
   double worst = 0.0;
-  for (std::size_t i = 0; i < padded.domain_size(); ++i) {
+  for (std::size_t i = 0; i < tables.domain_size(); ++i) {
     double err = tables.ExpectedPointError(options.metric, i, ghat[i]);
     if (options.HasWorkload()) {
       // Padded items beyond the caller's domain carry zero workload.

@@ -21,7 +21,9 @@ namespace probsyn {
 ///   maximum:     max_i E_W[err(g_i, ghat_i)]
 /// computed analytically from per-item marginals. This is how section 5's
 /// experiments re-cost the Expectation / Sampled-World baselines under the
-/// true distribution. O(n log |V|).
+/// true distribution. O(n) for the squared metrics, O(n log s) for the
+/// absolute ones (s the largest support size). `tables` must cover
+/// `metric` (PointErrorTables::Covers).
 /// `weights` are optional per-item workload weights (empty = uniform),
 /// matching SynopsisOptions::workload.
 double EvaluateHistogram(const PointErrorTables& tables, const Histogram& h,
@@ -29,7 +31,7 @@ double EvaluateHistogram(const PointErrorTables& tables, const Histogram& h,
                          std::span<const double> weights = {});
 /// Validating form over a value pdf: checks the options, the input and the
 /// partition (and the workload's length), then builds the point-error
-/// tables and weighs items by options.workload.
+/// tables of options.metric alone and weighs items by options.workload.
 StatusOr<double> EvaluateHistogram(const ValuePdfInput& input,
                                    const Histogram& h,
                                    const SynopsisOptions& options);

@@ -10,11 +10,14 @@
 namespace probsyn {
 
 std::shared_ptr<const PointErrorTables> PointErrorTablesCache::GetOrBuild(
-    const ValuePdfInput& input, double sanity_c, ThreadPool* pool) {
-  auto it = by_sanity_c_.find(sanity_c);
-  if (it != by_sanity_c_.end()) return it->second;
-  auto tables = std::make_shared<const PointErrorTables>(input, sanity_c, pool);
-  by_sanity_c_.emplace(sanity_c, tables);
+    const ValuePdfInput& input, ErrorMetric metric, double sanity_c,
+    ThreadPool* pool) {
+  const std::pair<ErrorMetric, double> key{metric, sanity_c};
+  auto it = by_key_.find(key);
+  if (it != by_key_.end()) return it->second;
+  auto tables = std::make_shared<const PointErrorTables>(
+      input, sanity_c, metric, input.domain_size(), pool);
+  by_key_.emplace(key, tables);
   return tables;
 }
 
@@ -76,9 +79,11 @@ StatusOr<OracleBundle> BuildBucketOracle(const ValuePdfInput& input,
     case ErrorMetric::kMare: {
       std::shared_ptr<const PointErrorTables> tables =
           tables_cache != nullptr
-              ? tables_cache->GetOrBuild(input, options.sanity_c, pool)
+              ? tables_cache->GetOrBuild(input, options.metric,
+                                         options.sanity_c, pool)
               : std::make_shared<const PointErrorTables>(
-                    input, options.sanity_c, pool);
+                    input, options.sanity_c, options.metric,
+                    input.domain_size(), pool);
       PROBSYN_RETURN_IF_ERROR(tables->preprocess_status());
       bundle.tables = tables;
       bundle.oracle = std::make_unique<MaxErrorOracle>(

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "core/bucket_oracle.h"
 #include "core/histogram_dp.h"
@@ -21,32 +22,39 @@ class ThreadPool;
 struct OracleBundle {
   std::unique_ptr<BucketCostOracle> oracle;
   /// Shared point-error tables, populated when the metric needs them
-  /// (MAE/MARE) — also handy for evaluation; may be null otherwise.
+  /// (MAE/MARE; they answer that metric's point errors); null otherwise.
   std::shared_ptr<const PointErrorTables> tables;
   DpCombiner combiner = DpCombiner::kSum;
 };
 
-/// Reuses PointErrorTables across oracle constructions that share the same
-/// input and sanity constant. The tables depend on nothing else — not the
-/// metric's relative flag, the DP combiner, or workload weights — so a
-/// batch mixing MAE and MARE requests (or re-costing evaluations) pays the
-/// O(n |V|) table fill once instead of per group.
+/// Reuses PointErrorTables across oracle constructions that read the same
+/// point errors of the same input: the same metric and sanity constant.
+/// The tables depend on nothing else — not the DP combiner or workload
+/// weights — so a batch whose MAE (or MARE) groups differ only in their
+/// workloads pays the O(n + sum of support sizes) table fill once instead
+/// of per group.
 ///
-/// One cache instance serves ONE logical input; keying is by sanity_c only.
-/// Not thread-safe: confine an instance to one batch execution.
+/// One cache instance serves ONE logical input; keying is by metric and
+/// sanity_c only. Not thread-safe: confine an instance to one batch
+/// execution.
 class PointErrorTablesCache {
  public:
+  /// The tables answering `metric` over `input`, built (with `pool`) on
+  /// the first call for the metric and sanity constant.
   std::shared_ptr<const PointErrorTables> GetOrBuild(const ValuePdfInput& input,
+                                                     ErrorMetric metric,
                                                      double sanity_c,
                                                      ThreadPool* pool);
 
  private:
-  std::map<double, std::shared_ptr<const PointErrorTables>> by_sanity_c_;
+  std::map<std::pair<ErrorMetric, double>,
+           std::shared_ptr<const PointErrorTables>>
+      by_key_;
 };
 
 /// Builds the bucket-cost oracle for value-pdf input under the given
 /// metric (paper sections 3.1-3.4, 3.6 — value-pdf branches). A non-null
-/// `pool` parallelizes the O(n |V|) prefix-table preprocessing of the
+/// `pool` parallelizes the prefix-table preprocessing of the
 /// absolute/maximum-error oracles; the produced oracle is identical. A
 /// non-null `tables_cache` shares PointErrorTables across calls with the
 /// same input (see PointErrorTablesCache).

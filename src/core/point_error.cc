@@ -1,6 +1,7 @@
 #include "core/point_error.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.h"
 #include "util/math.h"
@@ -8,69 +9,176 @@
 
 namespace probsyn {
 
+namespace {
+
+// Items filled between two polls of the build's context.
+constexpr std::size_t kPollBlock = 1024;
+
+// Item i of a build over `input` padded to any domain size.
+const ValuePdf& ItemOrZero(const ValuePdfInput& input, std::size_t i) {
+  static const ValuePdf zero = ValuePdf::PointMass(0.0);
+  return i < input.domain_size() ? input.item(i) : zero;
+}
+
+}  // namespace
+
+unsigned PointErrorTables::ErrorPartsOf(ErrorMetric metric) {
+  switch (metric) {
+    case ErrorMetric::kSse:
+      return kMoments;
+    case ErrorMetric::kSsre:
+      return kRelativeMoments;
+    case ErrorMetric::kSae:
+    case ErrorMetric::kMae:
+      return kAbsoluteSums;
+    case ErrorMetric::kSare:
+    case ErrorMetric::kMare:
+      return kRelativeSums;
+  }
+  return 0;
+}
+
+unsigned PointErrorTables::BuildPartsOf(ErrorMetric metric) {
+  return ErrorPartsOf(metric) |
+         (IsCumulativeMetric(metric) ? 0u : unsigned{kValueGrid});
+}
+
 PointErrorTables::PointErrorTables(const ValuePdfInput& input, double sanity_c,
                                    ThreadPool* pool)
-    : n_(input.domain_size()), c_(sanity_c), grid_(input.ValueGrid()) {
-  grid_size_ = grid_.size();
-  m1_.resize(n_);
-  m2_.resize(n_);
-  x_.resize(n_);
-  y_.resize(n_);
-  z_.resize(n_);
-  cw_abs_.assign(n_ * grid_size_, 0.0);
-  cwv_abs_.assign(n_ * grid_size_, 0.0);
-  cw_rel_.assign(n_ * grid_size_, 0.0);
-  cwv_rel_.assign(n_ * grid_size_, 0.0);
+    : PointErrorTables(input, sanity_c,
+                       kMoments | kRelativeMoments | kAbsoluteSums |
+                           kRelativeSums | kValueGrid,
+                       input.domain_size(), pool, /*context=*/nullptr) {}
 
-  // Every item fills disjoint table rows against the shared read-only
-  // grid, so the O(n |V|) preprocessing is a clean parallel-for.
-  auto fill_items = [&](std::size_t item_begin, std::size_t item_end) {
-  for (std::size_t i = item_begin; i < item_end; ++i) {
-    const ValuePdf& pdf = input.item(i);
-    m1_[i] = pdf.Mean();
-    m2_[i] = pdf.SecondMoment();
-    KahanSum x, y, z;
-    for (const ValueProb& e : pdf.entries()) {
-      double w2 = SquaredRelativeWeight(e.value, c_);
-      x.Add(e.probability * w2 * e.value * e.value);
-      y.Add(e.probability * w2 * e.value);
-      z.Add(e.probability * w2);
-    }
-    x_[i] = x.value();
-    y_[i] = y.value();
-    z_[i] = z.value();
+PointErrorTables::PointErrorTables(const ValuePdfInput& input, double sanity_c,
+                                   ErrorMetric metric, std::size_t domain_size,
+                                   ThreadPool* pool, const ExecContext* context)
+    : PointErrorTables(input, sanity_c, BuildPartsOf(metric), domain_size,
+                       pool, context) {}
 
-    // Fill the grid-indexed cumulative weight tables. The item's support is
-    // a subset of the grid; walk both in lockstep.
-    double* cw_abs = &cw_abs_[i * grid_size_];
-    double* cwv_abs = &cwv_abs_[i * grid_size_];
-    double* cw_rel = &cw_rel_[i * grid_size_];
-    double* cwv_rel = &cwv_rel_[i * grid_size_];
-    std::size_t entry = 0;
-    double acc_w = 0.0, acc_wv = 0.0, acc_rw = 0.0, acc_rwv = 0.0;
-    for (std::size_t l = 0; l < grid_size_; ++l) {
-      if (entry < pdf.size() && pdf.entries()[entry].value == grid_[l]) {
-        const ValueProb& e = pdf.entries()[entry];
-        double rw = RelativeWeight(e.value, c_);
-        acc_w += e.probability;
-        acc_wv += e.probability * e.value;
-        acc_rw += e.probability * rw;
-        acc_rwv += e.probability * rw * e.value;
-        ++entry;
-      }
-      cw_abs[l] = acc_w;
-      cwv_abs[l] = acc_wv;
-      cw_rel[l] = acc_rw;
-      cwv_rel[l] = acc_rwv;
-    }
-    PROBSYN_CHECK(entry == pdf.size());
+PointErrorTables::PointErrorTables(const ValuePdfInput& input, double sanity_c,
+                                   unsigned parts, std::size_t domain_size,
+                                   ThreadPool* pool, const ExecContext* context)
+    : n_(domain_size), c_(sanity_c), parts_(parts) {
+  PROBSYN_CHECK(n_ >= input.domain_size());
+  if (parts_ & kMoments) {
+    m1_.resize(n_);
+    m2_.resize(n_);
   }
+  if (parts_ & kRelativeMoments) {
+    x_.resize(n_);
+    y_.resize(n_);
+    z_.resize(n_);
+  }
+  if (parts_ & kValueGrid) {
+    grid_ = input.ValueGrid();
+    grid_.shrink_to_fit();
+  }
+  if (parts_ & (kAbsoluteSums | kRelativeSums)) {
+    offsets_.resize(n_ + 1);
+    for (std::size_t i = 0; i < n_; ++i) {
+      offsets_[i + 1] = offsets_[i] + ItemOrZero(input, i).size();
+    }
+    values_.resize(offsets_[n_]);
+    // One leading zero per item before its running sums.
+    if (parts_ & kAbsoluteSums) abs_.resize(offsets_[n_] + n_);
+    if (parts_ & kRelativeSums) rel_.resize(offsets_[n_] + n_);
+  }
+
+  // Items fill disjoint slots, so the fill is a clean parallel-for; each
+  // chunk polls the context once per block and abandons the rest on a
+  // stop, which the check after the join reports.
+  std::atomic<std::size_t> filled{0};
+  auto fill = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t block = begin; block < end; block += kPollBlock) {
+      if (StopRequested(context)) return;
+      const std::size_t block_end = std::min(end, block + kPollBlock);
+      FillItems(input, block, block_end);
+      filled.fetch_add(block_end - block, std::memory_order_relaxed);
+    }
   };
   if (pool != nullptr) {
-    preprocess_status_ = pool->ParallelFor(0, n_, fill_items);
+    preprocess_status_ = pool->ParallelFor(0, n_, fill);
   } else {
-    fill_items(0, n_);
+    fill(0, n_);
   }
+  if (preprocess_status_.ok() && StopRequested(context)) {
+    preprocess_status_ = context->StopStatus("point-error-tables", "item",
+                                             filled.load(), n_);
+  }
+}
+
+void PointErrorTables::FillItems(const ValuePdfInput& input, std::size_t begin,
+                                 std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const ValuePdf& pdf = ItemOrZero(input, i);
+    if (parts_ & kMoments) {
+      m1_[i] = pdf.Mean();
+      m2_[i] = pdf.SecondMoment();
+    }
+    if (parts_ & kRelativeMoments) {
+      KahanSum x, y, z;
+      for (const ValueProb& e : pdf.entries()) {
+        double w2 = SquaredRelativeWeight(e.value, c_);
+        x.Add(e.probability * w2 * e.value * e.value);
+        y.Add(e.probability * w2 * e.value);
+        z.Add(e.probability * w2);
+      }
+      x_[i] = x.value();
+      y_[i] = y.value();
+      z_[i] = z.value();
+    }
+    if (!(parts_ & (kAbsoluteSums | kRelativeSums))) continue;
+
+    // The running sums over the item's support, in support order; slot 0
+    // keeps the zero the sums start from.
+    const std::vector<ValueProb>& entries = pdf.entries();
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      values_[offsets_[i] + k] = entries[k].value;
+    }
+    if (parts_ & kAbsoluteSums) {
+      PrefixSums* sums = abs_.data() + offsets_[i] + i;
+      double w = 0.0, wv = 0.0;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        w += entries[k].probability;
+        wv += entries[k].probability * entries[k].value;
+        sums[k + 1] = {w, wv};
+      }
+    }
+    if (parts_ & kRelativeSums) {
+      PrefixSums* sums = rel_.data() + offsets_[i] + i;
+      double w = 0.0, wv = 0.0;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        const ValueProb& e = entries[k];
+        double rw = RelativeWeight(e.value, c_);
+        w += e.probability * rw;
+        wv += e.probability * rw * e.value;
+        sums[k + 1] = {w, wv};
+      }
+    }
+  }
+}
+
+std::size_t PointErrorTables::BuildBytes(const ValuePdfInput& input,
+                                         ErrorMetric metric,
+                                         std::size_t domain_size) {
+  const unsigned parts = BuildPartsOf(metric);
+  const std::size_t pairs = input.total_pairs();
+  std::size_t bytes = 0;
+  if (parts & kMoments) bytes += 2 * domain_size * sizeof(double);
+  if (parts & kRelativeMoments) bytes += 3 * domain_size * sizeof(double);
+  if (parts & kValueGrid) bytes += (pairs + 1) * sizeof(double);
+  if (parts & (kAbsoluteSums | kRelativeSums)) {
+    const std::size_t support = pairs + (domain_size - input.domain_size());
+    bytes += (domain_size + 1) * sizeof(std::size_t);     // offsets
+    bytes += support * sizeof(double);                    // support values
+    bytes += (support + domain_size) * sizeof(PrefixSums);  // one sum family
+  }
+  return bytes;
+}
+
+bool PointErrorTables::Covers(ErrorMetric metric) const {
+  return (parts_ & ErrorPartsOf(metric)) == ErrorPartsOf(metric);
 }
 
 std::size_t PointErrorTables::SegmentOf(double v) const {
@@ -88,11 +196,22 @@ double PointErrorTables::SquaredRelativeError(std::size_t i, double v) const {
   return ClampTinyNegative(x_[i] - 2.0 * v * y_[i] + v * v * z_[i]);
 }
 
+Line PointErrorTables::LineAt(std::size_t i, double u, bool relative) const {
+  const double* support = values_.data() + offsets_[i];
+  const std::size_t size = offsets_[i + 1] - offsets_[i];
+  const PrefixSums* sums = (relative ? rel_ : abs_).data() + offsets_[i] + i;
+  const PrefixSums& total = sums[size];
+  if (u < 0.0) return Line{-total.w, total.wv};  // left of the whole grid
+  // A binary search over the item's own support, not the global grid.
+  const PrefixSums& below =
+      sums[std::upper_bound(support, support + size, u) - support];
+  return Line{2.0 * below.w - total.w, total.wv - 2.0 * below.wv};
+}
+
 double PointErrorTables::AbsErrorImpl(std::size_t i, double v,
                                       bool relative) const {
-  std::size_t l = SegmentOf(v);
-  Line line = AbsoluteErrorLine(i, l, relative);
-  return std::max(0.0, line.At(v));
+  PROBSYN_DCHECK(Covers(relative ? ErrorMetric::kSare : ErrorMetric::kSae));
+  return std::max(0.0, LineAt(i, v, relative).At(v));
 }
 
 double PointErrorTables::AbsoluteError(std::size_t i, double v) const {
@@ -105,23 +224,19 @@ double PointErrorTables::AbsoluteRelativeError(std::size_t i, double v) const {
 
 Line PointErrorTables::AbsoluteErrorLine(std::size_t i, std::size_t l,
                                          bool relative) const {
-  const double* cw = relative ? &cw_rel_[i * grid_size_] : &cw_abs_[i * grid_size_];
-  const double* cwv =
-      relative ? &cwv_rel_[i * grid_size_] : &cwv_abs_[i * grid_size_];
-  double tw = cw[grid_size_ - 1];
-  double twv = cwv[grid_size_ - 1];
-  if (l == static_cast<std::size_t>(-1)) {
-    // Left of the whole grid: f_i(v) = sum w (v_j - v) = twv - v * tw.
-    return Line{-tw, twv};
-  }
-  PROBSYN_DCHECK(l < grid_size_);
-  // f_i(v) = v (2 CW[l] - TW) + (TWV - 2 CWV[l]) for v in
-  // [grid[l], grid[l+1]] (or beyond the last grid point when l = K-1).
-  return Line{2.0 * cw[l] - tw, twv - 2.0 * cwv[l]};
+  PROBSYN_DCHECK(Covers(relative ? ErrorMetric::kSare : ErrorMetric::kSae));
+  PROBSYN_DCHECK(parts_ & kValueGrid);
+  PROBSYN_DCHECK(l == static_cast<std::size_t>(-1) || l < grid_.size());
+  // Left of the grid (l = -1) is the ray f_i(v) = twv - v * tw; segment l
+  // (or the ray past the last grid point when l = K-1) reads the sums
+  // through the support points <= grid[l].
+  return LineAt(i, l == static_cast<std::size_t>(-1) ? -1.0 : grid_[l],
+                relative);
 }
 
 double PointErrorTables::ExpectedPointError(ErrorMetric metric, std::size_t i,
                                             double v) const {
+  PROBSYN_DCHECK(Covers(metric));
   switch (metric) {
     case ErrorMetric::kSse:
       return SquaredError(i, v);

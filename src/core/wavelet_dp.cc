@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/haar.h"
@@ -11,6 +12,7 @@
 #include "util/logging.h"
 #include "util/math.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace probsyn {
 
@@ -64,21 +66,22 @@ void GrowTo(arena_internal::UninitializedBuffer<T>& buffer, std::size_t size,
 // leaf-level states consume v, so it is materialized on the fly there.
 class WaveletDpSolver {
  public:
-  WaveletDpSolver(const ValuePdfInput& padded, std::size_t num_coefficients,
+  WaveletDpSolver(const ValuePdfInput& input, std::size_t num_coefficients,
                   const SynopsisOptions& options, WaveletDpArena* arena,
                   ThreadPool* pool, const ExecContext* context,
                   std::size_t max_workspace_bytes)
-      : n_(padded.domain_size()),
+      : input_(input),
+        n_(NextPowerOfTwo(input.domain_size())),
         levels_(n_ > 1 ? FloorLog2(n_) : 0),
         budget_(num_coefficients),
         metric_(options.metric),
+        sanity_c_(options.sanity_c),
         cumulative_(IsCumulativeMetric(options.metric)),
         arena_(arena),
         pool_(pool != nullptr && pool->num_threads() > 0 ? pool : nullptr),
         ctx_(context),
         max_workspace_bytes_(max_workspace_bytes),
-        tables_(padded, options.sanity_c),
-        mu_(HaarTransform(PadToPowerOfTwo(padded.ExpectedFrequencies()))) {
+        mu_(HaarTransform(PadToPowerOfTwo(input.ExpectedFrequencies()))) {
     if (options.HasWorkload()) {
       weights_ = options.workload;
       weights_.resize(n_, 0.0);  // padded items carry zero workload
@@ -89,10 +92,14 @@ class WaveletDpSolver {
     return pool_ == nullptr ? 1 : pool_->num_threads() + 1;
   }
 
+  // Seconds spent building the point-error tables.
+  double preprocess_seconds() const { return preprocess_seconds_; }
+
   StatusOr<WaveletDpResult> Solve() {
     std::vector<WaveletCoefficient> kept;
     double best_cost;
     if (n_ == 1) {
+      PROBSYN_RETURN_IF_ERROR(BuildTables());
       // Only the scaling coefficient exists.
       double with = LeafError(0, mu_[0] * LeafContributionScale(0, 1));
       double without = LeafError(0, 0.0);
@@ -164,22 +171,38 @@ class WaveletDpSolver {
       // 2^d nodes x 2^(d+1) masks per level, Stride(d) entries per state.
       total += (std::size_t{1} << (2 * d + 1)) * Stride(d);
     }
-    // The O(n^2 B) arena is the dominant allocation of this solver; honor
-    // the caller's byte budget before committing to it, and surface an
-    // injected allocation failure at the same point.
-    const std::size_t bytes =
+    // Honor the caller's byte budget before allocating anything that
+    // grows with the input: the O(n^2 B) arena, by far the larger part
+    // unless items carry about n B support points each, plus the
+    // point-error tables, O(n + sum of support sizes). An injected
+    // allocation failure surfaces at the same point.
+    const std::size_t arena_bytes =
         total * (sizeof(double) + sizeof(WaveletDpDecision)) +
         n_ * sizeof(double) + levels_ * sizeof(std::size_t);
-    if (max_workspace_bytes_ != 0 && bytes > max_workspace_bytes_) {
+    const std::size_t table_bytes =
+        PointErrorTables::BuildBytes(input_, metric_, n_);
+    if (max_workspace_bytes_ != 0 &&
+        arena_bytes + table_bytes > max_workspace_bytes_) {
       return Status::ResourceExhausted(
-          "restricted wavelet DP arena (" + std::to_string(bytes) +
-          " bytes) exceeds max_workspace_bytes (" +
+          "restricted wavelet DP arena (" + std::to_string(arena_bytes) +
+          " bytes) and point-error tables (" + std::to_string(table_bytes) +
+          " bytes) exceed max_workspace_bytes (" +
           std::to_string(max_workspace_bytes_) + ")");
     }
     PROBSYN_RETURN_IF_ERROR(MaybeInjectFault(FaultSite::kWorkspaceAlloc));
+    PROBSYN_RETURN_IF_ERROR(BuildTables());
     GrowTo(arena_->best, total, arena_->grow_events);
     GrowTo(arena_->decision, total, arena_->grow_events);
     return Status::OK();
+  }
+
+  // Builds the leaf errors' point-error tables over the padded domain,
+  // polling the context per block of items.
+  Status BuildTables() {
+    Stopwatch watch;
+    tables_.emplace(input_, sanity_c_, metric_, n_, /*pool=*/nullptr, ctx_);
+    preprocess_seconds_ = watch.ElapsedSeconds();
+    return tables_->preprocess_status();
   }
 
   void FillContributions() {
@@ -190,7 +213,7 @@ class WaveletDpSolver {
   }
 
   double LeafError(std::size_t item, double v) const {
-    double err = tables_.ExpectedPointError(metric_, item, v);
+    double err = tables_->ExpectedPointError(metric_, item, v);
     return weights_.empty() ? err : weights_[item] * err;
   }
 
@@ -330,16 +353,19 @@ class WaveletDpSolver {
     Trace(2 * j + 1, child_mask, decision.right_budget, out);
   }
 
-  std::size_t n_;
+  const ValuePdfInput& input_;
+  std::size_t n_;       // padded (power-of-two) domain
   std::size_t levels_;  // log2(n); tree levels 0 .. levels_-1
   std::size_t budget_;
   ErrorMetric metric_;
+  double sanity_c_;
   bool cumulative_;
   WaveletDpArena* arena_;
   ThreadPool* pool_;        // null = sequential fill
   const ExecContext* ctx_;  // null = unbounded solve
   std::size_t max_workspace_bytes_;  // 0 = uncapped
-  PointErrorTables tables_;
+  std::optional<PointErrorTables> tables_;  // built once the budget admits it
+  double preprocess_seconds_ = 0.0;
   std::vector<double> mu_;
   std::vector<double> weights_;  // empty = uniform
 };
@@ -373,15 +399,14 @@ StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
         "restricted wavelet DP supports padded domains up to 65536");
   }
 
-  ValuePdfInput padded =
-      PadWithZeros(input, NextPowerOfTwo(input.domain_size()));
   WaveletDpArena local_arena;
   WaveletDpArena* arena =
       workspace != nullptr ? &workspace->wavelet_arena() : &local_arena;
-  WaveletDpSolver solver(padded, num_coefficients, options, arena, pool,
+  WaveletDpSolver solver(input, num_coefficients, options, arena, pool,
                          context, max_workspace_bytes);
   PROBSYN_ASSIGN_OR_RETURN(WaveletDpResult result, solver.Solve());
   result.lanes = solver.lanes();
+  result.preprocess_seconds = solver.preprocess_seconds();
   // Report the synopsis against the caller's (unpadded) domain.
   result.synopsis = WaveletSynopsis(
       input.domain_size(), padded_n,

@@ -29,6 +29,9 @@ struct WaveletDpResult {
   /// solver strings as `par=`). The fill is bit-identical at every lane
   /// count.
   std::size_t lanes = 1;
+  /// Seconds spent building the point-error tables behind the leaf errors
+  /// (the route's preprocess; the engine reports it as such).
+  double preprocess_seconds = 0.0;
 };
 
 /// Optimal *restricted* B-term wavelet synopsis for non-SSE error metrics
@@ -41,7 +44,8 @@ struct WaveletDpResult {
 /// reconstruction contributed by kept proper ancestors; v ranges over the
 /// subsets of j's O(log n) ancestors, giving O(n^2 B^2)-ish work and O(n^2 B)
 /// state — fine for the moderate n this synopsis targets. Expected leaf
-/// errors E_W[err(g_i, v)] come from PointErrorTables in O(log |V|).
+/// errors E_W[err(g_i, v)] come from PointErrorTables built for the one
+/// metric, in O(1) (squared metrics) or O(log |support of g_i|).
 ///
 /// Supports all six metrics (the paper needs non-SSE; kSse is accepted too
 /// and must agree with the greedy builder — a property we test). The domain
@@ -75,12 +79,13 @@ struct WaveletDpResult {
 /// tests/wavelet_parallel_test.cc). The lane count lands in
 /// WaveletDpResult::lanes.
 ///
-/// A non-null `context` is polled cooperatively (once per tree level plus
+/// A non-null `context` is polled cooperatively (once per block of items
+/// while the point-error tables are built, then once per tree level plus
 /// every 64 states inside a level sweep); a deadline or cancellation stops
 /// the solve with kDeadlineExceeded/kCancelled, leaving the arena reusable.
-/// When `max_workspace_bytes` is non-zero and the O(n^2 B) arena would
-/// exceed it, the solve fails up front with kResourceExhausted instead of
-/// attempting the allocation.
+/// When `max_workspace_bytes` is non-zero and the O(n^2 B) arena plus the
+/// point-error tables (PointErrorTables::BuildBytes) would exceed it, the
+/// solve fails up front with kResourceExhausted before allocating either.
 StatusOr<WaveletDpResult> BuildRestrictedWaveletDp(
     const ValuePdfInput& input, std::size_t num_coefficients,
     const SynopsisOptions& options, std::size_t max_domain = 2048,

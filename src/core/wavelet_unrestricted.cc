@@ -10,6 +10,7 @@
 #include "core/point_error.h"
 #include "util/logging.h"
 #include "util/math.h"
+#include "util/timer.h"
 
 namespace probsyn {
 
@@ -25,24 +26,28 @@ struct Decision {
 
 class UnrestrictedSolver {
  public:
-  UnrestrictedSolver(const ValuePdfInput& padded, std::size_t budget,
+  UnrestrictedSolver(const ValuePdfInput& input, std::size_t budget,
                      const SynopsisOptions& options,
                      const UnrestrictedWaveletOptions& dp_options)
-      : n_(padded.domain_size()),
+      : input_(input),
+        n_(NextPowerOfTwo(input.domain_size())),
         budget_(budget),
         metric_(options.metric),
+        sanity_c_(options.sanity_c),
         cumulative_(IsCumulativeMetric(options.metric)),
-        ctx_(dp_options.context),
-        tables_(padded, options.sanity_c) {
+        ctx_(dp_options.context) {
     if (options.HasWorkload()) {
       weights_ = options.workload;
       weights_.resize(n_, 0.0);  // padded items carry zero workload
     }
-    BuildGrid(padded, dp_options);
-    PrecomputeLeafErrors();
+    BuildGrid(dp_options);
   }
 
+  // Seconds spent building the point-error tables.
+  double preprocess_seconds() const { return preprocess_seconds_; }
+
   StatusOr<UnrestrictedWaveletResult> Solve() {
+    PROBSYN_RETURN_IF_ERROR(PrecomputeLeafErrors());
     if (n_ == 1) return SolveSingleton();
 
     node_cost_.assign(n_, {});
@@ -93,9 +98,9 @@ class UnrestrictedSolver {
   }
 
  private:
-  void BuildGrid(const ValuePdfInput& padded,
-                 const UnrestrictedWaveletOptions& dp_options) {
-    std::vector<double> values = padded.ValueGrid();
+  // The padded items' zeros add no value: the grid always holds 0.
+  void BuildGrid(const UnrestrictedWaveletOptions& dp_options) {
+    std::vector<double> values = input_.ValueGrid();
     double lo = values.front(), hi = values.back();
     if (hi <= lo) hi = lo + 1.0;
     double pad = dp_options.range_padding * (hi - lo);
@@ -114,16 +119,24 @@ class UnrestrictedSolver {
     }
   }
 
-  void PrecomputeLeafErrors() {
+  // The point-error tables over the padded domain (built for the one
+  // metric, polling the context per block of items) are read only here.
+  Status PrecomputeLeafErrors() {
+    Stopwatch watch;
+    const PointErrorTables tables(input_, sanity_c_, metric_, n_,
+                                  /*pool=*/nullptr, ctx_);
+    preprocess_seconds_ = watch.ElapsedSeconds();
+    PROBSYN_RETURN_IF_ERROR(tables.preprocess_status());
     const std::size_t q = grid_.size();
     leaf_error_.assign(n_ * q, 0.0);
     for (std::size_t i = 0; i < n_; ++i) {
       double phi = weights_.empty() ? 1.0 : weights_[i];
       for (std::size_t g = 0; g < q; ++g) {
         leaf_error_[i * q + g] =
-            phi * tables_.ExpectedPointError(metric_, i, grid_[g]);
+            phi * tables.ExpectedPointError(metric_, i, grid_[g]);
       }
     }
+    return Status::OK();
   }
 
   UnrestrictedWaveletResult SolveSingleton() {
@@ -238,12 +251,14 @@ class UnrestrictedSolver {
     Trace(2 * j + 1, gr, d.right_budget, out);
   }
 
-  std::size_t n_;
+  const ValuePdfInput& input_;
+  std::size_t n_;  // padded (power-of-two) domain
   std::size_t budget_;
   ErrorMetric metric_;
+  double sanity_c_;
   bool cumulative_;
   const ExecContext* ctx_;  // null = unbounded solve
-  PointErrorTables tables_;
+  double preprocess_seconds_ = 0.0;
 
   std::vector<double> grid_;
   double step_ = 1.0;
@@ -278,12 +293,11 @@ StatusOr<UnrestrictedWaveletResult> BuildUnrestrictedWaveletDp(
     return Status::InvalidArgument("range padding must be nonnegative");
   }
 
-  ValuePdfInput padded =
-      PadWithZeros(input, NextPowerOfTwo(input.domain_size()));
-  UnrestrictedSolver solver(padded, num_coefficients, options, dp_options);
+  UnrestrictedSolver solver(input, num_coefficients, options, dp_options);
   PROBSYN_ASSIGN_OR_RETURN(UnrestrictedWaveletResult result, solver.Solve());
+  result.preprocess_seconds = solver.preprocess_seconds();
   result.synopsis = WaveletSynopsis(
-      input.domain_size(), padded.domain_size(),
+      input.domain_size(), NextPowerOfTwo(input.domain_size()),
       std::vector<WaveletCoefficient>(result.synopsis.coefficients()));
   return result;
 }

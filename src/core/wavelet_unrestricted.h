@@ -22,8 +22,9 @@ struct UnrestrictedWaveletOptions {
   /// of the range (pessimistic coefficient-range estimate, paper
   /// section 4.2's first option).
   double range_padding = 0.125;
-  /// Optional deadline/cancellation context, polled once per node and every
-  /// few grid rows inside a node solve; a stop yields
+  /// Optional deadline/cancellation context, polled once per block of
+  /// items while the point-error tables are built, then once per node and
+  /// every few grid rows inside a node solve; a stop yields
   /// kDeadlineExceeded/kCancelled. Null = unbounded solve.
   const ExecContext* context = nullptr;
 };
@@ -35,6 +36,9 @@ struct UnrestrictedWaveletResult {
   /// Expected error of the synopsis (exact for the returned coefficient
   /// values; optimal over the quantized policy class described below).
   double cost = 0.0;
+  /// Seconds spent building the point-error tables behind the leaf errors
+  /// (the route's preprocess; the engine reports it as such).
+  double preprocess_seconds = 0.0;
 };
 
 /// Optimal *unrestricted* B-term wavelet synopsis over a quantized

@@ -194,9 +194,9 @@ struct NamedSynopsis {
 /// metric uses one, SSE variant, workload) share a single preprocessed
 /// oracle, and exact-DP requests in such a group share one DP solved to the
 /// largest budget — the whole cost-vs-B curve of the paper's Figure 2 then
-/// costs one DP run instead of |batch|. Across groups, MAE and MARE
-/// requests with the same sanity constant share one O(n |V|)
-/// PointErrorTables build (the tables are metric-flag independent), and all
+/// costs one DP run instead of |batch|. Across groups, MAE (or MARE)
+/// requests with the same sanity constant share one PointErrorTables
+/// build, O(n + sum of support sizes), whatever their workloads, and all
 /// exact DPs in a batch run through one leased DpWorkspace, so repeated
 /// batches allocate nothing in steady state.
 ///

@@ -202,10 +202,4 @@ std::vector<double> ValuePdfInput::FrequencySecondMoments() const {
   return out;
 }
 
-ValuePdfInput PadWithZeros(const ValuePdfInput& input, std::size_t size) {
-  std::vector<ValuePdf> items = input.items();
-  if (items.size() < size) items.resize(size, ValuePdf::PointMass(0.0));
-  return ValuePdfInput(std::move(items));
-}
-
 }  // namespace probsyn

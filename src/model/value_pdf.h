@@ -113,11 +113,6 @@ class ValuePdfInput {
   std::vector<ValuePdf> items_;
 };
 
-/// `input` followed by deterministic zero-frequency items up to `size`
-/// items in all — the power-of-two transform domain of the wavelet routes.
-/// A plain copy when `input` already has at least `size` items.
-ValuePdfInput PadWithZeros(const ValuePdfInput& input, std::size_t size);
-
 }  // namespace probsyn
 
 #endif  // PROBSYN_MODEL_VALUE_PDF_H_

@@ -12,10 +12,14 @@
 #include <vector>
 
 #include "core/bucket_oracle.h"
+#include "core/histogram.h"
 #include "core/histogram2d.h"
 #include "core/histogram_dp.h"
+#include "core/metrics.h"
+#include "core/wavelet.h"
 #include "model/value_pdf.h"
 #include "stream/streaming_histogram.h"
+#include "util/envelope.h"
 #include "util/status.h"
 
 namespace probsyn::reference {
@@ -119,6 +123,51 @@ StatusOr<Histogram2DResult> BuildGuillotineHistogram2D(
 double ReconstructPointSparse(std::span<const std::size_t> indices,
                               std::span<const double> values, std::size_t i,
                               std::size_t n);
+
+/// PointErrorTables as first written: for every item, four dense
+/// grid-indexed prefix tables over the whole value grid V (weight and
+/// weight*value, plain and with the 1/max(c, g) weight), filled by walking
+/// V and the item's support in lockstep, plus the five quadratic-form
+/// moments. O(n |V|) time and space. A non-zero `domain_size` first pads
+/// the input with deterministic zero-frequency items to that many items
+/// (the wavelet routes' transform domain). The library's support-indexed
+/// tables must answer bit for bit like these.
+class DensePointErrorTables {
+ public:
+  DensePointErrorTables(const ValuePdfInput& input, double sanity_c,
+                        std::size_t domain_size = 0);
+
+  std::size_t domain_size() const { return n_; }
+  const std::vector<double>& grid() const { return grid_; }
+
+  double ExpectedPointError(ErrorMetric metric, std::size_t i, double v) const;
+  std::size_t SegmentOf(double v) const;
+  Line AbsoluteErrorLine(std::size_t i, std::size_t l, bool relative) const;
+
+ private:
+  double AbsErrorImpl(std::size_t i, double v, bool relative) const;
+
+  std::size_t n_ = 0;
+  double c_ = 1.0;
+  std::vector<double> grid_;
+  std::size_t grid_size_ = 0;
+  std::vector<double> m1_, m2_, x_, y_, z_;
+  std::vector<double> cw_abs_, cwv_abs_, cw_rel_, cwv_rel_;  // [i * K + l]
+};
+
+/// EvaluateHistogram's per-item loop over the dense tables: Kahan sum of
+/// the (weighted) point errors for cumulative metrics, their max otherwise.
+double EvaluateHistogramDense(const DensePointErrorTables& tables,
+                              const Histogram& h, ErrorMetric metric,
+                              std::span<const double> weights = {});
+
+/// EvaluateWavelet as first written: the input copied and padded with zero
+/// items to the transform domain, dense tables over the copy, and the
+/// reconstruction from one inverse transform; padded items carry zero
+/// workload. Expects a valid synopsis over the input's domain.
+double EvaluateWaveletDense(const ValuePdfInput& input,
+                            const WaveletSynopsis& synopsis,
+                            const SynopsisOptions& options);
 
 }  // namespace probsyn::reference
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/evaluate.h"
+#include "core/point_error.h"
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
 #include "util/deadline.h"
@@ -459,6 +460,73 @@ TEST(Robustness, WorkspaceByteCapDegradesOrFails) {
             std::string::npos)
       << degraded->solver;
   ExpectNoLeakedLeases(engine);
+}
+
+// The restricted wavelet DP counts its point-error tables against
+// max_workspace_bytes together with its arena. Two inputs over one padded
+// domain share the arena's size: the least cap that admits the arena and
+// tables of a point-mass input admits the arena of an input with wider
+// supports but not its larger tables, so that request fails under kNone and
+// serves the greedy floor under kDegrade.
+TEST(Robustness, WorkspaceByteCapCountsPointErrorTables) {
+  constexpr std::size_t kN = 64;
+  std::vector<ValuePdf> point_masses;
+  for (std::size_t i = 0; i < kN; ++i) {
+    point_masses.push_back(ValuePdf::PointMass(static_cast<double>(i % 5)));
+  }
+  const ValuePdfInput narrow(std::move(point_masses));
+  const ValuePdfInput wide = GenerateRandomValuePdf(
+      {.domain_size = kN, .max_support = 8, .max_value = 40, .seed = 61});
+  ASSERT_GT(PointErrorTables::BuildBytes(wide, ErrorMetric::kSae, kN),
+            PointErrorTables::BuildBytes(narrow, ErrorMetric::kSae, kN));
+
+  auto build = [](const ValuePdfInput& input, std::size_t cap,
+                  RequestFallback fallback, WaveletMethod method) {
+    SynopsisEngine engine({.parallelism = 1, .max_workspace_bytes = cap});
+    SynopsisRequest request;
+    request.kind = SynopsisKind::kWavelet;
+    request.wavelet_method = method;
+    request.budget = 8;
+    request.options.metric = ErrorMetric::kSae;
+    request.fallback = fallback;
+    return engine.Build(input, request);
+  };
+  auto restricted = [&](const ValuePdfInput& input, std::size_t cap,
+                        RequestFallback fallback) {
+    return build(input, cap, fallback, WaveletMethod::kRestrictedDp);
+  };
+
+  // The least cap under which the narrow input builds (a cap is a byte
+  // threshold, so success is monotone in it).
+  std::size_t lo = 1, hi = std::size_t{1} << 26;
+  ASSERT_TRUE(restricted(narrow, hi, RequestFallback::kNone).ok());
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (restricted(narrow, mid, RequestFallback::kNone).ok()) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const std::size_t cap = lo;
+  EXPECT_EQ(restricted(narrow, cap - 1, RequestFallback::kNone).status().code(),
+            StatusCode::kResourceExhausted);
+
+  auto failed = restricted(wide, cap, RequestFallback::kNone);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+
+  auto degraded = restricted(wide, cap, RequestFallback::kDegrade);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_NE(degraded->solver.find("[degraded=restricted-dp->greedy-sse]"),
+            std::string::npos)
+      << degraded->solver;
+  // The floor is the greedy selection, re-costed under SAE.
+  auto greedy =
+      build(wide, 0, RequestFallback::kNone, WaveletMethod::kGreedySse);
+  ASSERT_TRUE(greedy.ok()) << greedy.status();
+  EXPECT_TRUE(degraded->wavelet == greedy->wavelet);
+  EXPECT_EQ(degraded->cost, greedy->cost);
 }
 
 // --- Batch semantics -----------------------------------------------------
