@@ -1,4 +1,4 @@
-// Ablation A4 (DESIGN.md section 8 item on the two SSE readings): the
+// Ablation A4 (the two SSE readings of SseVariant, core/metrics.h): the
 // paper's equation-(5) "world-mean" SSE objective versus the fixed-
 // representative SSE of its own problem statement (section 2.3).
 //

@@ -47,7 +47,7 @@ void RunTable() {
               "peak breakpoints");
   for (double eps : {0.05, 0.1, 0.25, 0.5, 1.0}) {
     StreamingHistogramBuilder builder(kBuckets, eps);
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    builder.PushBatch(input.items());
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     std::printf("%8.2f %12.6f %10.2f %18zu\n", eps, result->cost / opt,
@@ -60,7 +60,7 @@ void BM_StreamingPush(benchmark::State& state) {
   double eps = static_cast<double>(state.range(0)) / 100.0;
   for (auto _ : state) {
     StreamingHistogramBuilder builder(kBuckets, eps);
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    for (const ValuePdf& pdf : input.items()) builder.PushBatch({&pdf, 1});
     benchmark::DoNotOptimize(builder.breakpoints());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "core/builders.h"
 #include "core/evaluate.h"
+#include "engine/synopsis_engine.h"
 #include "gen/generators.h"
 #include "util/logging.h"
 
@@ -50,6 +51,9 @@ void RunTable() {
           ") [weighted expected SSE, x1000]",
       "hot%", {"WorkloadAware", "UniformOpt", "penalty%"});
 
+  const SynopsisEngine engine;
+  SynopsisRequest request;
+  request.budget = kBuckets;
   for (double hot_share : {0.125, 0.5, 0.9, 0.99}) {
     SynopsisOptions weighted;
     weighted.metric = ErrorMetric::kSse;
@@ -59,11 +63,13 @@ void RunTable() {
     SynopsisOptions uniform = weighted;
     uniform.workload.clear();
 
-    auto aware = BuildOptimalHistogram(input, weighted, kBuckets);
-    auto blind = BuildOptimalHistogram(input, uniform, kBuckets);
+    request.options = weighted;
+    auto aware = engine.Build(input, request);
+    request.options = uniform;
+    auto blind = engine.Build(input, request);
     PROBSYN_CHECK(aware.ok() && blind.ok());
-    auto cost_aware = EvaluateHistogram(input, aware.value(), weighted);
-    auto cost_blind = EvaluateHistogram(input, blind.value(), weighted);
+    auto cost_aware = EvaluateHistogram(input, aware->histogram, weighted);
+    auto cost_blind = EvaluateHistogram(input, blind->histogram, weighted);
     PROBSYN_CHECK(cost_aware.ok() && cost_blind.ok());
     double penalty = *cost_aware > 0.0
                          ? 100.0 * (*cost_blind - *cost_aware) / *cost_aware

@@ -42,7 +42,7 @@
 //       B = 64 (bit-identical outputs; speedup = lanes=1 row / lanes=L
 //       row — on a multi-core host real_time drops, on a single-core CI
 //       box only cpu_time tells the story, as with the exact-DP rows).
-//   (j) streaming Push latency — whole-stream time at a wide layer count
+//   (j) streaming push latency — whole-stream time at a wide layer count
 //       (B = 32), where the textbook scan's per-push winner-chain copies
 //       are O(B^2) and the persistent chain store's are O(B); compare
 //       kernel = 0 vs 1 and against the B = 16 series (g).
@@ -289,8 +289,17 @@ void BM_WaveletRestrictedDpParallelSae(benchmark::State& state) {
   RunWaveletRestrictedParallel(state, ErrorMetric::kSae);
 }
 
+// One stream item per call: the textbook builder's Push, the library
+// builder's one-item PushBatch.
+void PushItem(reference::StreamingBuilder& builder, const ValuePdf& pdf) {
+  builder.Push(pdf);
+}
+void PushItem(StreamingHistogramBuilder& builder, const ValuePdf& pdf) {
+  builder.PushBatch({&pdf, 1});
+}
+
 // (g) Streaming merge kernels: the textbook compare-and-copy candidate scan
-// vs the library builder over hoisted snapshot columns.
+// vs the library builder over hoisted snapshot columns, one item per call.
 void BM_StreamingMerge(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool kernelized = state.range(1) != 0;
@@ -298,7 +307,7 @@ void BM_StreamingMerge(benchmark::State& state) {
   const double kEpsilon = 0.1;
   ValuePdfInput input = MakeInput(n);
   auto stream = [&input](auto& builder) {
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    for (const ValuePdf& pdf : input.items()) PushItem(builder, pdf);
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     benchmark::DoNotOptimize(result->cost);
@@ -318,7 +327,7 @@ void BM_StreamingMerge(benchmark::State& state) {
   state.counters["kernel"] = kernelized ? 1.0 : 0.0;
 }
 
-// (j) Streaming Push latency at a wide layer count: the textbook scan
+// (j) Streaming push latency at a wide layer count: the textbook scan
 // copies each layer's winner chain per push (O(B^2) snapshots), the
 // library builder takes one persistent-chain operation per layer (O(B)).
 // items_per_second is the push throughput.
@@ -329,7 +338,7 @@ void BM_StreamingPushLatency(benchmark::State& state) {
   const double kEpsilon = 0.1;
   ValuePdfInput input = MakeInput(n);
   auto push_all = [&input](auto& builder) {
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    for (const ValuePdf& pdf : input.items()) PushItem(builder, pdf);
     benchmark::DoNotOptimize(builder.breakpoints());
   };
   DpWorkspace workspace;

@@ -98,7 +98,8 @@ void RunPanel(const TuplePdfInput& input, const ValuePdfInput& induced,
     sampled.push_back(std::move(b).value());
   }
 
-  PointErrorTables tables(induced, panel.c);
+  PointErrorTables tables(induced, panel.c, panel.metric,
+                          induced.domain_size());
   bench::SeriesTable table(
       std::string(panel.name) + "  [error % vs buckets, n=" +
           std::to_string(n) + "]",

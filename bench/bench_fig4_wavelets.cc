@@ -28,8 +28,8 @@ constexpr std::size_t kDomain = 1u << 15;  // the paper's n = 2^15
 
 TuplePdfInput MovieData() {
   // Smooth-segment regime: expected frequencies locally flat, per-item
-  // variance high — see MovieLinkageOptions::smooth_segments and
-  // DESIGN.md substitution 1 for why this is the Figure-4 regime.
+  // variance high — see MovieLinkageOptions::smooth_segments for why this
+  // is the Figure-4 regime.
   BasicModelInput basic = GenerateMovieLinkage({.domain_size = kDomain,
                                                 .num_segments = 192,
                                                 .smooth_segments = true,

@@ -174,12 +174,15 @@ void LabelShape(benchmark::State& state, const Shape& shape) {
                  std::to_string(shape.input.ValueGrid().size()));
 }
 
-// Tables for all six metrics over one shape's input.
+// The tables one metric's build fills over one shape's input, as the
+// wavelet DPs and the evaluators build them.
 void BM_PointErrorTablesBuild(benchmark::State& state) {
   const Shape& shape = ShapeAt(state.range(0));
+  const auto metric = static_cast<ErrorMetric>(state.range(1));
   LabelShape(state, shape);
   auto build = [&] {
-    PointErrorTables tables(shape.input, 0.5);
+    PointErrorTables tables(shape.input, 0.5, metric,
+                            shape.input.domain_size());
     benchmark::DoNotOptimize(tables.domain_size());
   };
   state.counters["bytes"] = PeakHeapBytes(build);
@@ -219,10 +222,10 @@ BENCHMARK(probsyn::BM_OracleCost_SARE)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(probsyn::BM_OracleCost_MAE)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(probsyn::BM_OracleCost_MARE)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(probsyn::BM_TupleSseSweepExtend)->Unit(benchmark::kMillisecond);
-// Argument: 0 = bulk's shape, 1 = refresh's.
+// Arguments: 0 = bulk's shape, 1 = refresh's; then the ErrorMetric value
+// (0 = SSE ... 5 = MARE).
 BENCHMARK(probsyn::BM_PointErrorTablesBuild)
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(probsyn::BM_EvaluateWavelet_SSE)
     ->Arg(0)

@@ -10,7 +10,7 @@ namespace probsyn::bench {
 
 /// Benchmarks run at laptop scale by default; setting PROBSYN_BENCH_FULL=1
 /// unlocks paper-scale parameters (the paper's own runs took ~20 minutes
-/// per figure on its 2008 hardware — see DESIGN.md section 6).
+/// per figure on its 2008 hardware).
 inline bool FullScale() {
   const char* env = std::getenv("PROBSYN_BENCH_FULL");
   return env != nullptr && env[0] == '1';

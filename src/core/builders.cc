@@ -42,50 +42,4 @@ StatusOr<HistogramBuilder> HistogramBuilder::CreateDeterministic(
   return Create(PointMassInput(frequencies), options, max_buckets, pool);
 }
 
-StatusOr<Histogram> BuildOptimalHistogram(const ValuePdfInput& input,
-                                          const SynopsisOptions& options,
-                                          std::size_t num_buckets) {
-  auto builder = HistogramBuilder::Create(input, options, num_buckets);
-  if (!builder.ok()) return builder.status();
-  return builder->Extract(num_buckets);
-}
-
-StatusOr<Histogram> BuildOptimalHistogram(const TuplePdfInput& input,
-                                          const SynopsisOptions& options,
-                                          std::size_t num_buckets) {
-  auto builder = HistogramBuilder::Create(input, options, num_buckets);
-  if (!builder.ok()) return builder.status();
-  return builder->Extract(num_buckets);
-}
-
-namespace {
-
-StatusOr<ApproxHistogramResult> ApproxFromBundle(StatusOr<OracleBundle> bundle,
-                                                 std::size_t num_buckets,
-                                                 double epsilon) {
-  if (!bundle.ok()) return bundle.status();
-  if (bundle->combiner != DpCombiner::kSum) {
-    return Status::Unimplemented(
-        "approximate histogram construction targets cumulative metrics "
-        "(paper Theorem 5)");
-  }
-  return SolveApproxHistogramDp(*bundle->oracle, num_buckets, epsilon);
-}
-
-}  // namespace
-
-StatusOr<ApproxHistogramResult> BuildApproxHistogram(
-    const ValuePdfInput& input, const SynopsisOptions& options,
-    std::size_t num_buckets, double epsilon) {
-  return ApproxFromBundle(MakeBucketOracle(input, options), num_buckets,
-                          epsilon);
-}
-
-StatusOr<ApproxHistogramResult> BuildApproxHistogram(
-    const TuplePdfInput& input, const SynopsisOptions& options,
-    std::size_t num_buckets, double epsilon) {
-  return ApproxFromBundle(MakeBucketOracle(input, options), num_buckets,
-                          epsilon);
-}
-
 }  // namespace probsyn

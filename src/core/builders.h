@@ -72,26 +72,6 @@ class HistogramBuilder {
   HistogramDpResult dp_;
 };
 
-/// One-shot convenience: the optimal B-bucket histogram.
-StatusOr<Histogram> BuildOptimalHistogram(const ValuePdfInput& input,
-                                          const SynopsisOptions& options,
-                                          std::size_t num_buckets);
-/// Tuple-pdf overload: world-mean SSE runs on the exact joint-distribution
-/// oracle, every other metric on the induced value pdf (MakeBucketOracle).
-StatusOr<Histogram> BuildOptimalHistogram(const TuplePdfInput& input,
-                                          const SynopsisOptions& options,
-                                          std::size_t num_buckets);
-
-/// One-shot (1+epsilon)-approximate histogram (paper section 3.5,
-/// Theorem 5). Cumulative metrics only.
-StatusOr<ApproxHistogramResult> BuildApproxHistogram(
-    const ValuePdfInput& input, const SynopsisOptions& options,
-    std::size_t num_buckets, double epsilon);
-/// Tuple-pdf overload, over the same oracle as BuildOptimalHistogram's.
-StatusOr<ApproxHistogramResult> BuildApproxHistogram(
-    const TuplePdfInput& input, const SynopsisOptions& options,
-    std::size_t num_buckets, double epsilon);
-
 }  // namespace probsyn
 
 #endif  // PROBSYN_CORE_BUILDERS_H_

@@ -153,9 +153,10 @@ double ScalarStreamingMergeColumn(const double* error, const double* sum_mean,
 // One push (lane) of the batched streaming sweep with the full reference
 // arithmetic — hardware divide, ClampTinyNegative, first-index argmin.
 // Defines the semantics every vector path must reproduce; also serves as
-// the AVX-512 path's negative-cost re-sweep and every path's partial-group
-// tail. The >= count guard of the single-push column is a precondition
-// here (every position < count), so it is omitted.
+// the AVX-512 path's negative-cost re-sweep and every path's fallback for
+// a push whose column minimum is not below +infinity. The >= count guard of
+// the single-push column is a precondition here (every position < count),
+// so it is omitted.
 void ScalarStreamingBatchLane(const double* error, const double* sum_mean,
                               const double* sum_second,
                               const double* position, std::size_t n,
@@ -240,7 +241,8 @@ constexpr std::size_t kLanes = 8;
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-// Batched streaming sweep, 8 pushes per zmm register. The hot loop is
+// Batched streaming sweep, 8 pushes per zmm register (num_pushes is a
+// multiple of 8; SimdStreamingBatchSweep scores the rest). The hot loop is
 // division- and clamp-free: lane widths for one candidate are 8
 // CONSECUTIVE integers, so their reciprocals are one contiguous unaligned
 // load from the caller's table (recips + count0 + g - position[i] — no
@@ -257,8 +259,7 @@ __attribute__((target("avx512f"))) void Avx512StreamingBatchSweep(
     const double* recips, std::size_t num_pushes, double* best,
     std::int64_t* best_index) {
   const __m512i one = _mm512_set1_epi64(1);
-  std::size_t g = 0;
-  for (; g + 8 <= num_pushes; g += 8) {
+  for (std::size_t g = 0; g < num_pushes; g += 8) {
     const double* rb = recips + count0 + g;
     alignas(64) double lane_count[8];
     for (int l = 0; l < 8; ++l) {
@@ -310,10 +311,6 @@ __attribute__((target("avx512f"))) void Avx512StreamingBatchSweep(
       }
     }
   }
-  ScalarStreamingBatchSweep(error, sum_mean, sum_second, position,
-                            neg_position, n, total_mean + g,
-                            total_second + g, count0 + g, recips,
-                            num_pushes - g, best + g, best_index + g);
 }
 
 #pragma GCC diagnostic pop
@@ -324,6 +321,9 @@ __attribute__((target("avx512f"))) void Avx512StreamingBatchSweep(
 // test override) and read with relaxed atomics on the hot paths.
 struct SimdOps {
   SimdPath path;
+  // Pushes per streaming_batch_sweep group: the sweep takes multiples of
+  // it (1 on the scalar path, which scans every push in its own lane).
+  std::size_t lanes;
   double (*min_plus_const)(const double*, std::size_t, double);
   double (*min_plus_pairs)(const double*, const double*, std::size_t);
   double (*min_plus_reverse)(const double*, const double*, std::size_t);
@@ -343,6 +343,7 @@ struct SimdOps {
 };
 
 constexpr SimdOps kScalarOps{SimdPath::kScalar,
+                             1,
                              ScalarMinPlusConst,
                              ScalarMinPlusPairs,
                              ScalarMinPlusReverse,
@@ -353,6 +354,7 @@ constexpr SimdOps kScalarOps{SimdPath::kScalar,
                              ScalarStreamingBatchSweep};
 #ifdef PROBSYN_SIMD_X86
 constexpr SimdOps kAvx2Ops{SimdPath::kAvx2,
+                           avx2::kLanes,
                            avx2::MinPlusConst,
                            avx2::MinPlusPairs,
                            avx2::MinPlusReverse,
@@ -362,6 +364,7 @@ constexpr SimdOps kAvx2Ops{SimdPath::kAvx2,
                            avx2::StreamingMergeColumn,
                            avx2::StreamingBatchSweep};
 constexpr SimdOps kAvx512Ops{SimdPath::kAvx512,
+                             avx512::kLanes,
                              avx512::MinPlusConst,
                              avx512::MinPlusPairs,
                              avx512::MinPlusReverse,
@@ -1508,10 +1511,35 @@ void SimdStreamingBatchSweep(const double* error, const double* sum_mean,
                              const double* total_mean,
                              const double* total_second, std::size_t count0,
                              const double* recips, std::size_t num_pushes,
-                             double* best, std::int64_t* best_index) {
-  Ops().streaming_batch_sweep(error, sum_mean, sum_second, position,
+                             double* best, std::int64_t* best_index,
+                             double* scratch) {
+  const SimdOps& ops = Ops();
+  const std::size_t full = num_pushes - num_pushes % ops.lanes;
+  if (full > 0) {
+    ops.streaming_batch_sweep(error, sum_mean, sum_second, position,
                               neg_position, n, total_mean, total_second,
-                              count0, recips, num_pushes, best, best_index);
+                              count0, recips, full, best, best_index);
+  }
+  // The pushes after the last full group, one at a time: the merge column,
+  // then the first index holding its minimum — the index and element the
+  // scalar lane's strict-< scan keeps. A minimum not below +infinity (no
+  // candidates, or non-finite moments) takes the scalar lane itself.
+  for (std::size_t j = full; j < num_pushes; ++j) {
+    const double count = static_cast<double>(count0 + j);
+    const double m = ops.streaming_merge_column(
+        error, sum_mean, sum_second, position, n, count, total_mean[j],
+        total_second[j], scratch);
+    if (!(m < kInfinity)) {
+      ScalarStreamingBatchLane(error, sum_mean, sum_second, position, n,
+                               count, total_mean[j], total_second[j],
+                               &best[j], &best_index[j]);
+      continue;
+    }
+    std::size_t i = 0;
+    while (i < n && !(scratch[i] == m)) ++i;
+    best[j] = scratch[i];
+    best_index[j] = static_cast<std::int64_t>(i);
+  }
 }
 
 }  // namespace probsyn

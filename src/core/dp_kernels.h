@@ -92,8 +92,8 @@ double SimdApproxQuadColumn(const double* prev, const double* a,
                             std::size_t n, double a_hi, double b_hi,
                             double c_hi, double v_hi, double* values);
 
-/// Fused streaming-merge point-cost column (stream/streaming_histogram.cc):
-/// for each committed breakpoint i computes
+/// Fused streaming-merge point-cost column (one push of a partial group in
+/// SimdStreamingBatchSweep): for each committed breakpoint i computes
 ///
 ///   cost_i  = clamp_tiny_negative(second_i - mean_i^2 / width_i, 1e-6)
 ///   values[i] = position[i] >= count ? +inf : error[i] + cost_i
@@ -110,8 +110,8 @@ double SimdStreamingMergeColumn(const double* error, const double* sum_mean,
                                 double count, double total_mean,
                                 double total_second, double* values);
 
-/// Batched streaming-merge sweep — the PushBatch counterpart of
-/// SimdStreamingMergeColumn. For each of `num_pushes` CONSECUTIVE stream
+/// Batched streaming-merge sweep (StreamingHistogramBuilder::PushBatch).
+/// For each of `num_pushes` CONSECUTIVE stream
 /// positions count0, count0+1, ..., count0+num_pushes-1 (lane j's running
 /// totals are total_mean[j] / total_second[j]) it computes, over the same
 /// committed-breakpoint columns,
@@ -137,14 +137,17 @@ double SimdStreamingMergeColumn(const double* error, const double* sum_mean,
 /// tiny-negative clamp from the hot loop; a per-lane min-cost detector
 /// re-sweeps any lane whose column produced a negative cost through the
 /// exact scalar path, so clamp-sensitive columns still match the
-/// reference bit-for-bit.
+/// reference bit-for-bit. The vector paths score the pushes left over
+/// after their last full 4- or 8-lane group one at a time, through the
+/// merge column (into `scratch`, n doubles) and a first-index scan.
 void SimdStreamingBatchSweep(const double* error, const double* sum_mean,
                              const double* sum_second, const double* position,
                              const std::int64_t* neg_position, std::size_t n,
                              const double* total_mean,
                              const double* total_second, std::size_t count0,
                              const double* recips, std::size_t num_pushes,
-                             double* best, std::int64_t* best_index);
+                             double* best, std::int64_t* best_index,
+                             double* scratch);
 
 /// Packed traceback decision of one restricted-wavelet-DP cell: the keep
 /// flag for the node's coefficient plus the budgets granted to its two

@@ -1,7 +1,6 @@
 #include "core/histogram.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "util/logging.h"
@@ -75,30 +74,6 @@ std::string Histogram::ToString() const {
        << "\n";
   }
   return os.str();
-}
-
-void ForEachBucketization(
-    std::size_t n, std::size_t num_buckets,
-    const std::function<void(const std::vector<std::size_t>&)>& fn) {
-  if (num_buckets == 0 || num_buckets > n) return;
-  // Choose num_buckets-1 interior boundaries among positions 0..n-2, then
-  // append the forced final boundary n-1.
-  std::vector<std::size_t> ends(num_buckets);
-  std::function<void(std::size_t, std::size_t)> rec =
-      [&](std::size_t k, std::size_t next_start) {
-        if (k + 1 == num_buckets) {
-          ends[k] = n - 1;
-          fn(ends);
-          return;
-        }
-        // Bucket k may end anywhere leaving room for the remaining buckets.
-        for (std::size_t e = next_start; e + (num_buckets - 1 - k) <= n - 1;
-             ++e) {
-          ends[k] = e;
-          rec(k + 1, e + 1);
-        }
-      };
-  rec(0, 0);
 }
 
 }  // namespace probsyn

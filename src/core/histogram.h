@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -103,13 +102,6 @@ inline double PrefixMassRangeSum(std::size_t a, std::size_t b,
   const double tail = static_cast<double>(tail_width) * last.representative;
   return (head + (mass_before_last - mass_after_first)) + tail;
 }
-
-/// Enumerates every partition of [n] into exactly B contiguous buckets and
-/// invokes `fn` with the bucket boundary list (end indices, ascending; the
-/// last is always n-1). Exponential-in-B test oracle for DP optimality.
-void ForEachBucketization(
-    std::size_t n, std::size_t num_buckets,
-    const std::function<void(const std::vector<std::size_t>&)>& fn);
 
 }  // namespace probsyn
 

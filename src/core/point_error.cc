@@ -44,13 +44,6 @@ unsigned PointErrorTables::BuildPartsOf(ErrorMetric metric) {
 }
 
 PointErrorTables::PointErrorTables(const ValuePdfInput& input, double sanity_c,
-                                   ThreadPool* pool)
-    : PointErrorTables(input, sanity_c,
-                       kMoments | kRelativeMoments | kAbsoluteSums |
-                           kRelativeSums | kValueGrid,
-                       input.domain_size(), pool, /*context=*/nullptr) {}
-
-PointErrorTables::PointErrorTables(const ValuePdfInput& input, double sanity_c,
                                    ErrorMetric metric, std::size_t domain_size,
                                    ThreadPool* pool, const ExecContext* context)
     : PointErrorTables(input, sanity_c, BuildPartsOf(metric), domain_size,

@@ -52,19 +52,15 @@ class ThreadPool;
 /// and every answer is then the same expression over them.
 class PointErrorTables {
  public:
-  /// Builds tables for all six metrics over the input's domain. Cost:
-  /// O(n + sum of support sizes) time and space. A non-null `pool` fans
-  /// the per-item fills out across workers (items are independent);
-  /// results are identical to the sequential build.
-  PointErrorTables(const ValuePdfInput& input, double sanity_c,
-                   ThreadPool* pool = nullptr);
-
   /// Builds only what `metric` reads (its point errors, which its
   /// cumulative or maximum twin shares, and for MAE/MARE the value grid)
   /// over `domain_size` items: the input's items, then deterministic
   /// zero-frequency items up to `domain_size` (the power-of-two transform
-  /// domain of the wavelet routes). `context` is polled before every block
-  /// of items; a stop lands in preprocess_status(). Requires
+  /// domain of the wavelet routes). Cost: O(n + sum of support sizes) time
+  /// and space. A non-null `pool` fans the per-item fills out across
+  /// workers (items are independent); results are identical to the
+  /// sequential build. `context` is polled before every block of items; a
+  /// stop lands in preprocess_status(). Requires
   /// domain_size >= input.domain_size().
   PointErrorTables(const ValuePdfInput& input, double sanity_c,
                    ErrorMetric metric, std::size_t domain_size,
@@ -92,8 +88,8 @@ class PointErrorTables {
   /// MakeBucketOracle and the wavelet DPs.
   const Status& preprocess_status() const { return preprocess_status_; }
 
-  /// The global sorted value grid V (always contains 0). Built for all six
-  /// metrics and for MAE/MARE, whose oracle probes it; empty otherwise.
+  /// The global sorted value grid V (always contains 0). Built for MAE and
+  /// MARE, whose oracle probes it; empty otherwise.
   /// SegmentOf and AbsoluteErrorLine need it.
   const std::vector<double>& grid() const { return grid_; }
 

@@ -75,8 +75,10 @@ class SseMomentOracle final : public BucketCostOracle {
 ///     Var[sum_{i in [s,e]} g_i] = sum_t q_t (1 - q_t),
 ///     q_t = Pr[s <= t_j <= e],
 /// whose sum_t q_t^2 part couples the bucket's endpoints through every
-/// tuple; see DESIGN.md section 8 item 3 for why the paper's printed
-/// prefix-array formula does not recover it. We keep sum_t q_t^2
+/// tuple: with F_t the tuple's CDF over items, q_t^2 carries the cross
+/// term F_t(e) F_t(s - 1), a function of both endpoints at once, so no
+/// per-endpoint prefix array (the form of the paper's printed formula)
+/// holds it. We keep sum_t q_t^2
 /// *incrementally* along the DP's leftward sweeps — amortized O(1 + tuples
 /// touched) per extension, preserving the overall O(B(n^2 + n m/n)) DP —
 /// and recompute it from the per-tuple CDFs for random access (O(m)).

@@ -200,10 +200,13 @@ struct NamedSynopsis {
 /// exact DPs in a batch run through one leased DpWorkspace, so repeated
 /// batches allocate nothing in steady state.
 ///
-/// Every path's output is bit-identical to calling the underlying
-/// builder/solver directly (a property the engine parity tests pin down);
-/// the engine adds routing, sharing, parallelism, and timing — never a
-/// different answer. The single deliberate exception is the sharded route
+/// The engine is the library's one construction entry point: no one-shot
+/// histogram builder sits beside it. Every path's output is bit-identical
+/// to running its solver directly over the same oracle (HistogramBuilder,
+/// SolveApproxHistogramDp, StreamingHistogramBuilder::PushBatch, the
+/// wavelet solvers; the engine parity tests pin it down); the engine adds
+/// routing, sharing, parallelism, and timing — never a different answer.
+/// The single deliberate exception is the sharded route
 /// (see RequestSharding): it trades the global optimality guarantee for
 /// scale under a documented accuracy contract, which is why kOptimal
 /// requests are never auto-sharded — only Mode::kOn opts them in, while

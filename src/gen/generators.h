@@ -17,7 +17,7 @@ namespace probsyn {
 /// tuples are candidate matches with confidence probabilities).
 ///
 /// The generator reproduces the statistical regime that makes that data
-/// interesting for synopses (DESIGN.md substitution 1):
+/// interesting for synopses:
 ///  * per-item match counts follow a Zipf tail (most items have 1-2
 ///    candidate matches, a heavy tail has many);
 ///  * match confidences are bimodal — a high-confidence mode (clean links)
@@ -51,9 +51,9 @@ BasicModelInput GenerateMovieLinkage(const MovieLinkageOptions& options);
 /// Synthetic stand-in for the MayBMS-extended TPC-H generator the paper
 /// uses for tuple-pdf input (section 5: lineitem-partkey "where the
 /// multiple possibilities for each uncertain item are interpreted as tuples
-/// with uniform probability over the set of values" — DESIGN.md
-/// substitution 2). Each row spreads its mass uniformly over a small set of
-/// alternative keys near a Zipf-popular base key.
+/// with uniform probability over the set of values"). Each row spreads its
+/// mass uniformly over a small set of alternative keys near a Zipf-popular
+/// base key.
 struct MaybmsTpchOptions {
   std::size_t domain_size = 1024;
   std::size_t num_tuples = 4096;

@@ -38,7 +38,8 @@ class ProbTuple {
   double ProbItem(std::size_t i) const;
   /// Pr[this tuple instantiates to an item <= e]. O(log size).
   double ProbItemAtMost(std::size_t e) const;
-  /// Pr[s <= instantiated item <= e]. The q_t of DESIGN.md section 8.3.
+  /// Pr[s <= instantiated item <= e]: the q_t of the tuple-pdf world-mean
+  /// SSE bucket cost (SseTupleWorldMeanOracle, core/sse_oracle.h).
   double ProbItemInRange(std::size_t s, std::size_t e) const;
   /// Pr[tuple contributes nothing] = 1 - sum of alternative probabilities.
   double ProbAbsent() const { return absent_; }

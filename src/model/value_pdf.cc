@@ -82,47 +82,11 @@ double ValuePdf::SecondMoment() const {
   return sum.value();
 }
 
-double ValuePdf::Variance() const {
-  double mean = Mean();
-  return ClampTinyNegative(SecondMoment() - mean * mean);
-}
-
-double ValuePdf::ProbEquals(double v) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), v,
-      [](const ValueProb& e, double x) { return e.value < x; });
-  if (it != entries_.end() && it->value == v) return it->probability;
-  return 0.0;
-}
-
-double ValuePdf::ProbAtMost(double v) const {
-  double total = 0.0;
-  for (const ValueProb& e : entries_) {
-    if (e.value > v) break;
-    total += e.probability;
-  }
-  return total;
-}
-
-double ValuePdf::ExpectedAbsDeviation(double a) const {
-  KahanSum sum;
-  for (const ValueProb& e : entries_) sum.Add(e.probability * std::fabs(e.value - a));
-  return sum.value();
-}
-
 double ValuePdf::ExpectedSquaredDeviation(double a) const {
   KahanSum sum;
   for (const ValueProb& e : entries_) {
     double d = e.value - a;
     sum.Add(e.probability * d * d);
-  }
-  return sum.value();
-}
-
-double ValuePdf::ExpectedRelDeviation(double a, double c) const {
-  KahanSum sum;
-  for (const ValueProb& e : entries_) {
-    sum.Add(e.probability * RelativeWeight(e.value, c) * std::fabs(e.value - a));
   }
   return sum.value();
 }
@@ -190,7 +154,10 @@ std::vector<double> ValuePdfInput::ExpectedFrequencies() const {
 
 std::vector<double> ValuePdfInput::FrequencyVariances() const {
   std::vector<double> out(items_.size());
-  for (std::size_t i = 0; i < items_.size(); ++i) out[i] = items_[i].Variance();
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const double mean = items_[i].Mean();
+    out[i] = ClampTinyNegative(items_[i].SecondMoment() - mean * mean);
+  }
   return out;
 }
 

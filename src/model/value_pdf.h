@@ -52,22 +52,9 @@ class ValuePdf {
   double Mean() const;
   /// E[g_i^2].
   double SecondMoment() const;
-  /// Var[g_i] (clamped against tiny negative fp drift).
-  double Variance() const;
 
-  /// Pr[g_i = v] (exact value match; 0 if v is not a support point).
-  double ProbEquals(double v) const;
-  /// Pr[g_i <= v].
-  double ProbAtMost(double v) const;
-  /// Pr[g_i > v].
-  double ProbGreater(double v) const { return 1.0 - ProbAtMost(v); }
-
-  /// E[|g_i - a|]; the per-item absolute-error integrand of section 3.3.
-  double ExpectedAbsDeviation(double a) const;
   /// E[(g_i - a)^2].
   double ExpectedSquaredDeviation(double a) const;
-  /// E[|g_i - a| / max(c, g_i)]; per-item relative-error integrand (3.4).
-  double ExpectedRelDeviation(double a, double c) const;
   /// E[(g_i - a)^2 / max(c^2, g_i^2)]; squared-relative integrand (3.2).
   double ExpectedSquaredRelDeviation(double a, double c) const;
 

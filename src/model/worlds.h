@@ -2,51 +2,24 @@
 #define PROBSYN_MODEL_WORLDS_H_
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
-#include "model/basic.h"
 #include "model/tuple_pdf.h"
 #include "model/value_pdf.h"
 #include "util/random.h"
-#include "util/status.h"
 
 namespace probsyn {
 
-/// One grounded possible world: the instantiated frequency vector and its
-/// probability (paper section 2.1). Worlds with identical frequency vectors
-/// arising from different tuple instantiations are NOT merged — expectations
-/// are unaffected, and keeping them distinct matches Definition 1's coin-flip
-/// semantics.
-struct PossibleWorld {
-  std::vector<double> frequencies;
-  double probability = 0.0;
-};
-
-/// Exhaustive possible-world enumeration. Exponential by nature — this is
-/// the library's ground-truth oracle for tests and tiny examples, never part
-/// of synopsis construction. Enumeration aborts with OutOfRange once
-/// `max_worlds` is exceeded.
-StatusOr<std::vector<PossibleWorld>> EnumerateWorlds(
-    const ValuePdfInput& input, std::size_t max_worlds = 1u << 22);
-StatusOr<std::vector<PossibleWorld>> EnumerateWorlds(
-    const TuplePdfInput& input, std::size_t max_worlds = 1u << 22);
-StatusOr<std::vector<PossibleWorld>> EnumerateWorlds(
-    const BasicModelInput& input, std::size_t max_worlds = 1u << 22);
-
-/// E_W[f] = sum_W Pr[W] f(W) over the exhaustively enumerated worlds
-/// (paper equation (1)).
-double ExpectationOverWorlds(
-    const std::vector<PossibleWorld>& worlds,
-    const std::function<double(const std::vector<double>&)>& f);
-
-/// Draws grounded worlds from value-pdf input: one categorical draw per
-/// item. Used by the "Sampled World" baseline of section 5.
+/// Draws grounded possible worlds (section 2.1) from value-pdf input: one
+/// categorical draw per item. Used by the "Sampled World" baseline of
+/// section 5.
 class ValuePdfWorldSampler {
  public:
   explicit ValuePdfWorldSampler(const ValuePdfInput& input);
 
+  /// One world's frequency vector (one entry per item), drawn from `rng`.
   std::vector<double> Sample(Rng& rng) const;
+  /// Number of items a drawn world covers.
   std::size_t domain_size() const { return samplers_.size(); }
 
  private:
@@ -54,13 +27,15 @@ class ValuePdfWorldSampler {
   std::vector<std::vector<double>> values_;  // per item, per entry
 };
 
-/// Draws grounded worlds from tuple-pdf input: one categorical draw per
-/// tuple (alternatives plus "absent").
+/// Draws grounded possible worlds from tuple-pdf input: one categorical
+/// draw per tuple (alternatives plus "absent").
 class TuplePdfWorldSampler {
  public:
   explicit TuplePdfWorldSampler(const TuplePdfInput& input);
 
+  /// One world's frequency vector (one entry per item), drawn from `rng`.
   std::vector<double> Sample(Rng& rng) const;
+  /// Number of items a drawn world covers.
   std::size_t domain_size() const { return domain_size_; }
 
  private:

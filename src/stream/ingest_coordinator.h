@@ -78,9 +78,9 @@ struct IngestOptions {
 /// submitted to it — never on queue boundaries, drain timing, thread
 /// count, or the pool's chunk assignment. This falls out of two
 /// guarantees: the queue is strictly FIFO per stream, and
-/// StreamingHistogramBuilder::PushBatch is bit-identical to the equivalent
-/// single Pushes no matter how the backlog is split into blocks (pinned in
-/// tests/ingest_test.cc across {1, 2, 8}-thread coordinators).
+/// StreamingHistogramBuilder::PushBatch gives the same bits however the
+/// backlog is split into blocks (pinned in tests/ingest_test.cc across
+/// {1, 2, 8}-thread coordinators).
 ///
 /// Thread safety: all public methods are thread-safe. Per-stream FIFO
 /// order is the producers' responsibility when several threads submit to

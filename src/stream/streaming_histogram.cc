@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/dp_kernels.h"
 #include "util/logging.h"
@@ -51,81 +50,6 @@ double StreamingHistogramBuilder::Representative(const Snapshot& from,
   return (to.sum_mean - from.sum_mean) / width;
 }
 
-// Per layer, materialize every committed candidate's extension cost from
-// the hoisted snapshot columns (the identical prefix-moment arithmetic as
-// BucketCost), minimize through the SIMD dispatch, resolve the textbook
-// tie-break (first committed candidate attaining the minimum; the pending
-// and inherit candidates win only strictly, in that order), and record the
-// winner's boundary chain as ONE persistent-chain operation — Extend() on
-// the winner's chain reference (hash-consed: a re-chosen winner resolves
-// to the already-live node) or an AddRef() when inheritance wins. Push
-// therefore does O(1) chain work per layer REGARDLESS of chain length,
-// where the textbook scan copies the full O(B) winner chain; steady-state
-// pushes allocate nothing (the store recycles freed nodes, evaluation
-// slots and value buffers reuse their capacity).
-void StreamingHistogramBuilder::Push(const ValuePdf& pdf) {
-  ++count_;
-  running_.position = count_;
-  running_.sum_mean += pdf.Mean();
-  running_.sum_second += pdf.SecondMoment();
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr StreamChainStore::Ref kNil = StreamChainStore::kNil;
-  evals_.resize(max_buckets_);
-  for (Eval& eval : evals_) {
-    eval.error = kInf;
-    eval.chain = kNil;  // previous push transferred every owned reference
-  }
-  Snapshot origin;  // zero state at position 0
-  evals_[0].error = BucketCost(origin, running_);
-
-  for (std::size_t b = 2; b <= max_buckets_; ++b) {
-    const Layer& prev = layers_[b - 2];
-    Eval& best = evals_[b - 1];
-
-    const std::size_t committed = prev.committed.size();
-    candidate_values_.resize(committed);
-    double error = SimdStreamingMergeColumn(
-        prev.cand_error.data(), prev.cand_sum_mean.data(),
-        prev.cand_sum_second.data(), prev.cand_position.data(), committed,
-        static_cast<double>(count_), running_.sum_mean, running_.sum_second,
-        candidate_values_.data());
-    const Breakpoint* winner = nullptr;
-    if (error < kInf) {
-      for (std::size_t i = 0; i < committed; ++i) {
-        if (candidate_values_[i] == error) {
-          winner = &prev.committed[i];
-          break;
-        }
-      }
-    }
-    if (prev.has_pending && prev.pending.at.position < count_) {
-      double err = prev.pending.error + BucketCost(prev.pending.at, running_);
-      if (err < error) {
-        error = err;
-        winner = &prev.pending;
-      }
-    }
-    // "At most b" inheritance keeps layers monotone; it shares the
-    // inherited evaluation's chain outright (one refcount bump).
-    if (evals_[b - 2].error < error) {
-      best.error = evals_[b - 2].error;
-      best.chain = evals_[b - 2].chain;
-      if (best.chain != kNil) chain_store_->AddRef(best.chain);
-      continue;
-    }
-    best.error = error;
-    if (winner != nullptr) {
-      best.chain =
-          chain_store_->Extend(winner->chain, winner->at.sum_mean,
-                               winner->at.sum_second, winner->at.position);
-    }
-  }
-
-  CommitLayers();
-  peak_breakpoints_ = std::max(peak_breakpoints_, breakpoints());
-}
-
 void StreamingHistogramBuilder::PushBatch(std::span<const ValuePdf> pdfs) {
   std::size_t offset = 0;
   while (offset < pdfs.size()) {
@@ -141,8 +65,16 @@ void StreamingHistogramBuilder::PushBatch(std::span<const ValuePdf> pdfs) {
 // layer is processed ONCE for the whole block — scan all kk evaluations
 // of layer L (8 pushes per SIMD register), then replay its kk commit
 // steps — which is legal because layer L's evaluations depend only on
-// layer L-1's state, already fully replayed. Three bookkeeping devices
-// keep the replay bit-identical to the sequential order:
+// layer L-1's state, already fully replayed. Each evaluation resolves the
+// textbook tie-break (the first committed candidate attaining the
+// minimum; the pending and inherit candidates win only strictly, in that
+// order) and records its winner's boundary chain as ONE persistent-chain
+// operation — Extend() on the winner's chain (hash-consed: a re-chosen
+// winner resolves to the already-live node) or an AddRef() when
+// inheritance wins — so chain work is O(1) per layer per push regardless
+// of chain length, where the textbook scan copies the full winner chain.
+// Three bookkeeping devices keep the replay bit-identical to the
+// sequential order:
 //
 //  * a visibility timeline per layer (batch_visible_): a candidate
 //    committed while replaying push k' becomes visible only to pushes
@@ -150,14 +82,17 @@ void StreamingHistogramBuilder::PushBatch(std::span<const ValuePdf> pdfs) {
 //    scalar tail covers the mid-block arrivals each push would have seen;
 //  * the pending-candidate timeline: at push k, layer L-1's pending is
 //    its push-(k-1) evaluation — a row of this block's scratch — except
-//    at k = 0, where it is the pre-block pending, captured (pend0) with a
-//    chain reference held to block end before the commit pass rotates it;
+//    at k = 0, where it is the pre-block pending, captured (pend0) with
+//    the pending's chain reference, held to block end, when the commit
+//    pass rotates the pending slot;
 //  * chain refcount discipline: every eval row owns one reference to its
 //    chain for the whole block (the next layer extends or inherits from
-//    it), committed breakpoints and the rotated pending take their own
-//    references, and the block-end release pass drops the scratch ones —
-//    leaving the exact live-node set the sequential pushes produce
-//    (asserted by the differential tests).
+//    it), committed breakpoints take their own references, the rotated
+//    pending takes over the final row's, and the block-end release pass
+//    drops the rest — leaving the exact live-node set the textbook
+//    recurrence produces (asserted by the differential tests). A one-item
+//    block thus does one textbook item's chain work: its extensions and
+//    one release of the replaced pending per layer.
 void StreamingHistogramBuilder::PushBatchBlock(
     std::span<const ValuePdf> pdfs) {
   constexpr StreamChainStore::Ref kNil = StreamChainStore::kNil;
@@ -206,6 +141,8 @@ void StreamingHistogramBuilder::PushBatchBlock(
           batch_chains_.data() + (L - 1) * stride;
       const std::uint32_t* prev_vis =
           batch_visible_.data() + (L - 1) * (stride + 1);
+      candidate_values_.resize(
+          std::max(candidate_values_.size(), prev.cand_error.size()));
       for (std::size_t k0 = 0; k0 < kk; k0 += 8) {
         const std::size_t group = std::min<std::size_t>(8, kk - k0);
         const std::size_t visible0 = prev_vis[k0];
@@ -222,7 +159,7 @@ void StreamingHistogramBuilder::PushBatchBlock(
             prev.cand_sum_second.data(), prev.cand_position.data(),
             prev.cand_neg_position.data(), visible0, total_mean,
             total_second, batch_snapshots_[k0].position, recips_.data(),
-            group, best_value, best_arg);
+            group, best_value, best_arg, candidate_values_.data());
         for (std::size_t j = 0; j < group; ++j) {
           const std::size_t k = k0 + j;
           const Snapshot& s = batch_snapshots_[k];
@@ -298,16 +235,13 @@ void StreamingHistogramBuilder::PushBatchBlock(
     // --- Commit pass: replay layer L's kk last-position-of-class steps.
     Layer& layer = layers_[L];
     std::uint32_t* vis_row = batch_visible_.data() + L * (stride + 1);
-    // pend0 capture: hold the pre-block pending (and a reference on its
-    // chain) past this pass's pending rotation — the NEXT layer's k = 0
-    // scan still needs it as a candidate.
+    // pend0 capture: hold the pre-block pending (and its chain reference)
+    // past this pass's pending rotation — the NEXT layer's k = 0 scan
+    // still needs it as a candidate.
     batch_pend0_has_[L] = layer.has_pending ? 1 : 0;
     batch_pend0_at_[L] = layer.pending.at;
     batch_pend0_error_[L] = layer.pending.error;
     batch_pend0_chain_[L] = layer.has_pending ? layer.pending.chain : kNil;
-    if (batch_pend0_chain_[L] != kNil) {
-      chain_store_->AddRef(batch_pend0_chain_[L]);
-    }
     vis_row[0] = static_cast<std::uint32_t>(layer.committed.size());
     for (std::size_t k = 0; k < kk; ++k) {
       bool pending_has;
@@ -348,25 +282,25 @@ void StreamingHistogramBuilder::PushBatchBlock(
       if (!pending_has) layer.class_base = error;
       vis_row[k + 1] = static_cast<std::uint32_t>(layer.committed.size());
     }
-    // Rotate the pending slot to the final push's evaluation, sharing its
-    // chain (the eval rows keep their own references until block end).
-    chain_store_->Release(layer.pending.chain);
+    // Rotate the pending slot to the final push's evaluation: its chain
+    // reference moves from the row (which the next layer still reads) to
+    // the pending; the old pending's moved to pend0 above.
     layer.pending.at = batch_snapshots_[kk - 1];
     layer.pending.error = err_row[kk - 1];
-    StreamChainStore::Ref final_chain = chain_row[kk - 1];
-    if (final_chain != kNil) chain_store_->AddRef(final_chain);
-    layer.pending.chain = final_chain;
+    layer.pending.chain = chain_row[kk - 1];
     layer.has_pending = true;
   }
 
-  // Drop the block's transient references; what remains live is exactly
-  // what the equivalent sequence of single pushes leaves live.
+  // Drop the block's transient references (all but the final row's, now
+  // the pending's); what remains live is exactly what the textbook
+  // recurrence leaves live.
   for (std::size_t L = 0; L < max_buckets_; ++L) {
     StreamChainStore::Ref* chain_row = batch_chains_.data() + L * stride;
-    for (std::size_t k = 0; k < kk; ++k) {
+    for (std::size_t k = 0; k + 1 < kk; ++k) {
       chain_store_->Release(chain_row[k]);
       chain_row[k] = kNil;
     }
+    chain_row[kk - 1] = kNil;
     chain_store_->Release(batch_pend0_chain_[L]);
     batch_pend0_chain_[L] = kNil;
   }
@@ -374,44 +308,6 @@ void StreamingHistogramBuilder::PushBatchBlock(
   // the block-end total equals the block's per-push maximum — the same
   // peak the sequential loop tracks push by push.
   peak_breakpoints_ = std::max(peak_breakpoints_, breakpoints());
-}
-
-void StreamingHistogramBuilder::CommitLayers() {
-  // Last-position-of-class rule: commit the previous pending when the
-  // error outgrows its geometric class.
-  for (std::size_t b = 1; b <= max_buckets_; ++b) {
-    Layer& layer = layers_[b - 1];
-    Eval& eval = evals_[b - 1];
-    bool class_overflow =
-        layer.has_pending &&
-        (eval.error > (1.0 + delta_) * layer.class_base ||
-         (layer.class_base == 0.0 && eval.error > 0.0));
-    if (class_overflow) {
-      layer.committed.push_back(layer.pending);
-      // Keep the hoisted candidate columns in lockstep with `committed`.
-      layer.cand_error.push_back(layer.pending.error);
-      layer.cand_sum_mean.push_back(layer.pending.at.sum_mean);
-      layer.cand_sum_second.push_back(layer.pending.at.sum_second);
-      layer.cand_position.push_back(
-          static_cast<double>(layer.pending.at.position));
-      layer.cand_neg_position.push_back(
-          -static_cast<std::int64_t>(layer.pending.at.position));
-      layer.class_base = eval.error;
-      // The pending's owned chain reference moved into committed.back();
-      // mark it handed over so the replacement below doesn't release it.
-      layer.pending.chain = StreamChainStore::kNil;
-    }
-    if (!layer.has_pending) layer.class_base = eval.error;
-    layer.pending.at = running_;
-    layer.pending.error = eval.error;
-    // Transfer the evaluation's owned reference into the pending slot (and
-    // drop the reference the replaced pending held) — O(1), no copy, no
-    // allocation.
-    chain_store_->Release(layer.pending.chain);
-    layer.pending.chain = eval.chain;
-    eval.chain = StreamChainStore::kNil;
-    layer.has_pending = true;
-  }
 }
 
 std::size_t StreamingHistogramBuilder::breakpoints() const {
@@ -435,7 +331,7 @@ StatusOr<StreamingHistogramBuilder::Result> StreamingHistogramBuilder::Finish()
   std::vector<Snapshot> cuts;
   // One parent walk recovers the boundaries newest-first; reversing
   // restores stream order — the only O(chain) step, paid once per Finish
-  // instead of once per Push.
+  // instead of once per item.
   for (StreamChainStore::Ref ref = final_state.chain;
        ref != StreamChainStore::kNil; ref = chain_store_->parent(ref)) {
     cuts.push_back({chain_store_->sum_mean(ref),

@@ -32,20 +32,18 @@ namespace probsyn {
 /// the same way, absolute metrics would need mergeable quantile sketches
 /// and are out of scope, as in the original AHIST work).
 ///
-/// Each Push hoists every layer's committed-breakpoint snapshots into flat
-/// parallel columns, materializes the candidate extension costs with the
-/// identical arithmetic, minimizes through the runtime-dispatched SIMD
-/// min-reduction (core/dp_kernels.h), and records the winning boundary
-/// chain as an O(1) persistent-chain reference (StreamChainStore:
-/// hash-consed parent pointers with refcounts). Every result is
-/// bit-identical to the textbook scan that copies the full winner chain
-/// per improving candidate (kept in tests/reference; streaming_test.cc
-/// compares).
+/// Each layer's committed-breakpoint snapshots are hoisted into flat
+/// parallel columns, scored through the runtime-dispatched SIMD sweep
+/// (core/dp_kernels.h); each winning boundary chain is an O(1)
+/// persistent-chain reference (StreamChainStore: hash-consed parent
+/// pointers with refcounts). Every result is bit-identical to the textbook
+/// scan that copies the full winner chain per improving candidate
+/// (reference::StreamingBuilder in tests/reference).
 ///
 /// Usage:
 ///     StreamingHistogramBuilder builder(B, epsilon);
-///     for (each item pdf in domain order) builder.Push(pdf);
-///     StatusOr<StreamingResult> r = builder.Finish();
+///     builder.PushBatch(items);  // any split: one call, blocks, one item
+///     StatusOr<Result> r = builder.Finish();
 class StreamingHistogramBuilder {
  public:
   struct Result {
@@ -76,26 +74,16 @@ class StreamingHistogramBuilder {
   /// tests assert on.
   const StreamChainStore* chain_store() const { return chain_store_; }
 
-  /// Appends the next item's frequency pdf (domain position = arrival
-  /// order).
-  void Push(const ValuePdf& pdf);
-  /// Convenience: deterministic item.
-  void PushDeterministic(double frequency) {
-    Push(ValuePdf::PointMass(frequency));
-  }
-
-  /// Appends a block of consecutive items — BIT-IDENTICAL to calling
-  /// Push(pdfs[0]), Push(pdfs[1]), ... in order (every committed
-  /// breakpoint, error, chain, cost, and peak count; pinned by a seeded
-  /// differential sweep in tests/ingest_test.cc), but amortizing the
-  /// per-push work across the block: prefix snapshots and the
-  /// reciprocal-of-width table extend once per block, each layer's
-  /// committed columns are swept once for up to 8 pushes per SIMD register
-  /// (SimdStreamingBatchSweep, lane-per-push), and chain-store commits
-  /// replay in one pass per layer. Internally processes kBatchWidth-item
-  /// blocks layer-major, with a per-push visibility timeline reproducing
-  /// exactly the candidate set each sequential push would have seen.
-  /// Arbitrary interleaving with single Push calls is allowed.
+  /// Appends consecutive items (domain position = arrival order). Any
+  /// split of a stream into calls gives the same bits (pinned by seeded
+  /// differential sweeps in tests/ingest_test.cc). A block amortizes the
+  /// per-item work: prefix snapshots and the reciprocal-of-width table
+  /// extend once per block, each layer's committed columns are swept once
+  /// for up to 8 items per SIMD register (SimdStreamingBatchSweep), and
+  /// chain-store commits replay in one pass per layer. Internally
+  /// processes kBatchWidth-item blocks layer-major, with a per-item
+  /// visibility timeline reproducing exactly the candidate set each item
+  /// would have seen one at a time.
   void PushBatch(std::span<const ValuePdf> pdfs);
 
   /// Number of items consumed so far.
@@ -135,7 +123,7 @@ class StreamingHistogramBuilder {
   // Per-layer state: committed breakpoints are the LAST position of each
   // geometric error class; `pending` tracks the most recent position. The
   // cand_* vectors are hoisted columns of `committed` (error, snapshot
-  // moments, position, kept in lockstep) that each Push scans
+  // moments, position, kept in lockstep) that the sweep scans
   // contiguously instead of striding through the breakpoint structs.
   // Positions are carried as doubles (exact below 2^53) so the fused SIMD
   // column kernel can guard and subtract them in vector lanes.
@@ -160,32 +148,15 @@ class StreamingHistogramBuilder {
   static double BucketCost(const Snapshot& from, const Snapshot& to);
   static double Representative(const Snapshot& from, const Snapshot& to);
 
-  // Per-layer evaluation of the current position: the approximate prefix
-  // error and the owned reference to the boundary chain achieving it.
-  struct Eval {
-    double error;  // initialized to +infinity by Push
-    StreamChainStore::Ref chain = StreamChainStore::kNil;
-  };
-
-  // One <= kBatchWidth block of the batched path: layer-major replay of
-  // the sequential recurrence (see PushBatch).
+  // One <= kBatchWidth block: layer-major replay of the one-item-at-a-time
+  // recurrence (see PushBatch).
   void PushBatchBlock(std::span<const ValuePdf> pdfs);
-
-  // Push's commit/update step: applies the geometric last-position-of-class
-  // rule to every layer from this push's evaluations (evals_), keeping the
-  // hoisted candidate columns in lockstep with `committed`, and transfers
-  // each evaluation's owned chain reference into the pending slot (O(1)).
-  void CommitLayers();
 
   std::size_t max_buckets_;
   double delta_;  // per-layer geometric slack
   std::size_t count_ = 0;
   Snapshot running_;
   std::vector<Layer> layers_;
-  // Push scratch, recycled across pushes (capacity-preserving clears keep
-  // the steady-state Push allocation-free).
-  std::vector<double> candidate_values_;
-  std::vector<Eval> evals_;
   std::size_t peak_breakpoints_ = 0;
   // Chain-node backing: the injected store, or the builder's own.
   std::unique_ptr<StreamChainStore> owned_chain_store_;
@@ -201,8 +172,8 @@ class StreamingHistogramBuilder {
   std::vector<double> recips_;
   // Per-block scratch, flat [layer * kBatchWidth + push] where it is
   // two-dimensional; capacities stick across blocks so steady-state
-  // batches allocate nothing (beyond the shared chain store / committed
-  // columns single pushes grow too).
+  // batches allocate nothing (beyond the shared chain store and the
+  // committed columns, which grow with the breakpoints).
   std::vector<Snapshot> batch_snapshots_;            // running_ after push k
   std::vector<double> batch_errors_;                 // eval errors, B x KB
   std::vector<StreamChainStore::Ref> batch_chains_;  // eval chains, B x KB
@@ -215,6 +186,9 @@ class StreamingHistogramBuilder {
   std::vector<double> batch_pend0_error_;
   std::vector<StreamChainStore::Ref> batch_pend0_chain_;
   std::vector<unsigned char> batch_pend0_has_;
+  // The sweep's scratch column (one double per committed candidate of the
+  // layer being scored), for the vector paths' partial-group pushes.
+  std::vector<double> candidate_values_;
 };
 
 }  // namespace probsyn

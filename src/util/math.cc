@@ -4,12 +4,6 @@
 
 namespace probsyn {
 
-double SumStable(std::span<const double> xs) {
-  KahanSum sum;
-  for (double x : xs) sum.Add(x);
-  return sum.value();
-}
-
 bool AlmostEqual(double a, double b, double rtol, double atol) {
   if (a == b) return true;  // Handles exact zeros and infinities of same sign.
   if (std::isnan(a) || std::isnan(b)) return false;

@@ -36,9 +36,6 @@ class KahanSum {
   double compensation_ = 0.0;
 };
 
-/// Compensated sum of a span.
-double SumStable(std::span<const double> xs);
-
 /// Relative-or-absolute approximate equality used throughout tests and by
 /// internal sanity checks: |a-b| <= atol + rtol*max(|a|,|b|).
 bool AlmostEqual(double a, double b, double rtol = 1e-9, double atol = 1e-12);

@@ -45,7 +45,7 @@ class Rng {
 
 /// Draws from a Zipf(alpha) distribution over {1, ..., n} by inversion on a
 /// precomputed CDF. Zipf rank-frequency skew is the standard stand-in for
-/// the match-count skew of record-linkage data (DESIGN.md substitution 1).
+/// the match-count skew of record-linkage data.
 class ZipfDistribution {
  public:
   ZipfDistribution(std::size_t n, double alpha);

@@ -10,20 +10,4 @@ std::size_t TernarySearchMinIndex(std::size_t lo, std::size_t hi,
   return TernarySearchMinIndexOver(lo, hi, f);
 }
 
-double TernarySearchMinContinuous(double lo, double hi,
-                                  const std::function<double(double)>& f,
-                                  int iterations) {
-  PROBSYN_CHECK(lo <= hi);
-  for (int it = 0; it < iterations && hi - lo > 0; ++it) {
-    double m1 = lo + (hi - lo) / 3.0;
-    double m2 = hi - (hi - lo) / 3.0;
-    if (f(m1) <= f(m2)) {
-      hi = m2;
-    } else {
-      lo = m1;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace probsyn

@@ -20,9 +20,8 @@ namespace probsyn {
 /// core/dp_kernels.cc) can inline the probe function; the std::function
 /// overload below delegates to it, so both run the exact same probe
 /// sequence and return bit-identical minimizers.
-template <typename Fn>
-std::size_t TernarySearchMinIndexOver(std::size_t lo, std::size_t hi,
-                                      const Fn& f) {
+template <typename Fn> std::size_t TernarySearchMinIndexOver(
+    std::size_t lo, std::size_t hi, const Fn& f) {
   // Invariant: a minimizer lies in [lo, hi]. The searched sequences are
   // samples of a convex function at increasing (not necessarily uniform)
   // grid points: if f(m1) <= f(m2) the convexity of the underlying function
@@ -51,16 +50,10 @@ std::size_t TernarySearchMinIndexOver(std::size_t lo, std::size_t hi,
   return best;
 }
 
+/// TernarySearchMinIndexOver over a std::function probe (the same probe
+/// sequence, the bit-identical minimizer). Requires lo <= hi.
 std::size_t TernarySearchMinIndex(std::size_t lo, std::size_t hi,
                                   const std::function<double(std::size_t)>& f);
-
-/// Minimizes a convex function of a real variable over [lo, hi] via ternary
-/// search to (roughly) machine precision. Used for the inner 1-D
-/// min-of-max-of-lines step of the MAE/MARE oracle (section 3.6) where the
-/// envelope is convex piecewise-linear. Returns the argmin.
-double TernarySearchMinContinuous(double lo, double hi,
-                                  const std::function<double(double)>& f,
-                                  int iterations = 200);
 
 }  // namespace probsyn
 

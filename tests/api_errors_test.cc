@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "core/histogram2d.h"
 #include "core/oracle_factory.h"
@@ -12,7 +11,7 @@
 #include "core/wavelet_dp.h"
 #include "core/wavelet_unrestricted.h"
 #include "model/induced.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
@@ -27,8 +26,9 @@ SynopsisOptions Sae() {
 TEST(ApiErrors, EmptyDomainIsRejectedEverywhere) {
   ValuePdfInput empty;
   EXPECT_FALSE(MakeBucketOracle(empty, Sae()).ok());
-  EXPECT_FALSE(BuildOptimalHistogram(empty, Sae(), 2).ok());
-  EXPECT_FALSE(BuildApproxHistogram(empty, Sae(), 2, 0.1).ok());
+  EXPECT_FALSE(testing::BuildHistogram(empty, Sae(), 2).ok());
+  EXPECT_FALSE(
+      testing::BuildHistogram(empty, Sae(), 2, HistogramMethod::kApprox).ok());
   EXPECT_FALSE(BuildSseOptimalWavelet(empty, 2).ok());
   EXPECT_FALSE(BuildRestrictedWaveletDp(empty, 2, Sae()).ok());
   EXPECT_FALSE(BuildUnrestrictedWaveletDp(empty, 2, Sae()).ok());
@@ -37,8 +37,9 @@ TEST(ApiErrors, EmptyDomainIsRejectedEverywhere) {
 
 TEST(ApiErrors, ZeroBucketBudgetsAreRejected) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
-  EXPECT_FALSE(BuildOptimalHistogram(input, Sae(), 0).ok());
-  EXPECT_FALSE(BuildApproxHistogram(input, Sae(), 0, 0.1).ok());
+  EXPECT_FALSE(testing::BuildHistogram(input, Sae(), 0).ok());
+  EXPECT_FALSE(
+      testing::BuildHistogram(input, Sae(), 0, HistogramMethod::kApprox).ok());
   EXPECT_FALSE(BuildEquiDepthHistogram(input, Sae(), 0).ok());
   EXPECT_FALSE(HistogramBuilder::Create(input, Sae(), 0).ok());
 }
@@ -53,7 +54,7 @@ TEST(ApiErrors, BadSanityConstantIsRejected) {
     EXPECT_FALSE(MakeBucketOracle(input, options).ok())
         << ErrorMetricName(metric);
     options.sanity_c = -1.0;
-    EXPECT_FALSE(BuildOptimalHistogram(input, options, 2).ok())
+    EXPECT_FALSE(testing::BuildHistogram(input, options, 2).ok())
         << ErrorMetricName(metric);
   }
 }
@@ -66,12 +67,12 @@ TEST(ApiErrors, InvalidModelInputsPropagateStatus) {
   EXPECT_EQ(MakeBucketOracle(bad, Sae()).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_FALSE(InduceValuePdf(bad).ok());
-  EXPECT_FALSE(EnumerateWorlds(bad).ok());
+  EXPECT_FALSE(reference::EnumerateWorlds(bad).ok());
   EXPECT_FALSE(BuildSseOptimalWavelet(bad, 2).ok());
 
   BasicModelInput bad_basic(2, {{0, 2.0}});
   EXPECT_FALSE(bad_basic.ToTuplePdf().ok());
-  EXPECT_FALSE(EnumerateWorlds(bad_basic).ok());
+  EXPECT_FALSE(reference::EnumerateWorlds(bad_basic).ok());
 }
 
 TEST(ApiErrors, EvaluatorsRejectMismatchedShapes) {
@@ -93,12 +94,19 @@ TEST(ApiErrors, ApproxDpParameterValidation) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
   SynopsisOptions sse;
   sse.metric = ErrorMetric::kSse;
-  EXPECT_FALSE(BuildApproxHistogram(input, sse, 2, 0.0).ok());
-  EXPECT_FALSE(BuildApproxHistogram(input, sse, 2, -0.5).ok());
+  EXPECT_FALSE(
+      testing::BuildHistogram(input, sse, 2, HistogramMethod::kApprox, 0.0)
+          .ok());
+  EXPECT_FALSE(
+      testing::BuildHistogram(input, sse, 2, HistogramMethod::kApprox, -0.5)
+          .ok());
   SynopsisOptions mae;
   mae.metric = ErrorMetric::kMae;
-  EXPECT_EQ(BuildApproxHistogram(input, mae, 2, 0.1).status().code(),
-            StatusCode::kUnimplemented);
+  EXPECT_EQ(
+      testing::BuildHistogram(input, mae, 2, HistogramMethod::kApprox, 0.1)
+          .status()
+          .code(),
+      StatusCode::kUnimplemented);
 }
 
 TEST(ApiErrors, WaveletSynopsisValidation) {
@@ -130,12 +138,12 @@ TEST(ApiErrors, WorkloadValidationAcrossBuilders) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
   SynopsisOptions options = Sae();
   options.workload = {1.0, 1.0};  // wrong size (n = 3)
-  EXPECT_FALSE(BuildOptimalHistogram(input, options, 2).ok());
+  EXPECT_FALSE(testing::BuildHistogram(input, options, 2).ok());
   EXPECT_FALSE(BuildRestrictedWaveletDp(input, 2, options).ok());
   EXPECT_FALSE(BuildUnrestrictedWaveletDp(input, 2, options).ok());
 
   options.workload = {-1.0, 0.0, 0.0};
-  EXPECT_FALSE(BuildOptimalHistogram(input, options, 2).ok());
+  EXPECT_FALSE(testing::BuildHistogram(input, options, 2).ok());
 }
 
 TEST(ApiErrors, StatusMessagesAreInformative) {

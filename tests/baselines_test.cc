@@ -63,14 +63,14 @@ TEST(Baselines, ProbabilisticMethodDominatesBaselines) {
     options.sse_variant = SseVariant::kFixedRepresentative;
     const std::size_t kBuckets = 6;
 
-    auto optimal = BuildOptimalHistogram(input, options, kBuckets);
+    auto optimal = testing::BuildHistogram(input, options, kBuckets);
     auto expectation = BuildExpectationHistogram(input, options, kBuckets);
     ASSERT_TRUE(optimal.ok() && expectation.ok());
     Rng rng(77);
     auto sampled = BuildSampledWorldHistogram(input, options, kBuckets, rng);
     ASSERT_TRUE(sampled.ok());
 
-    auto cost_opt = EvaluateHistogram(input, optimal.value(), options);
+    auto cost_opt = EvaluateHistogram(input, optimal->histogram, options);
     auto cost_exp = EvaluateHistogram(input, expectation.value(), options);
     auto cost_smp = EvaluateHistogram(input, sampled.value(), options);
     ASSERT_TRUE(cost_opt.ok() && cost_exp.ok() && cost_smp.ok());
@@ -109,10 +109,10 @@ TEST(Baselines, ExpectationEqualsDeterministicPipelineOnPointMasses) {
   ValuePdfInput input = PointMassInput(freqs);
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
-  auto prob = BuildOptimalHistogram(input, options, 4);
+  auto prob = testing::BuildHistogram(input, options, 4);
   auto baseline = BuildExpectationHistogram(input, options, 4);
   ASSERT_TRUE(prob.ok() && baseline.ok());
-  auto cost_prob = EvaluateHistogram(input, prob.value(), options);
+  auto cost_prob = EvaluateHistogram(input, prob->histogram, options);
   auto cost_base = EvaluateHistogram(input, baseline.value(), options);
   ASSERT_TRUE(cost_prob.ok() && cost_base.ok());
   EXPECT_NEAR(*cost_prob, *cost_base, 1e-9);

@@ -3,6 +3,9 @@
 // between DP costs and independent evaluation, and approximation
 // guarantees across seeds.
 
+#include <algorithm>
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "core/builders.h"
@@ -172,9 +175,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ApproxGuaranteeTest,
 //       textbook DP of tests/reference AND through the library's
 //       specialized kernel (the two must agree bit-for-bit; the stream
 //       must land in [opt, (1 + eps) opt]),
-//   (2) the persistent-chain builder against the copy-based-chain builder
-//       of tests/reference, bit-for-bit (costs, bucket boundaries,
-//       representatives, breakpoint counts), and
+//   (2) the persistent-chain builder, fed in PushBatch blocks of 1..8
+//       items (the size cycles with the seed), against the one-item
+//       copy-based-chain builder of tests/reference, bit-for-bit (costs,
+//       bucket boundaries, representatives, breakpoint counts), and
 //   (3) the reported stream cost against the independent evaluator.
 // Shapes (n, B, eps) are derived from the seed so the sweep covers the
 // B = 1 and tiny-epsilon corners as well as wide buckets and loose slack.
@@ -200,9 +204,11 @@ TEST_P(StreamingDifferentialTest, StreamMatchesOfflineDpAndCopyChains) {
 
     reference::StreamingBuilder reference(buckets, eps);
     StreamingHistogramBuilder fast(buckets, eps, &shared_store);
-    for (const ValuePdf& pdf : input.items()) {
-      reference.Push(pdf);
-      fast.Push(pdf);
+    for (const ValuePdf& pdf : input.items()) reference.Push(pdf);
+    const std::span<const ValuePdf> items = input.items();
+    const std::size_t block = 1 + seed % 8;
+    for (std::size_t offset = 0; offset < n; offset += block) {
+      fast.PushBatch(items.subspan(offset, std::min(block, n - offset)));
     }
     auto want = reference.Finish();
     auto got = fast.Finish();

@@ -107,15 +107,15 @@ TEST(EngineParity, ExactHistogramBothSseVariants) {
     SynopsisEngine engine = ParallelEngine();
     auto via_engine = engine.Build(tuple_input, request);
     ASSERT_TRUE(via_engine.ok()) << via_engine.status();
-    auto direct = BuildOptimalHistogram(tuple_input, options, 5);
+    auto direct = HistogramBuilder::Create(tuple_input, options, 5);
     ASSERT_TRUE(direct.ok());
-    EXPECT_TRUE(via_engine->histogram == *direct);
+    EXPECT_TRUE(via_engine->histogram == direct->Extract(5));
 
     auto via_engine_v = engine.Build(value_input, request);
     ASSERT_TRUE(via_engine_v.ok()) << via_engine_v.status();
-    auto direct_v = BuildOptimalHistogram(value_input, options, 5);
+    auto direct_v = HistogramBuilder::Create(value_input, options, 5);
     ASSERT_TRUE(direct_v.ok());
-    EXPECT_TRUE(via_engine_v->histogram == *direct_v);
+    EXPECT_TRUE(via_engine_v->histogram == direct_v->Extract(5));
   }
 }
 
@@ -215,7 +215,7 @@ TEST(EngineParity, ApproxHistogramMatchesDirectSolver) {
 TEST(EngineParity, StreamingHistogramMatchesDirectBuilder) {
   ValuePdfInput input = TestValuePdf();
   StreamingHistogramBuilder direct(5, 0.2);
-  for (const ValuePdf& pdf : input.items()) direct.Push(pdf);
+  direct.PushBatch(input.items());
   auto finished = direct.Finish();
   ASSERT_TRUE(finished.ok());
 

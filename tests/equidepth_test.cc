@@ -74,10 +74,11 @@ TEST(EquiDepth, DominatedByErrorOptimalHistogram) {
     options.metric = metric;
     options.sanity_c = 0.5;
     options.sse_variant = SseVariant::kFixedRepresentative;
-    auto optimal = BuildOptimalHistogram(input.value(), options, 6);
+    auto optimal = testing::BuildHistogram(input.value(), options, 6);
     auto equidepth = BuildEquiDepthHistogram(input.value(), options, 6);
     ASSERT_TRUE(optimal.ok() && equidepth.ok());
-    auto cost_opt = EvaluateHistogram(input.value(), optimal.value(), options);
+    auto cost_opt =
+        EvaluateHistogram(input.value(), optimal->histogram, options);
     auto cost_eq = EvaluateHistogram(input.value(), equidepth.value(), options);
     ASSERT_TRUE(cost_opt.ok() && cost_eq.ok());
     EXPECT_LE(*cost_opt, *cost_eq + 1e-9) << ErrorMetricName(metric);

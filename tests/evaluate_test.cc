@@ -7,7 +7,7 @@
 #include "core/wavelet.h"
 #include "gen/generators.h"
 #include "model/induced.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
@@ -16,7 +16,7 @@ namespace {
 TEST(EvaluateHistogram, MatchesWorldEnumerationOnValuePdf) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 6, .max_support = 3, .max_value = 4, .seed = 3});
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   Histogram h({{0, 1, 0.5}, {2, 4, 2.0}, {5, 5, 1.0}});
   for (ErrorMetric metric :
@@ -39,7 +39,7 @@ TEST(EvaluateHistogram, TuplePdfMatchesEnumerationIncludingSse) {
   // With fixed representatives, even SSE needs only marginals — the induced
   // value pdf must give the exact answer despite within-tuple correlation.
   TuplePdfInput input = testing::PaperExampleTuplePdf();
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   Histogram h({{0, 1, 0.6}, {2, 2, 0.4}});
   for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kSae,
@@ -66,11 +66,11 @@ TEST(EvaluateHistogram, RejectsMismatchedDomain) {
 
 TEST(EvaluateWorldMeanSse, MatchesEnumerationBothModels) {
   TuplePdfInput tuple_input = testing::PaperExampleTuplePdf();
-  auto tuple_worlds = EnumerateWorlds(tuple_input);
+  auto tuple_worlds = reference::EnumerateWorlds(tuple_input);
   ASSERT_TRUE(tuple_worlds.ok());
 
   ValuePdfInput value_input = testing::PaperExampleValuePdf();
-  auto value_worlds = EnumerateWorlds(value_input);
+  auto value_worlds = reference::EnumerateWorlds(value_input);
   ASSERT_TRUE(value_worlds.ok());
 
   for (const Histogram& h :
@@ -104,7 +104,7 @@ TEST(EvaluateWavelet, MatchesManualPointErrors) {
 
   double expect = 0.0;
   for (std::size_t i = 0; i < 8; ++i) {
-    expect += input.item(i).ExpectedAbsDeviation(ghat[i]);
+    expect += reference::ExpectedAbsDeviation(input.item(i), ghat[i]);
   }
   EXPECT_NEAR(*got, expect, 1e-9);
 }
@@ -120,7 +120,7 @@ TEST(EvaluateWavelet, PaddedItemsCountAgainstTheSynopsis) {
   ASSERT_TRUE(got.ok());
   double expect = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
-    expect += input.item(i).ExpectedAbsDeviation(1.0);
+    expect += reference::ExpectedAbsDeviation(input.item(i), 1.0);
   }
   expect += 1.0;  // padded item: |0 - 1|
   EXPECT_NEAR(*got, expect, 1e-9);

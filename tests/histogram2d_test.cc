@@ -9,6 +9,7 @@
 
 #include "core/histogram.h"
 #include "gen/generators.h"
+#include "reference/brute_force.h"
 #include "reference/reference_solvers.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -119,15 +120,16 @@ TEST(Guillotine2D, DegeneratesToOneDimensionalDp) {
     double best_1d = std::numeric_limits<double>::infinity();
     auto oracle = RectCostOracle2D::Create(grid.value(), SseOptions());
     ASSERT_TRUE(oracle.ok());
-    ForEachBucketization(10, b, [&](const std::vector<std::size_t>& ends) {
-      double total = 0.0;
-      std::size_t start = 0;
-      for (std::size_t end : ends) {
-        total += oracle->Cost({start, 0, end, 0}).cost;
-        start = end + 1;
-      }
-      best_1d = std::min(best_1d, total);
-    });
+    reference::ForEachBucketization(
+        10, b, [&](const std::vector<std::size_t>& ends) {
+          double total = 0.0;
+          std::size_t start = 0;
+          for (std::size_t end : ends) {
+            total += oracle->Cost({start, 0, end, 0}).cost;
+            start = end + 1;
+          }
+          best_1d = std::min(best_1d, total);
+        });
     // "At most b" vs "exactly b": the DP may use fewer buckets.
     EXPECT_LE(two_d->cost, best_1d + 1e-9) << "B=" << b;
     if (b == 1) {

@@ -12,6 +12,7 @@
 #include "core/oracle_factory.h"
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
@@ -24,17 +25,18 @@ double BruteForceOptimal(const BucketCostOracle& oracle,
   std::size_t n = oracle.domain_size();
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t b = 1; b <= std::min(max_buckets, n); ++b) {
-    ForEachBucketization(n, b, [&](const std::vector<std::size_t>& ends) {
-      double total = combiner == DpCombiner::kSum ? 0.0 : 0.0;
-      std::size_t start = 0;
-      for (std::size_t end : ends) {
-        double cost = oracle.Cost(start, end).cost;
-        total = combiner == DpCombiner::kSum ? total + cost
-                                             : std::max(total, cost);
-        start = end + 1;
-      }
-      best = std::min(best, total);
-    });
+    reference::ForEachBucketization(
+        n, b, [&](const std::vector<std::size_t>& ends) {
+          double total = combiner == DpCombiner::kSum ? 0.0 : 0.0;
+          std::size_t start = 0;
+          for (std::size_t end : ends) {
+            double cost = oracle.Cost(start, end).cost;
+            total = combiner == DpCombiner::kSum ? total + cost
+                                                 : std::max(total, cost);
+            start = end + 1;
+          }
+          best = std::min(best, total);
+        });
   }
   return best;
 }
@@ -264,7 +266,8 @@ TEST(ApproxDp, RejectsMaxMetrics) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
   SynopsisOptions options;
   options.metric = ErrorMetric::kMae;
-  auto result = BuildApproxHistogram(input, options, 2, 0.1);
+  auto result = testing::BuildHistogram(input, options, 2,
+                                        HistogramMethod::kApprox, 0.1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
 }
@@ -273,8 +276,12 @@ TEST(ApproxDp, RejectsBadEpsilon) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
-  EXPECT_FALSE(BuildApproxHistogram(input, options, 2, 0.0).ok());
-  EXPECT_FALSE(BuildApproxHistogram(input, options, 2, -1.0).ok());
+  for (double epsilon : {0.0, -1.0}) {
+    EXPECT_FALSE(testing::BuildHistogram(input, options, 2,
+                                         HistogramMethod::kApprox, epsilon)
+                     .ok())
+        << epsilon;
+  }
 }
 
 }  // namespace

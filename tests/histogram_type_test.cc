@@ -5,6 +5,7 @@
 
 #include "core/histogram.h"
 #include "core/metrics.h"
+#include "reference/brute_force.h"
 
 namespace probsyn {
 namespace {
@@ -59,7 +60,8 @@ TEST(ForEachBucketization, CountsMatchBinomials) {
   // #partitions of n items into exactly B contiguous buckets = C(n-1, B-1).
   auto count = [](std::size_t n, std::size_t b) {
     std::size_t count = 0;
-    ForEachBucketization(n, b, [&](const std::vector<std::size_t>&) { ++count; });
+    reference::ForEachBucketization(
+        n, b, [&](const std::vector<std::size_t>&) { ++count; });
     return count;
   };
   EXPECT_EQ(count(5, 1), 1u);
@@ -71,13 +73,14 @@ TEST(ForEachBucketization, CountsMatchBinomials) {
 }
 
 TEST(ForEachBucketization, EmitsValidBoundaries) {
-  ForEachBucketization(6, 3, [&](const std::vector<std::size_t>& ends) {
-    ASSERT_EQ(ends.size(), 3u);
-    EXPECT_EQ(ends.back(), 5u);
-    for (std::size_t k = 1; k < ends.size(); ++k) {
-      EXPECT_LT(ends[k - 1], ends[k]);
-    }
-  });
+  reference::ForEachBucketization(
+      6, 3, [&](const std::vector<std::size_t>& ends) {
+        ASSERT_EQ(ends.size(), 3u);
+        EXPECT_EQ(ends.back(), 5u);
+        for (std::size_t k = 1; k < ends.size(); ++k) {
+          EXPECT_LT(ends[k - 1], ends[k]);
+        }
+      });
 }
 
 TEST(Metrics, CumulativeAndRelativeFlags) {

@@ -1,9 +1,9 @@
-// Batched streaming ingest: PushBatch's bit-identity to single Pushes
-// (the tentpole contract — pinned by a seeded differential sweep across
-// split patterns and SIMD paths), chain-store bookkeeping, and
-// the IngestCoordinator's determinism, backpressure policies, and
-// cancellation plumbing. Suite names stay under Ingest*/PushBatch* so the
-// CI TSan job's -R regex picks them up.
+// Batched streaming ingest: PushBatch's bit-identity to the textbook
+// one-item-at-a-time builder for any split of the stream (pinned by a
+// seeded differential sweep across split patterns and SIMD paths),
+// chain-store bookkeeping, and the IngestCoordinator's determinism,
+// backpressure policies, and cancellation plumbing. Suite names stay under
+// Ingest*/PushBatch* so the CI TSan job's -R regex picks them up.
 
 #include "stream/ingest_coordinator.h"
 
@@ -14,6 +14,7 @@
 
 #include "engine/synopsis_engine.h"
 #include "gen/generators.h"
+#include "reference/reference_solvers.h"
 #include "stream/streaming_histogram.h"
 #include "util/deadline.h"
 #include "util/logging.h"
@@ -31,11 +32,10 @@ std::uint64_t Mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Pushes `input` through a fresh builder one item at a time.
+// The textbook builder's result on `input`, pushed one item at a time.
 StreamingHistogramBuilder::Result SequentialReference(
-    const ValuePdfInput& input, std::size_t buckets, double epsilon,
-    StreamChainStore* store) {
-  StreamingHistogramBuilder builder(buckets, epsilon, store);
+    const ValuePdfInput& input, std::size_t buckets, double epsilon) {
+  reference::StreamingBuilder builder(buckets, epsilon);
   for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
   auto result = builder.Finish();
   PROBSYN_CHECK(result.ok());
@@ -55,67 +55,96 @@ void ExpectBitIdentical(const StreamingHistogramBuilder::Result& a,
   }
 }
 
-// The tentpole contract: PushBatch(split any way, interleaved with single
-// Pushes) is bit-identical to the all-single-Push stream — cost, peak,
-// retained breakpoints, every bucket, and the chain store's live-node
-// count. 200 seeded cases spanning budgets, slacks, and split patterns.
+// How a differential case splits its stream into PushBatch calls.
+enum class Split {
+  kRandom,         // 1..70 items per call
+  kPartialGroups,  // 0..3 full 8-item groups plus a partial one of 1..7
+};
+
+// Feeds `items` to `builder` in calls of the sizes `split` draws from
+// `rng`.
+void PushSplit(StreamingHistogramBuilder& builder,
+               std::span<const ValuePdf> items, Split split,
+               std::uint64_t rng) {
+  std::size_t offset = 0;
+  for (std::size_t call = 0; offset < items.size(); ++call) {
+    rng = Mix(rng);
+    const std::size_t size = split == Split::kRandom
+                                 ? 1 + (rng >> 8) % 70
+                                 : 8 * (rng % 4) + 1 + call % 7;
+    const std::size_t block = std::min(size, items.size() - offset);
+    builder.PushBatch(items.subspan(offset, block));
+    offset += block;
+  }
+}
+
+// The batching contract: PushBatch split any way — one item per call,
+// every partial lane group 1..7, random blocks — is bit-identical to the
+// textbook one-item-at-a-time builder (cost, peak, every bucket) under
+// every SIMD path, and a one-item stream and a split stream leave the same
+// live boundary-chain nodes. 200 seeded cases spanning budgets, slacks,
+// and split patterns.
 TEST(PushBatch, DifferentialSweepBitIdenticalToSinglePush) {
+  const std::vector<SimdPath> paths = testing::SupportedSimdPaths();
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const std::size_t n = 50 + Mix(seed) % 351;
     const std::size_t buckets = 1 + Mix(seed * 3 + 1) % 16;
     const double epsilon = 0.05 + 0.45 * (Mix(seed * 5 + 2) % 10) / 10.0;
+    const Split split = seed % 2 == 0 ? Split::kRandom : Split::kPartialGroups;
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = n, .max_support = 4, .max_value = 9, .seed = seed});
-    StreamChainStore sequential_store;
-    StreamingHistogramBuilder sequential(buckets, epsilon, &sequential_store);
-    for (const ValuePdf& pdf : input.items()) sequential.Push(pdf);
-    auto reference_result = sequential.Finish();
-    ASSERT_TRUE(reference_result.ok()) << reference_result.status();
-    const StreamingHistogramBuilder::Result& reference = *reference_result;
-
-    StreamChainStore batched_store;
-    StreamingHistogramBuilder batched(buckets, epsilon, &batched_store);
+    const StreamingHistogramBuilder::Result reference =
+        SequentialReference(input, buckets, epsilon);
     const std::span<const ValuePdf> items(input.items().data(), n);
-    std::size_t offset = 0;
-    std::uint64_t rng = Mix(seed * 7 + 3);
-    while (offset < n) {
-      rng = Mix(rng);
-      if ((rng & 7u) == 0) {  // occasionally interleave a single Push
-        batched.Push(items[offset]);
-        ++offset;
-        continue;
-      }
-      const std::size_t block = std::min<std::size_t>(1 + (rng >> 8) % 70,
-                                                      n - offset);
-      batched.PushBatch(items.subspan(offset, block));
-      offset += block;
+    for (SimdPath path : paths) {
+      testing::ScopedSimdPath forced(path);
+      StreamChainStore one_item_store;
+      StreamingHistogramBuilder one_item(buckets, epsilon, &one_item_store);
+      testing::PushOneAtATime(one_item, items);
+      auto one_item_result = one_item.Finish();
+      ASSERT_TRUE(one_item_result.ok()) << one_item_result.status();
+      ExpectBitIdentical(reference, *one_item_result);
+
+      StreamChainStore split_store;
+      StreamingHistogramBuilder batched(buckets, epsilon, &split_store);
+      PushSplit(batched, items, split, Mix(seed * 7 + 3));
+      auto batched_result = batched.Finish();
+      ASSERT_TRUE(batched_result.ok()) << batched_result.status();
+      ExpectBitIdentical(reference, *batched_result);
+      // Same live boundary-chain nodes however the stream was split
+      // (hash-consing makes the live set structural, not
+      // history-dependent).
+      EXPECT_EQ(split_store.stats().live, one_item_store.stats().live)
+          << "seed " << seed << " " << SimdPathName(path);
     }
-    auto batched_result = batched.Finish();
-    ASSERT_TRUE(batched_result.ok()) << batched_result.status();
-    ExpectBitIdentical(reference, *batched_result);
-    // Same live boundary-chain nodes as the sequential stream retains
-    // (hash-consing makes the live set structural, not history-dependent).
-    EXPECT_EQ(batched_store.stats().live, sequential_store.stats().live)
-        << "seed " << seed;
   }
 }
 
-// Every dispatchable SIMD path produces the same bits (the AVX-512 lane
-// kernel's correctly-rounded division and clamp-free fallback, the AVX2
-// divide path, and the scalar reference all agree exactly).
+// Every dispatchable SIMD path produces the textbook bits, fed as one
+// block or one item at a time (the AVX-512 lane kernel's correctly-rounded
+// division and clamp-free fallback, the AVX2 divide path, the vector
+// paths' one-push partial-group tail, and the scalar lanes all agree
+// exactly).
 TEST(PushBatch, BitIdenticalAcrossSimdPaths) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 300, .max_support = 4, .max_value = 9, .seed = 77});
+  const std::span<const ValuePdf> items(input.items().data(),
+                                        input.items().size());
   StreamingHistogramBuilder::Result reference =
-      SequentialReference(input, 12, 0.1, nullptr);
+      SequentialReference(input, 12, 0.1);
   for (SimdPath path : testing::SupportedSimdPaths()) {
     testing::ScopedSimdPath forced(path);
     StreamingHistogramBuilder batched(12, 0.1);
-    batched.PushBatch(
-        std::span<const ValuePdf>(input.items().data(), input.items().size()));
+    batched.PushBatch(items);
     auto result = batched.Finish();
     ASSERT_TRUE(result.ok()) << result.status();
     ExpectBitIdentical(reference, *result);
+
+    StreamingHistogramBuilder one_item(12, 0.1);
+    testing::PushOneAtATime(one_item, items);
+    auto one_item_result = one_item.Finish();
+    ASSERT_TRUE(one_item_result.ok()) << one_item_result.status();
+    ExpectBitIdentical(reference, *one_item_result);
   }
 }
 
@@ -202,7 +231,7 @@ TEST(Ingest, DeterministicAcrossThreadCountsAndSimdPaths) {
   options.drain_batch = 48;
   std::vector<StreamingHistogramBuilder::Result> reference;
   for (const ValuePdfInput& input : inputs) {
-    reference.push_back(SequentialReference(input, 8, 0.25, nullptr));
+    reference.push_back(SequentialReference(input, 8, 0.25));
   }
   const std::vector<SimdPath> paths = {SimdPath::kScalar,
                                        testing::SupportedSimdPaths().back()};
@@ -269,7 +298,7 @@ TEST(Ingest, BlockPolicyDrainsInlineSingleThreaded) {
   auto result = coord.Finish(0);
   ASSERT_TRUE(result.ok()) << result.status();
   StreamingHistogramBuilder::Result reference =
-      SequentialReference(input, 6, 0.3, nullptr);
+      SequentialReference(input, 6, 0.3);
   ExpectBitIdentical(reference, *result);
 }
 

@@ -12,6 +12,7 @@
 #include "gen/generators.h"
 #include "io/pdata.h"
 #include "model/induced.h"
+#include "test_util.h"
 
 namespace probsyn {
 namespace {
@@ -72,7 +73,8 @@ TEST_F(MovieLinkagePipeline, ApproximateHistogramNearOptimal) {
   options.sse_variant = SseVariant::kFixedRepresentative;
   const std::size_t kBuckets = 10;
   auto exact = HistogramBuilder::Create(input_, options, kBuckets);
-  auto approx = BuildApproxHistogram(input_, options, kBuckets, 0.1);
+  auto approx = testing::BuildHistogram(input_, options, kBuckets,
+                                        HistogramMethod::kApprox, 0.1);
   ASSERT_TRUE(exact.ok() && approx.ok());
   EXPECT_LE(approx->cost, 1.1 * exact->OptimalCost(kBuckets) + 1e-9);
 }
@@ -94,7 +96,7 @@ TEST_F(MovieLinkagePipeline, SynopsesAnswerRangeQueriesReasonably) {
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
   options.sse_variant = SseVariant::kFixedRepresentative;
-  auto hist = BuildOptimalHistogram(input_, options, 16);
+  auto hist = testing::BuildHistogram(input_, options, 16);
   auto wave = BuildSseOptimalWavelet(input_, 16);
   ASSERT_TRUE(hist.ok() && wave.ok());
 
@@ -104,7 +106,7 @@ TEST_F(MovieLinkagePipeline, SynopsesAnswerRangeQueriesReasonably) {
            {0, 95}, {10, 30}, {50, 51}}) {
     double truth = 0.0;
     for (std::size_t i = a; i <= b; ++i) truth += expected[i];
-    double from_hist = hist->EstimateRangeSum(a, b);
+    double from_hist = hist->histogram.EstimateRangeSum(a, b);
     double from_wave = wave->EstimateRangeSum(a, b);
     double span = static_cast<double>(b - a + 1);
     EXPECT_NEAR(from_hist, truth, 0.75 * span + 2.0) << a << ".." << b;
@@ -120,10 +122,10 @@ TEST_F(MovieLinkagePipeline, PersistAndReloadKeepsCostsIdentical) {
 
   SynopsisOptions options;
   options.metric = ErrorMetric::kSae;
-  auto h1 = BuildOptimalHistogram(input_, options, 8);
-  auto h2 = BuildOptimalHistogram(reloaded.value(), options, 8);
+  auto h1 = testing::BuildHistogram(input_, options, 8);
+  auto h2 = testing::BuildHistogram(reloaded.value(), options, 8);
   ASSERT_TRUE(h1.ok() && h2.ok());
-  EXPECT_EQ(h1.value(), h2.value());
+  EXPECT_EQ(h1->histogram, h2->histogram);
 }
 
 TEST(MaybmsPipeline, TupleSseVariantsBothWork) {

@@ -15,7 +15,7 @@
 #include "core/ssre_oracle.h"
 #include "gen/generators.h"
 #include "model/induced.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
@@ -23,8 +23,9 @@ namespace {
 
 // Brute-force expected bucket error at a FIXED representative, from
 // enumerated worlds: sum/max over items in [s,e] of E_W[err(g_i, v)].
-double BruteBucketCost(const std::vector<PossibleWorld>& worlds, std::size_t s,
-                       std::size_t e, double v, ErrorMetric metric, double c) {
+double BruteBucketCost(const std::vector<reference::PossibleWorld>& worlds,
+                       std::size_t s, std::size_t e, double v,
+                       ErrorMetric metric, double c) {
   bool cumulative = IsCumulativeMetric(metric);
   double sum = 0.0, worst = 0.0;
   for (std::size_t i = s; i <= e; ++i) {
@@ -36,9 +37,9 @@ double BruteBucketCost(const std::vector<PossibleWorld>& worlds, std::size_t s,
 }
 
 // Dense candidate scan for a near-optimal representative.
-double BruteBestCost(const std::vector<PossibleWorld>& worlds, std::size_t s,
-                     std::size_t e, ErrorMetric metric, double c,
-                     double v_max) {
+double BruteBestCost(const std::vector<reference::PossibleWorld>& worlds,
+                     std::size_t s, std::size_t e, ErrorMetric metric,
+                     double c, double v_max) {
   double best = std::numeric_limits<double>::infinity();
   const int kGrid = 800;
   for (int g = 0; g <= kGrid; ++g) {
@@ -57,7 +58,7 @@ TEST(SseOracle, PaperWorkedExampleWorldMean) {
   EXPECT_NEAR(cost.cost, 29.0 / 36, 1e-12);
   // "The same value can be obtained by computing the expected sample
   // variance over all possible worlds."
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   Histogram one_bucket({{0, 2, 0.0}});
   EXPECT_NEAR(testing::EnumeratedWorldMeanSse(worlds.value(), one_bucket),
@@ -67,9 +68,9 @@ TEST(SseOracle, PaperWorkedExampleWorldMean) {
 TEST(SseOracle, PaperExampleIntermediateMoments) {
   // E[(sum_i g_i)^2] over the bucket {0,1,2} must equal 136/48.
   TuplePdfInput input = testing::PaperExampleTuplePdf();
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
-  double e_square = ExpectationOverWorlds(
+  double e_square = reference::ExpectationOverWorlds(
       worlds.value(), [](const std::vector<double>& f) {
         double s = f[0] + f[1] + f[2];
         return s * s;
@@ -87,7 +88,7 @@ TEST(SseOracle, FixedRepresentativeMatchesEnumerationOnPaperExample) {
   EXPECT_NEAR(cost.cost, 395.0 / 432, 1e-12);
   EXPECT_NEAR(cost.representative, 19.0 / 36, 1e-12);
 
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   EXPECT_NEAR(BruteBucketCost(worlds.value(), 0, 2, cost.representative,
                               ErrorMetric::kSse, 1.0),
@@ -103,13 +104,13 @@ TEST(SseOracle, WorldMeanSubBucketsOnPaperExample) {
   // enumeration of E[sample variance].
   TuplePdfInput input = testing::PaperExampleTuplePdf();
   SseTupleWorldMeanOracle oracle(input);
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   for (std::size_t s = 0; s < 3; ++s) {
     for (std::size_t e = s; e < 3; ++e) {
       // Directly: expected within-bucket variance * n_b for bucket [s,e].
       double enumerated = 0.0;
-      for (const PossibleWorld& w : worlds.value()) {
+      for (const reference::PossibleWorld& w : worlds.value()) {
         double nb = static_cast<double>(e - s + 1);
         double mean = 0.0;
         for (std::size_t i = s; i <= e; ++i) mean += w.frequencies[i];
@@ -146,14 +147,14 @@ TEST(SseOracle, ValuePdfWorldMeanMatchesEnumeration) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = 6, .max_support = 3, .max_value = 4, .seed = seed});
-    auto worlds = EnumerateWorlds(input);
+    auto worlds = reference::EnumerateWorlds(input);
     ASSERT_TRUE(worlds.ok());
     SseMomentOracle oracle =
         SseMomentOracle::FromValuePdf(input, SseVariant::kWorldMean);
     for (std::size_t s = 0; s < 6; ++s) {
       for (std::size_t e = s; e < 6; ++e) {
         double enumerated = 0.0;
-        for (const PossibleWorld& w : worlds.value()) {
+        for (const reference::PossibleWorld& w : worlds.value()) {
           double nb = static_cast<double>(e - s + 1);
           double mean = 0.0;
           for (std::size_t i = s; i <= e; ++i) mean += w.frequencies[i];
@@ -188,7 +189,7 @@ TEST_P(CumulativeOracleTest, MatchesBruteForce) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 7, .max_support = 3, .max_value = 5,
        .seed = param.seed});
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
 
   SynopsisOptions options;
@@ -257,7 +258,8 @@ TEST(MaxOracle, ContinuousOptimumBeatsGridWhenEnvelopeCrossesBetweenValues) {
   // values {0, 3} — exercising the min-of-max-of-lines refinement.
   ValuePdfInput input(
       {ValuePdf::PointMass(0.0), ValuePdf::PointMass(3.0)});
-  auto tables = std::make_shared<const PointErrorTables>(input, 1.0);
+  auto tables = std::make_shared<const PointErrorTables>(
+      input, 1.0, ErrorMetric::kMae, input.domain_size());
   MaxErrorOracle oracle(tables, /*relative=*/false);
   BucketCost got = oracle.Cost(0, 1);
   EXPECT_NEAR(got.representative, 1.5, 1e-9);
@@ -267,7 +269,8 @@ TEST(MaxOracle, ContinuousOptimumBeatsGridWhenEnvelopeCrossesBetweenValues) {
 TEST(MaxOracle, EnvelopeAtMatchesPointErrors) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 5, .max_support = 3, .max_value = 4, .seed = 31});
-  auto tables = std::make_shared<const PointErrorTables>(input, 0.5);
+  auto tables = std::make_shared<const PointErrorTables>(
+      input, 0.5, ErrorMetric::kMare, input.domain_size());
   MaxErrorOracle oracle(tables, /*relative=*/true);
   for (double v : {0.0, 0.5, 1.0, 2.5, 4.0}) {
     double expect = 0.0;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -19,6 +19,16 @@ double Direct(const ValuePdf& pdf, ErrorMetric metric, double v, double c) {
   return total;
 }
 
+// The tables a build for `metric` over the input's own domain fills.
+PointErrorTables TablesFor(const ValuePdfInput& input, double c,
+                           ErrorMetric metric) {
+  return PointErrorTables(input, c, metric, input.domain_size());
+}
+
+constexpr ErrorMetric kAllMetrics[] = {
+    ErrorMetric::kSse, ErrorMetric::kSsre, ErrorMetric::kSae,
+    ErrorMetric::kSare, ErrorMetric::kMae, ErrorMetric::kMare};
+
 class PointErrorRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PointErrorRandomTest, MatchesDirectComputationAtManyEstimates) {
@@ -26,7 +36,8 @@ TEST_P(PointErrorRandomTest, MatchesDirectComputationAtManyEstimates) {
       {.domain_size = 24, .max_support = 5, .max_value = 9,
        .seed = GetParam()});
   const double c = 0.75;
-  PointErrorTables tables(input, c);
+  std::vector<PointErrorTables> tables;
+  for (ErrorMetric m : kAllMetrics) tables.push_back(TablesFor(input, c, m));
   Rng rng(GetParam() * 131 + 7);
 
   for (int probe = 0; probe < 50; ++probe) {
@@ -44,10 +55,9 @@ TEST_P(PointErrorRandomTest, MatchesDirectComputationAtManyEstimates) {
         break;
     }
     std::size_t i = rng.NextBounded(input.domain_size());
-    for (ErrorMetric m :
-         {ErrorMetric::kSse, ErrorMetric::kSsre, ErrorMetric::kSae,
-          ErrorMetric::kSare, ErrorMetric::kMae, ErrorMetric::kMare}) {
-      EXPECT_NEAR(tables.ExpectedPointError(m, i, v),
+    for (std::size_t k = 0; k < std::size(kAllMetrics); ++k) {
+      const ErrorMetric m = kAllMetrics[k];
+      EXPECT_NEAR(tables[k].ExpectedPointError(m, i, v),
                   Direct(input.item(i), m, v, c), 1e-9)
           << ErrorMetricName(m) << " item " << i << " v=" << v;
     }
@@ -59,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PointErrorRandomTest,
 
 TEST(PointErrorTables, SegmentOf) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
-  PointErrorTables tables(input, 1.0);
+  const PointErrorTables tables = TablesFor(input, 1.0, ErrorMetric::kMae);
   // Grid is {0, 1, 2}.
   EXPECT_EQ(tables.SegmentOf(-0.5), static_cast<std::size_t>(-1));
   EXPECT_EQ(tables.SegmentOf(0.0), 0u);
@@ -71,10 +81,14 @@ TEST(PointErrorTables, SegmentOf) {
 TEST(PointErrorTables, LinesTileTheAbsoluteErrorCurve) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 6, .max_support = 4, .max_value = 6, .seed = 11});
-  PointErrorTables tables(input, 1.0);
-  const auto& grid = tables.grid();
+  const PointErrorTables absolute = TablesFor(input, 1.0, ErrorMetric::kMae);
+  const PointErrorTables relative_tables =
+      TablesFor(input, 1.0, ErrorMetric::kMare);
+  const auto& grid = absolute.grid();
+  ASSERT_EQ(relative_tables.grid(), grid);
   for (std::size_t i = 0; i < input.domain_size(); ++i) {
     for (bool relative : {false, true}) {
+      const PointErrorTables& tables = relative ? relative_tables : absolute;
       // Each segment's line must agree with the pointwise evaluation at
       // both segment ends (continuity + correctness).
       for (std::size_t l = 0; l + 1 < grid.size(); ++l) {
@@ -101,14 +115,14 @@ TEST(PointErrorTables, LinesTileTheAbsoluteErrorCurve) {
 
 TEST(PointErrorTables, AgreesWithWorldEnumeration) {
   ValuePdfInput input = testing::PaperExampleValuePdf();
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   const double c = 0.5;
-  PointErrorTables tables(input, c);
-  for (std::size_t i = 0; i < input.domain_size(); ++i) {
-    for (double v : {0.0, 0.3, 1.0, 1.7, 2.0, 3.0}) {
-      for (ErrorMetric m : {ErrorMetric::kSse, ErrorMetric::kSsre,
-                            ErrorMetric::kSae, ErrorMetric::kSare}) {
+  for (ErrorMetric m : {ErrorMetric::kSse, ErrorMetric::kSsre,
+                        ErrorMetric::kSae, ErrorMetric::kSare}) {
+    const PointErrorTables tables = TablesFor(input, c, m);
+    for (std::size_t i = 0; i < input.domain_size(); ++i) {
+      for (double v : {0.0, 0.3, 1.0, 1.7, 2.0, 3.0}) {
         EXPECT_NEAR(tables.ExpectedPointError(m, i, v),
                     testing::EnumeratedItemError(worlds.value(), i, v, m, c),
                     1e-9)

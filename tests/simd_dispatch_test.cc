@@ -347,11 +347,13 @@ TEST(SimdDispatch, StreamingBatchSweepMatchesScalarBitwise) {
                          std::vector<std::int64_t>& index) {
           best.assign(pushes, -1.0);
           index.assign(pushes, -2);
+          std::vector<double> scratch(n);
           SimdStreamingBatchSweep(
               in.error.data(), in.sum_mean.data(), in.sum_second.data(),
               in.position.data(), in.neg_position.data(), n,
               in.total_mean.data(), in.total_second.data(), in.count0,
-              in.recips.data(), pushes, best.data(), index.data());
+              in.recips.data(), pushes, best.data(), index.data(),
+              scratch.data());
         };
         std::vector<double> want;
         std::vector<std::int64_t> want_index;
@@ -507,14 +509,15 @@ TEST(SimdDispatch, RestrictedWaveletBitIdenticalAcrossPaths) {
   }
 }
 
-// The streaming builder's point-cost scan min-reduces through the
-// dispatch; the returned histogram must not move across paths.
+// The streaming builder fed one item at a time scores each item through
+// the dispatched sweep's one-push tail; the returned histogram must not
+// move across paths.
 TEST(SimdDispatch, StreamingBitIdenticalAcrossPaths) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 400, .max_support = 3, .max_value = 8, .seed = 47});
   auto run = [&input]() {
     StreamingHistogramBuilder builder(12, 0.1);
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    testing::PushOneAtATime(builder, input.items());
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     return std::move(result).value();

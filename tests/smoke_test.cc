@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "core/wavelet_dp.h"
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "test_util.h"
 
 namespace probsyn {
 namespace {
@@ -16,10 +16,10 @@ TEST(Smoke, HistogramOnRandomValuePdf) {
   ValuePdfInput input = GenerateRandomValuePdf({.domain_size = 32, .seed = 3});
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
-  auto hist = BuildOptimalHistogram(input, options, 4);
+  auto hist = testing::BuildHistogram(input, options, 4);
   ASSERT_TRUE(hist.ok()) << hist.status();
-  EXPECT_TRUE(hist->Validate(32).ok());
-  EXPECT_LE(hist->num_buckets(), 4u);
+  EXPECT_TRUE(hist->histogram.Validate(32).ok());
+  EXPECT_LE(hist->histogram.num_buckets(), 4u);
 }
 
 TEST(Smoke, WaveletOnMovieLinkage) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/builders.h"
 #include "core/evaluate.h"
 #include "gen/generators.h"
@@ -38,7 +41,7 @@ TEST_P(StreamingGuaranteeTest, WithinFactorOfOfflineOptimum) {
        .seed = param.seed});
 
   StreamingHistogramBuilder builder(param.buckets, param.epsilon);
-  for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+  builder.PushBatch(input.items());
   auto result = builder.Finish();
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->histogram.Validate(200).ok());
@@ -81,7 +84,7 @@ TEST(Streaming, MemoryStaysSublinear) {
     auto induced = InduceValuePdf(basic);
     PROBSYN_CHECK(induced.ok());
     StreamingHistogramBuilder builder(8, 0.25);
-    for (const ValuePdf& pdf : induced->items()) builder.Push(pdf);
+    builder.PushBatch(induced->items());
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     PROBSYN_CHECK(result->histogram.Validate(n).ok());
@@ -95,10 +98,12 @@ TEST(Streaming, MemoryStaysSublinear) {
 }
 
 TEST(Streaming, DeterministicStreamWithEnoughBucketsIsExact) {
-  StreamingHistogramBuilder builder(4, 0.1);
+  std::vector<ValuePdf> items;
   for (double f : {5.0, 5.0, 1.0, 1.0, 9.0, 9.0, 2.0, 2.0}) {
-    builder.PushDeterministic(f);
+    items.push_back(ValuePdf::PointMass(f));
   }
+  StreamingHistogramBuilder builder(4, 0.1);
+  builder.PushBatch(items);
   auto result = builder.Finish();
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->cost, 0.0, 1e-9);
@@ -109,13 +114,14 @@ TEST(Streaming, DeterministicStreamWithEnoughBucketsIsExact) {
 
 TEST(Streaming, FinishIsNonDestructiveAndRepeatable) {
   ValuePdfInput input = GenerateRandomValuePdf({.domain_size = 50, .seed = 3});
+  const std::span<const ValuePdf> items = input.items();
   StreamingHistogramBuilder builder(5, 0.2);
-  for (std::size_t i = 0; i < 25; ++i) builder.Push(input.item(i));
+  builder.PushBatch(items.first(25));
   auto first = builder.Finish();
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->histogram.Validate(25).ok());
 
-  for (std::size_t i = 25; i < 50; ++i) builder.Push(input.item(i));
+  builder.PushBatch(items.subspan(25));
   auto second = builder.Finish();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->histogram.Validate(50).ok());
@@ -127,10 +133,11 @@ TEST(Streaming, FinishIsNonDestructiveAndRepeatable) {
   EXPECT_GE(second->cost, offline->OptimalCost(5) - 1e-9);
 }
 
-// The builder (hoisted snapshot columns + SIMD min-reduction + persistent
-// chains) must reproduce the compare-and-copy scan of tests/reference
-// bit-for-bit: same costs, same bucket boundaries and representatives, same
-// breakpoint counts at every prefix.
+// The builder fed one item per PushBatch call (hoisted snapshot columns +
+// the SIMD sweep's one-push tail + persistent chains) must reproduce the
+// compare-and-copy scan of tests/reference bit-for-bit on every SIMD path:
+// same costs, same bucket boundaries and representatives, same breakpoint
+// counts at every prefix.
 TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
   struct Case {
     std::size_t buckets;
@@ -142,29 +149,34 @@ TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
     ValuePdfInput input = GenerateRandomValuePdf(
         {.domain_size = 300, .max_support = 4, .max_value = 9,
          .seed = c.seed});
-    reference::StreamingBuilder reference(c.buckets, c.epsilon);
-    StreamingHistogramBuilder fast(c.buckets, c.epsilon);
-    for (std::size_t i = 0; i < input.domain_size(); ++i) {
-      reference.Push(input.item(i));
-      fast.Push(input.item(i));
-      if (i % 50 == 0) {
-        ASSERT_EQ(reference.breakpoints(), fast.breakpoints())
-            << "prefix " << i << " B=" << c.buckets;
+    for (SimdPath path : testing::SupportedSimdPaths()) {
+      testing::ScopedSimdPath forced(path);
+      reference::StreamingBuilder reference(c.buckets, c.epsilon);
+      StreamingHistogramBuilder fast(c.buckets, c.epsilon);
+      for (std::size_t i = 0; i < input.domain_size(); ++i) {
+        reference.Push(input.item(i));
+        fast.PushBatch({&input.item(i), 1});
+        if (i % 50 == 0) {
+          ASSERT_EQ(reference.breakpoints(), fast.breakpoints())
+              << "prefix " << i << " B=" << c.buckets << " "
+              << SimdPathName(path);
+        }
       }
-    }
-    auto ref_result = reference.Finish();
-    auto fast_result = fast.Finish();
-    ASSERT_TRUE(ref_result.ok() && fast_result.ok());
-    EXPECT_EQ(ref_result->cost, fast_result->cost) << "B=" << c.buckets;
-    EXPECT_EQ(ref_result->peak_breakpoints, fast_result->peak_breakpoints);
-    ASSERT_EQ(ref_result->histogram.num_buckets(),
-              fast_result->histogram.num_buckets());
-    for (std::size_t i = 0; i < ref_result->histogram.num_buckets(); ++i) {
-      const HistogramBucket& want = ref_result->histogram.buckets()[i];
-      const HistogramBucket& got = fast_result->histogram.buckets()[i];
-      EXPECT_EQ(want.start, got.start);
-      EXPECT_EQ(want.end, got.end);
-      EXPECT_EQ(want.representative, got.representative);
+      auto ref_result = reference.Finish();
+      auto fast_result = fast.Finish();
+      ASSERT_TRUE(ref_result.ok() && fast_result.ok());
+      EXPECT_EQ(ref_result->cost, fast_result->cost)
+          << "B=" << c.buckets << " " << SimdPathName(path);
+      EXPECT_EQ(ref_result->peak_breakpoints, fast_result->peak_breakpoints);
+      ASSERT_EQ(ref_result->histogram.num_buckets(),
+                fast_result->histogram.num_buckets());
+      for (std::size_t i = 0; i < ref_result->histogram.num_buckets(); ++i) {
+        const HistogramBucket& want = ref_result->histogram.buckets()[i];
+        const HistogramBucket& got = fast_result->histogram.buckets()[i];
+        EXPECT_EQ(want.start, got.start);
+        EXPECT_EQ(want.end, got.end);
+        EXPECT_EQ(want.representative, got.representative);
+      }
     }
   }
 }
@@ -174,8 +186,8 @@ TEST(Streaming, PointCostKernelMatchesReferenceBitForBit) {
 TEST(Streaming, DefaultKernelIsPointCost) {
   StreamingHistogramBuilder builder(4, 0.1);
   ASSERT_NE(builder.chain_store(), nullptr);
-  builder.PushDeterministic(1.0);
-  builder.PushDeterministic(5.0);
+  builder.PushBatch(std::vector<ValuePdf>{ValuePdf::PointMass(1.0),
+                                          ValuePdf::PointMass(5.0)});
   EXPECT_GT(builder.chain_store()->stats().created, 0u);
 }
 
@@ -191,7 +203,7 @@ TEST(Streaming, ChainNodeRefcountsReturnToBaselineAfterFinalize) {
   StreamChainStore store;
   {
     StreamingHistogramBuilder builder(8, 0.2, &store);
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    builder.PushBatch(input.items());
     EXPECT_GT(store.stats().live, 0u);
 
     auto first = builder.Finish();
@@ -217,7 +229,7 @@ TEST(Streaming, ChainStoreReuseAllocatesNoNodes) {
   StreamChainStore store;
   auto run_stream = [&] {
     StreamingHistogramBuilder builder(8, 0.25, &store);
-    for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+    builder.PushBatch(input.items());
     auto result = builder.Finish();
     PROBSYN_CHECK(result.ok());
     return result->cost;
@@ -232,17 +244,17 @@ TEST(Streaming, ChainStoreReuseAllocatesNoNodes) {
   }
 }
 
-// O(1) chain work per Push: the point-cost path performs at most one
-// chain-store operation per layer per push — Extend on the winner or a
-// refcount bump on inheritance — REGARDLESS of chain length. The textbook
-// scan copies the full winner chain instead, so its snapshot copies grow
+// O(1) chain work per item: the builder performs at most one chain-store
+// operation per layer per item — Extend on the winner or a refcount bump
+// on inheritance — REGARDLESS of chain length. The textbook scan copies
+// the full winner chain instead, so its snapshot copies grow
 // superlinearly in B; the counter pins the bound.
 TEST(Streaming, PushDoesConstantChainWorkPerLayer) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 500, .max_support = 4, .max_value = 9, .seed = 93});
   const std::size_t kBuckets = 16;
   StreamingHistogramBuilder builder(kBuckets, 0.1);
-  for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+  testing::PushOneAtATime(builder, input.items());
 
   ASSERT_NE(builder.chain_store(), nullptr);
   const StreamChainStore::Stats& stats = builder.chain_store()->stats();
@@ -270,7 +282,7 @@ TEST(Streaming, SingleItem) {
   StreamingHistogramBuilder builder(4, 0.1);
   auto pdf = ValuePdf::Create({{3.0, 0.5}});
   ASSERT_TRUE(pdf.ok());
-  builder.Push(pdf.value());
+  builder.PushBatch({&pdf.value(), 1});
   auto result = builder.Finish();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->histogram.num_buckets(), 1u);
@@ -284,7 +296,7 @@ TEST(Streaming, MatchesPaperExampleOneBucket) {
   // the offline 1-bucket SSE (fixed representative).
   ValuePdfInput input = testing::PaperExampleValuePdf();
   StreamingHistogramBuilder builder(1, 0.1);
-  for (const ValuePdf& pdf : input.items()) builder.Push(pdf);
+  builder.PushBatch(input.items());
   auto result = builder.Finish();
   ASSERT_TRUE(result.ok());
   auto offline = HistogramBuilder::Create(input, SseOptions(), 1);

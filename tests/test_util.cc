@@ -33,19 +33,19 @@ ValuePdfInput PaperExampleValuePdf() {
   return ValuePdfInput(std::move(items));
 }
 
-double EnumeratedItemError(const std::vector<PossibleWorld>& worlds,
-                           std::size_t item, double v, ErrorMetric metric,
-                           double c) {
+double EnumeratedItemError(
+    const std::vector<reference::PossibleWorld>& worlds, std::size_t item,
+    double v, ErrorMetric metric, double c) {
   double total = 0.0;
-  for (const PossibleWorld& w : worlds) {
+  for (const reference::PossibleWorld& w : worlds) {
     total += w.probability * PointError(metric, w.frequencies[item], v, c);
   }
   return total;
 }
 
-double EnumeratedHistogramCost(const std::vector<PossibleWorld>& worlds,
-                               const Histogram& histogram, ErrorMetric metric,
-                               double c) {
+double EnumeratedHistogramCost(
+    const std::vector<reference::PossibleWorld>& worlds,
+    const Histogram& histogram, ErrorMetric metric, double c) {
   bool cumulative = IsCumulativeMetric(metric);
   double sum = 0.0;
   double worst = 0.0;
@@ -58,10 +58,11 @@ double EnumeratedHistogramCost(const std::vector<PossibleWorld>& worlds,
   return cumulative ? sum : worst;
 }
 
-double EnumeratedWorldMeanSse(const std::vector<PossibleWorld>& worlds,
-                              const Histogram& histogram) {
+double EnumeratedWorldMeanSse(
+    const std::vector<reference::PossibleWorld>& worlds,
+    const Histogram& histogram) {
   double total = 0.0;
-  for (const PossibleWorld& w : worlds) {
+  for (const reference::PossibleWorld& w : worlds) {
     for (const HistogramBucket& b : histogram.buckets()) {
       double nb = static_cast<double>(b.width());
       double mean = 0.0;
@@ -76,6 +77,46 @@ double EnumeratedWorldMeanSse(const std::vector<PossibleWorld>& worlds,
     }
   }
   return total;
+}
+
+void PushOneAtATime(StreamingHistogramBuilder& builder,
+                    std::span<const ValuePdf> items) {
+  for (const ValuePdf& pdf : items) builder.PushBatch({&pdf, 1});
+}
+
+namespace {
+
+template <typename Input>
+StatusOr<SynopsisResult> BuildHistogramImpl(const Input& input,
+                                            const SynopsisOptions& options,
+                                            std::size_t budget,
+                                            HistogramMethod method,
+                                            double epsilon) {
+  static const SynopsisEngine engine({.parallelism = 1});
+  SynopsisRequest request;
+  request.budget = budget;
+  request.options = options;
+  request.method = method;
+  request.epsilon = epsilon;
+  return engine.Build(input, request);
+}
+
+}  // namespace
+
+StatusOr<SynopsisResult> BuildHistogram(const ValuePdfInput& input,
+                                        const SynopsisOptions& options,
+                                        std::size_t budget,
+                                        HistogramMethod method,
+                                        double epsilon) {
+  return BuildHistogramImpl(input, options, budget, method, epsilon);
+}
+
+StatusOr<SynopsisResult> BuildHistogram(const TuplePdfInput& input,
+                                        const SynopsisOptions& options,
+                                        std::size_t budget,
+                                        HistogramMethod method,
+                                        double epsilon) {
+  return BuildHistogramImpl(input, options, budget, method, epsilon);
 }
 
 std::vector<SimdPath> SupportedSimdPaths() {

@@ -2,15 +2,18 @@
 #define PROBSYN_TESTS_TEST_UTIL_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/dp_kernels.h"
 #include "core/histogram.h"
 #include "core/metrics.h"
+#include "engine/synopsis_engine.h"
 #include "model/basic.h"
 #include "model/tuple_pdf.h"
 #include "model/value_pdf.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
+#include "stream/streaming_histogram.h"
 
 namespace probsyn::testing {
 
@@ -38,6 +41,24 @@ class ScopedSimdPath {
 /// The SIMD paths this machine can actually run (kScalar always).
 std::vector<SimdPath> SupportedSimdPaths();
 
+/// Feeds `items` to `builder` one PushBatch call per item.
+void PushOneAtATime(StreamingHistogramBuilder& builder,
+                    std::span<const ValuePdf> items);
+
+/// SynopsisEngine::Build of a `budget`-bucket histogram under `options`
+/// through `method` (`epsilon` is the approximate and streaming routes'
+/// slack), on one shared single-lane engine: the library's construction
+/// entry point, for tests that need its histogram rather than test the
+/// engine itself.
+StatusOr<SynopsisResult> BuildHistogram(
+    const ValuePdfInput& input, const SynopsisOptions& options,
+    std::size_t budget, HistogramMethod method = HistogramMethod::kOptimal,
+    double epsilon = 0.1);
+StatusOr<SynopsisResult> BuildHistogram(
+    const TuplePdfInput& input, const SynopsisOptions& options,
+    std::size_t budget, HistogramMethod method = HistogramMethod::kOptimal,
+    double epsilon = 0.1);
+
 /// The paper's Example 1 (section 2.1), mapped to the 0-based domain
 /// {0, 1, 2} (the paper's items 1, 2, 3).
 
@@ -52,21 +73,22 @@ TuplePdfInput PaperExampleTuplePdf();
 ValuePdfInput PaperExampleValuePdf();
 
 /// E_W[err(g_i, v)] by exhaustive possible-world enumeration.
-double EnumeratedItemError(const std::vector<PossibleWorld>& worlds,
-                           std::size_t item, double v, ErrorMetric metric,
-                           double c);
+double EnumeratedItemError(
+    const std::vector<reference::PossibleWorld>& worlds, std::size_t item,
+    double v, ErrorMetric metric, double c);
 
 /// The paper's synopsis objective for a concrete histogram, by exhaustive
 /// enumeration: sum_i E_W[err] for cumulative metrics, max_i E_W[err] for
 /// maximum metrics.
-double EnumeratedHistogramCost(const std::vector<PossibleWorld>& worlds,
-                               const Histogram& histogram, ErrorMetric metric,
-                               double c);
+double EnumeratedHistogramCost(
+    const std::vector<reference::PossibleWorld>& worlds,
+    const Histogram& histogram, ErrorMetric metric, double c);
 
 /// n_b * E_W[sample variance] summed over buckets (the paper's equation (5)
 /// world-mean SSE objective), by exhaustive enumeration.
-double EnumeratedWorldMeanSse(const std::vector<PossibleWorld>& worlds,
-                              const Histogram& histogram);
+double EnumeratedWorldMeanSse(
+    const std::vector<reference::PossibleWorld>& worlds,
+    const Histogram& histogram);
 
 }  // namespace probsyn::testing
 

@@ -8,7 +8,7 @@
 
 #include "core/oracle_factory.h"
 #include "gen/generators.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
@@ -31,7 +31,7 @@ TEST_P(TupleOracleGridTest, CostsMatchWorldEnumeration) {
        .max_alternatives = 3,
        .allow_absent = param.allow_absent,
        .seed = param.seed});
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
 
   SynopsisOptions options;
@@ -102,7 +102,7 @@ TEST(TupleOracleGrid, BasicModelEmbeddingIsTransparent) {
   BasicModelInput basic = testing::PaperExampleBasic();
   auto tuple_pdf = basic.ToTuplePdf();
   ASSERT_TRUE(tuple_pdf.ok());
-  auto worlds = EnumerateWorlds(basic);
+  auto worlds = reference::EnumerateWorlds(basic);
   ASSERT_TRUE(worlds.ok());
 
   for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kSae,

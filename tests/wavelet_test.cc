@@ -15,6 +15,7 @@
 #include "core/haar.h"
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -218,12 +219,12 @@ TEST(WaveletSse, ExpectedCoefficientsAreTransformOfExpectations) {
   // mu_ci = H_i(E[A]) — linearity (section 4.1). Check against the
   // coefficient-wise expectation over enumerated worlds.
   TuplePdfInput input = testing::PaperExampleTuplePdf();
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   std::vector<double> mu = ExpectedHaarCoefficients(input.ExpectedFrequencies());
   ASSERT_EQ(mu.size(), 4u);  // padded 3 -> 4
   for (std::size_t k = 0; k < 4; ++k) {
-    double expect = ExpectationOverWorlds(
+    double expect = reference::ExpectationOverWorlds(
         worlds.value(), [k](const std::vector<double>& freq) {
           std::vector<double> padded(freq);
           padded.resize(4, 0.0);

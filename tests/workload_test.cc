@@ -12,7 +12,7 @@
 #include "core/wavelet_dp.h"
 #include "core/wavelet_unrestricted.h"
 #include "gen/generators.h"
-#include "model/worlds.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -40,10 +40,10 @@ std::vector<double> RandomWorkload(std::size_t n, std::uint64_t seed) {
   return weights;
 }
 
-double WeightedBruteBucketCost(const std::vector<PossibleWorld>& worlds,
-                               const std::vector<double>& weights,
-                               std::size_t s, std::size_t e, double v,
-                               ErrorMetric metric, double c) {
+double WeightedBruteBucketCost(
+    const std::vector<reference::PossibleWorld>& worlds,
+    const std::vector<double>& weights, std::size_t s, std::size_t e,
+    double v, ErrorMetric metric, double c) {
   bool cumulative = IsCumulativeMetric(metric);
   double sum = 0.0, worst = 0.0;
   for (std::size_t i = s; i <= e; ++i) {
@@ -68,7 +68,7 @@ TEST_P(WorkloadOracleTest, MatchesWeightedBruteForce) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 7, .max_support = 3, .max_value = 5,
        .seed = param.seed});
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   std::vector<double> weights = RandomWorkload(7, param.seed * 31 + 1);
 
@@ -135,18 +135,19 @@ TEST(Workload, DpOptimalAgainstExhaustiveWeightedSearch) {
 
     double brute = std::numeric_limits<double>::infinity();
     for (std::size_t b = 1; b <= 3; ++b) {
-      ForEachBucketization(8, b, [&](const std::vector<std::size_t>& ends) {
-        double total = 0.0;
-        std::size_t start = 0;
-        for (std::size_t end : ends) {
-          double cost = bundle->oracle->Cost(start, end).cost;
-          total = bundle->combiner == DpCombiner::kSum
-                      ? total + cost
-                      : std::max(total, cost);
-          start = end + 1;
-        }
-        brute = std::min(brute, total);
-      });
+      reference::ForEachBucketization(
+          8, b, [&](const std::vector<std::size_t>& ends) {
+            double total = 0.0;
+            std::size_t start = 0;
+            for (std::size_t end : ends) {
+              double cost = bundle->oracle->Cost(start, end).cost;
+              total = bundle->combiner == DpCombiner::kSum
+                          ? total + cost
+                          : std::max(total, cost);
+              start = end + 1;
+            }
+            brute = std::min(brute, total);
+          });
     }
     EXPECT_NEAR(dp.OptimalCost(3), brute, 1e-9) << ErrorMetricName(metric);
   }
@@ -276,8 +277,8 @@ TEST(Workload, SkewedWorkloadShiftsBucketBoundaries) {
   SynopsisOptions skewed = uniform;
   skewed.workload = weights;
 
-  auto u = BuildOptimalHistogram(input, uniform, 6);
-  auto s = BuildOptimalHistogram(input, skewed, 6);
+  auto u = testing::BuildHistogram(input, uniform, 6);
+  auto s = testing::BuildHistogram(input, skewed, 6);
   ASSERT_TRUE(u.ok() && s.ok());
   auto boundaries_right = [](const Histogram& h) {
     std::size_t count = 0;
@@ -286,11 +287,11 @@ TEST(Workload, SkewedWorkloadShiftsBucketBoundaries) {
     }
     return count;
   };
-  EXPECT_GE(boundaries_right(s.value()), boundaries_right(u.value()));
+  EXPECT_GE(boundaries_right(s->histogram), boundaries_right(u->histogram));
 
   // And it must do at least as well under the weighted objective.
-  auto cost_s = EvaluateHistogram(input, s.value(), skewed);
-  auto cost_u = EvaluateHistogram(input, u.value(), skewed);
+  auto cost_s = EvaluateHistogram(input, s->histogram, skewed);
+  auto cost_u = EvaluateHistogram(input, u->histogram, skewed);
   ASSERT_TRUE(cost_s.ok() && cost_u.ok());
   EXPECT_LE(*cost_s, *cost_u + 1e-9);
 }

@@ -7,14 +7,15 @@
 
 #include "gen/generators.h"
 #include "model/induced.h"
+#include "reference/brute_force.h"
 #include "test_util.h"
 
 namespace probsyn {
 namespace {
 
-double TotalProbability(const std::vector<PossibleWorld>& worlds) {
+double TotalProbability(const std::vector<reference::PossibleWorld>& worlds) {
   double total = 0.0;
-  for (const PossibleWorld& w : worlds) total += w.probability;
+  for (const reference::PossibleWorld& w : worlds) total += w.probability;
   return total;
 }
 
@@ -22,12 +23,12 @@ TEST(Worlds, PaperExampleBasicModelHasTwelveDistinctOutcomes) {
   // Example 1: the basic-model input defines twelve possible worlds (some
   // multisets arise from distinct tuple subsets; our enumerator keeps them
   // separate, so aggregate by frequency vector before comparing).
-  auto worlds = EnumerateWorlds(testing::PaperExampleBasic());
+  auto worlds = reference::EnumerateWorlds(testing::PaperExampleBasic());
   ASSERT_TRUE(worlds.ok());
   EXPECT_NEAR(TotalProbability(worlds.value()), 1.0, 1e-12);
 
   std::map<std::vector<double>, double> aggregated;
-  for (const PossibleWorld& w : worlds.value()) {
+  for (const reference::PossibleWorld& w : worlds.value()) {
     aggregated[w.frequencies] += w.probability;
   }
   EXPECT_EQ(aggregated.size(), 12u);
@@ -39,12 +40,12 @@ TEST(Worlds, PaperExampleBasicModelHasTwelveDistinctOutcomes) {
 }
 
 TEST(Worlds, PaperExampleTuplePdfHasEightWorlds) {
-  auto worlds = EnumerateWorlds(testing::PaperExampleTuplePdf());
+  auto worlds = reference::EnumerateWorlds(testing::PaperExampleTuplePdf());
   ASSERT_TRUE(worlds.ok());
   EXPECT_NEAR(TotalProbability(worlds.value()), 1.0, 1e-12);
 
   std::map<std::vector<double>, double> aggregated;
-  for (const PossibleWorld& w : worlds.value()) {
+  for (const reference::PossibleWorld& w : worlds.value()) {
     aggregated[w.frequencies] += w.probability;
   }
   EXPECT_EQ(aggregated.size(), 8u);
@@ -54,13 +55,13 @@ TEST(Worlds, PaperExampleTuplePdfHasEightWorlds) {
 }
 
 TEST(Worlds, PaperExampleValuePdfHasTwelveWorlds) {
-  auto worlds = EnumerateWorlds(testing::PaperExampleValuePdf());
+  auto worlds = reference::EnumerateWorlds(testing::PaperExampleValuePdf());
   ASSERT_TRUE(worlds.ok());
   EXPECT_EQ(worlds->size(), 2u * 3u * 2u);
   EXPECT_NEAR(TotalProbability(worlds.value()), 1.0, 1e-12);
   // Example 1: Pr[{1,2,2,3}] = 1/16 in the value-pdf variant.
   std::map<std::vector<double>, double> aggregated;
-  for (const PossibleWorld& w : worlds.value()) {
+  for (const reference::PossibleWorld& w : worlds.value()) {
     aggregated[w.frequencies] += w.probability;
   }
   EXPECT_NEAR((aggregated[{1, 2, 1}]), 1.0 / 16, 1e-12);
@@ -70,35 +71,41 @@ TEST(Worlds, PaperExampleValuePdfHasTwelveWorlds) {
 TEST(Worlds, ExpectationsMatchExample1) {
   // "In all three cases, E[g1] = 1/2. In the value pdf case E[g2] = 5/6,
   // for the other two cases E[g2] = 7/12."
-  auto basic = EnumerateWorlds(testing::PaperExampleBasic());
-  auto tuple = EnumerateWorlds(testing::PaperExampleTuplePdf());
-  auto value = EnumerateWorlds(testing::PaperExampleValuePdf());
+  auto basic = reference::EnumerateWorlds(testing::PaperExampleBasic());
+  auto tuple = reference::EnumerateWorlds(testing::PaperExampleTuplePdf());
+  auto value = reference::EnumerateWorlds(testing::PaperExampleValuePdf());
   ASSERT_TRUE(basic.ok() && tuple.ok() && value.ok());
 
   auto g = [](std::size_t i) {
     return [i](const std::vector<double>& f) { return f[i]; };
   };
-  EXPECT_NEAR(ExpectationOverWorlds(basic.value(), g(0)), 0.5, 1e-12);
-  EXPECT_NEAR(ExpectationOverWorlds(tuple.value(), g(0)), 0.5, 1e-12);
-  EXPECT_NEAR(ExpectationOverWorlds(value.value(), g(0)), 0.5, 1e-12);
-  EXPECT_NEAR(ExpectationOverWorlds(basic.value(), g(1)), 7.0 / 12, 1e-12);
-  EXPECT_NEAR(ExpectationOverWorlds(tuple.value(), g(1)), 7.0 / 12, 1e-12);
-  EXPECT_NEAR(ExpectationOverWorlds(value.value(), g(1)), 5.0 / 6, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(basic.value(), g(0)),
+              0.5, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(tuple.value(), g(0)),
+              0.5, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(value.value(), g(0)),
+              0.5, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(basic.value(), g(1)),
+              7.0 / 12, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(tuple.value(), g(1)),
+              7.0 / 12, 1e-12);
+  EXPECT_NEAR(reference::ExpectationOverWorlds(value.value(), g(1)),
+              5.0 / 6, 1e-12);
 }
 
 TEST(Worlds, EnumerationMatchesAnalyticMomentsOnRandomInputs) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     TuplePdfInput input = GenerateRandomTuplePdf(
         {.domain_size = 5, .num_tuples = 5, .max_alternatives = 3, .seed = seed});
-    auto worlds = EnumerateWorlds(input);
+    auto worlds = reference::EnumerateWorlds(input);
     ASSERT_TRUE(worlds.ok());
     ASSERT_NEAR(TotalProbability(worlds.value()), 1.0, 1e-9);
     auto mean = input.ExpectedFrequencies();
     auto second = input.FrequencySecondMoments();
     for (std::size_t i = 0; i < input.domain_size(); ++i) {
-      double em = ExpectationOverWorlds(
+      double em = reference::ExpectationOverWorlds(
           worlds.value(), [i](const std::vector<double>& f) { return f[i]; });
-      double e2 = ExpectationOverWorlds(
+      double e2 = reference::ExpectationOverWorlds(
           worlds.value(),
           [i](const std::vector<double>& f) { return f[i] * f[i]; });
       EXPECT_NEAR(em, mean[i], 1e-9) << "seed " << seed << " item " << i;
@@ -110,7 +117,7 @@ TEST(Worlds, EnumerationMatchesAnalyticMomentsOnRandomInputs) {
 TEST(Worlds, EnumerationCapIsEnforced) {
   ValuePdfInput input = GenerateRandomValuePdf(
       {.domain_size = 30, .max_support = 4, .max_value = 5, .seed = 2});
-  auto worlds = EnumerateWorlds(input, /*max_worlds=*/1000);
+  auto worlds = reference::EnumerateWorlds(input, /*max_worlds=*/1000);
   EXPECT_FALSE(worlds.ok());
   EXPECT_EQ(worlds.status().code(), StatusCode::kOutOfRange);
 }
@@ -162,15 +169,15 @@ TEST(Induced, MatchesEnumeratedMarginals) {
   ASSERT_TRUE(induced.ok());
   // Example 1 in-text: induced pdf of item 2 (our index 1) under the tuple
   // model: Pr[g=0] = 1/2*3/4 = 3/8... computed via enumeration instead.
-  auto worlds = EnumerateWorlds(input);
+  auto worlds = reference::EnumerateWorlds(input);
   ASSERT_TRUE(worlds.ok());
   for (std::size_t i = 0; i < input.domain_size(); ++i) {
     for (double v : {0.0, 1.0, 2.0}) {
-      double enumerated = ExpectationOverWorlds(
+      double enumerated = reference::ExpectationOverWorlds(
           worlds.value(), [i, v](const std::vector<double>& f) {
             return f[i] == v ? 1.0 : 0.0;
           });
-      EXPECT_NEAR(induced->item(i).ProbEquals(v), enumerated, 1e-12)
+      EXPECT_NEAR(reference::ProbEquals(induced->item(i), v), enumerated, 1e-12)
           << "item " << i << " value " << v;
     }
   }
@@ -181,8 +188,8 @@ TEST(Induced, BasicModelSharesTupleModelMarginals) {
   ASSERT_TRUE(from_basic.ok());
   // Item 1 receives two independent tuples with p = 1/3 and 1/4.
   const ValuePdf& g2 = from_basic->item(1);
-  EXPECT_NEAR(g2.ProbEquals(0.0), (2.0 / 3) * (3.0 / 4), 1e-12);
-  EXPECT_NEAR(g2.ProbEquals(2.0), (1.0 / 3) * (1.0 / 4), 1e-12);
+  EXPECT_NEAR(reference::ProbEquals(g2, 0.0), (2.0 / 3) * (3.0 / 4), 1e-12);
+  EXPECT_NEAR(reference::ProbEquals(g2, 2.0), (1.0 / 3) * (1.0 / 4), 1e-12);
   EXPECT_NEAR(g2.Mean(), 7.0 / 12, 1e-12);
 }
 
