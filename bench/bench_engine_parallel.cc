@@ -71,7 +71,6 @@
 #include <map>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/dp_kernels.h"
 #include "core/histogram2d.h"
 #include "core/histogram_dp.h"

@@ -10,6 +10,9 @@
 //                         (p50/p99/p999 ns). The acceptance floor is
 //                         >= 3x Arg 1's items/sec at block 256 (see
 //                         docs/benchmarks.md)
+//   BM_StreamingPush      one item per PushBatch call on movie-linkage
+//                         data (n = 4096, B = 16; Arg = 100 * epsilon),
+//                         where layers hold few candidates
 //   BM_IngestMultiStream  8 independent streams through one
 //                         IngestCoordinator (Arg = engine parallelism):
 //                         submit waves + DrainAll fan-out; items/sec is
@@ -29,9 +32,9 @@
 #include <span>
 #include <vector>
 
-#include "bench_util.h"
-#include "gen/generators.h"
 #include "engine/synopsis_engine.h"
+#include "gen/generators.h"
+#include "model/induced.h"
 #include "stream/ingest_coordinator.h"
 #include "stream/streaming_histogram.h"
 #include "util/logging.h"
@@ -94,6 +97,33 @@ void BM_IngestPushBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestPushBatch)->Arg(1)->Arg(4)->Arg(32)->Arg(256)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
+
+constexpr std::size_t kMovieBuckets = 16;
+
+const ValuePdfInput& MovieData() {
+  static const ValuePdfInput input = [] {
+    BasicModelInput basic =
+        GenerateMovieLinkage({.domain_size = 4096, .seed = 91});
+    auto induced = InduceValuePdf(basic);
+    PROBSYN_CHECK(induced.ok());
+    return std::move(induced).value();
+  }();
+  return input;
+}
+
+void BM_StreamingPush(benchmark::State& state) {
+  const ValuePdfInput& input = MovieData();
+  double eps = static_cast<double>(state.range(0)) / 100.0;
+  for (auto _ : state) {
+    StreamingHistogramBuilder builder(kMovieBuckets, eps);
+    for (const ValuePdf& pdf : input.items()) builder.PushBatch({&pdf, 1});
+    benchmark::DoNotOptimize(builder.breakpoints());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.domain_size()));
+  state.counters["eps"] = eps;
+}
+BENCHMARK(BM_StreamingPush)->Arg(25)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Multi-stream: a cheap per-stream configuration (small B, loose epsilon —
 // the regime where ingest-side overheads could dominate) so the aggregate

@@ -1,5 +1,7 @@
 #include "core/baselines.h"
 
+#include "core/histogram_dp.h"
+#include "core/oracle_factory.h"
 #include "model/worlds.h"
 
 namespace probsyn {
@@ -24,13 +26,18 @@ std::vector<double> SampleWorldFrequencies(const TuplePdfInput& input,
 
 namespace {
 
-StatusOr<Histogram> DeterministicHistogram(std::vector<double> freqs,
+// The optimal histogram of deterministic frequencies: the exact DP over
+// their point-mass form.
+StatusOr<Histogram> DeterministicHistogram(std::span<const double> freqs,
                                            const SynopsisOptions& options,
                                            std::size_t num_buckets) {
-  auto builder =
-      HistogramBuilder::CreateDeterministic(freqs, options, num_buckets);
-  if (!builder.ok()) return builder.status();
-  return builder->Extract(num_buckets);
+  if (num_buckets < 1) return Status::InvalidArgument("need >= 1 bucket");
+  PROBSYN_ASSIGN_OR_RETURN(OracleBundle bundle,
+                           MakeBucketOracle(PointMassInput(freqs), options));
+  HistogramDpResult dp =
+      SolveHistogramDp(*bundle.oracle, num_buckets, bundle.combiner);
+  PROBSYN_RETURN_IF_ERROR(dp.status());
+  return dp.ExtractHistogram(num_buckets);
 }
 
 }  // namespace

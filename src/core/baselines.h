@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/builders.h"
 #include "core/histogram.h"
 #include "core/metrics.h"
 #include "core/wavelet.h"

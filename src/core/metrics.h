@@ -23,8 +23,8 @@ enum class ErrorMetric {
 };
 
 /// The paper's SSE objective admits two readings, and the paper itself uses
-/// both (bench/bench_ablation_sse_objective.cc measures how far their
-/// optimal histograms disagree):
+/// both (ablation A4 of bench/figures/paper_figures.cc measures how far
+/// their optimal histograms disagree):
 ///
 /// * `kFixedRepresentative` — the representative b-hat is part of the
 ///   synopsis and constant across worlds, so the bucket cost is

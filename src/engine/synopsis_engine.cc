@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "core/baselines.h"
-#include "core/builders.h"
 #include "core/dp_kernels.h"
 #include "core/evaluate.h"
 #include "core/histogram_dp.h"

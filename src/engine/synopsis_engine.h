@@ -202,7 +202,7 @@ struct NamedSynopsis {
 ///
 /// The engine is the library's one construction entry point: no one-shot
 /// histogram builder sits beside it. Every path's output is bit-identical
-/// to running its solver directly over the same oracle (HistogramBuilder,
+/// to running its solver directly over the same oracle (SolveHistogramDp,
 /// SolveApproxHistogramDp, StreamingHistogramBuilder::PushBatch, the
 /// wavelet solvers; the engine parity tests pin it down); the engine adds
 /// routing, sharing, parallelism, and timing — never a different answer.

@@ -169,4 +169,11 @@ std::vector<double> ValuePdfInput::FrequencySecondMoments() const {
   return out;
 }
 
+ValuePdfInput PointMassInput(std::span<const double> frequencies) {
+  std::vector<ValuePdf> items;
+  items.reserve(frequencies.size());
+  for (double f : frequencies) items.push_back(ValuePdf::PointMass(f));
+  return ValuePdfInput(std::move(items));
+}
+
 }  // namespace probsyn

@@ -100,6 +100,12 @@ class ValuePdfInput {
   std::vector<ValuePdf> items_;
 };
 
+/// Wraps a frequency vector as deterministic value-pdf input, one
+/// ValuePdf::PointMass per item: the paper's device for running one code
+/// path over probabilistic and deterministic data alike (section 5). The
+/// Expectation and Sampled World baselines build their histograms over it.
+ValuePdfInput PointMassInput(std::span<const double> frequencies);
+
 }  // namespace probsyn
 
 #endif  // PROBSYN_MODEL_VALUE_PDF_H_

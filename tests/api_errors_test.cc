@@ -41,7 +41,9 @@ TEST(ApiErrors, ZeroBucketBudgetsAreRejected) {
   EXPECT_FALSE(
       testing::BuildHistogram(input, Sae(), 0, HistogramMethod::kApprox).ok());
   EXPECT_FALSE(BuildEquiDepthHistogram(input, Sae(), 0).ok());
-  EXPECT_FALSE(HistogramBuilder::Create(input, Sae(), 0).ok());
+  EXPECT_FALSE(BuildExpectationHistogram(input, Sae(), 0).ok());
+  Rng rng(3);
+  EXPECT_FALSE(BuildSampledWorldHistogram(input, Sae(), 0, rng).ok());
 }
 
 TEST(ApiErrors, BadSanityConstantIsRejected) {

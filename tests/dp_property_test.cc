@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/builders.h"
 #include "core/dp_kernels.h"
 #include "core/evaluate.h"
 #include "core/histogram_dp.h"
@@ -115,13 +114,14 @@ TEST_P(DpEvaluationConsistencyTest, DpCostEqualsEvaluatedCost) {
   options.metric = param.metric;
   options.sanity_c = param.c;
   options.sse_variant = SseVariant::kFixedRepresentative;
-  auto builder = HistogramBuilder::Create(input, options, 6);
-  ASSERT_TRUE(builder.ok());
+  auto bundle = MakeBucketOracle(input, options);
+  ASSERT_TRUE(bundle.ok());
+  HistogramDpResult dp = SolveHistogramDp(*bundle->oracle, 6, bundle->combiner);
   for (std::size_t b : {1u, 2u, 4u, 6u}) {
-    Histogram h = builder->Extract(b);
+    Histogram h = dp.ExtractHistogram(b);
     auto evaluated = EvaluateHistogram(input, h, options);
     ASSERT_TRUE(evaluated.ok());
-    EXPECT_NEAR(*evaluated, builder->OptimalCost(b), 1e-8)
+    EXPECT_NEAR(*evaluated, dp.OptimalCost(b), 1e-8)
         << ErrorMetricName(param.metric) << " B=" << b;
   }
 }
@@ -272,12 +272,15 @@ TEST(DpCrossModel, BasicTupleAndInducedAgree) {
     SynopsisOptions options;
     options.metric = metric;
     options.sanity_c = 0.5;
-    auto from_tuple = HistogramBuilder::Create(tuple_pdf.value(), options, 5);
-    auto from_value = HistogramBuilder::Create(induced.value(), options, 5);
-    ASSERT_TRUE(from_tuple.ok() && from_value.ok());
+    auto tuple_bundle = MakeBucketOracle(tuple_pdf.value(), options);
+    auto value_bundle = MakeBucketOracle(induced.value(), options);
+    ASSERT_TRUE(tuple_bundle.ok() && value_bundle.ok());
+    HistogramDpResult from_tuple =
+        SolveHistogramDp(*tuple_bundle->oracle, 5, tuple_bundle->combiner);
+    HistogramDpResult from_value =
+        SolveHistogramDp(*value_bundle->oracle, 5, value_bundle->combiner);
     for (std::size_t b = 1; b <= 5; ++b) {
-      EXPECT_NEAR(from_tuple->OptimalCost(b), from_value->OptimalCost(b),
-                  1e-9)
+      EXPECT_NEAR(from_tuple.OptimalCost(b), from_value.OptimalCost(b), 1e-9)
           << ErrorMetricName(metric) << " B=" << b;
     }
   }

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/builders.h"
 #include "core/dp_kernels.h"
 #include "core/histogram_dp.h"
 #include "core/oracle_factory.h"
@@ -107,15 +106,19 @@ TEST(EngineParity, ExactHistogramBothSseVariants) {
     SynopsisEngine engine = ParallelEngine();
     auto via_engine = engine.Build(tuple_input, request);
     ASSERT_TRUE(via_engine.ok()) << via_engine.status();
-    auto direct = HistogramBuilder::Create(tuple_input, options, 5);
+    auto direct = MakeBucketOracle(tuple_input, options);
     ASSERT_TRUE(direct.ok());
-    EXPECT_TRUE(via_engine->histogram == direct->Extract(5));
+    EXPECT_TRUE(via_engine->histogram ==
+                SolveHistogramDp(*direct->oracle, 5, direct->combiner)
+                    .ExtractHistogram(5));
 
     auto via_engine_v = engine.Build(value_input, request);
     ASSERT_TRUE(via_engine_v.ok()) << via_engine_v.status();
-    auto direct_v = HistogramBuilder::Create(value_input, options, 5);
+    auto direct_v = MakeBucketOracle(value_input, options);
     ASSERT_TRUE(direct_v.ok());
-    EXPECT_TRUE(via_engine_v->histogram == direct_v->Extract(5));
+    EXPECT_TRUE(via_engine_v->histogram ==
+                SolveHistogramDp(*direct_v->oracle, 5, direct_v->combiner)
+                    .ExtractHistogram(5));
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "gen/generators.h"
 #include "test_util.h"

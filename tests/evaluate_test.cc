@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/builders.h"
+#include "core/histogram_dp.h"
 #include "core/oracle_factory.h"
 #include "core/wavelet.h"
 #include "gen/generators.h"
@@ -158,15 +158,15 @@ TEST(ErrorScale, ComputedFromOracleEndpoints) {
   ErrorScale scale = ComputeErrorScale(*bundle->oracle, true);
 
   // The scale endpoints bracket every DP optimum.
-  auto builder = HistogramBuilder::Create(input, options, 12);
-  ASSERT_TRUE(builder.ok());
+  HistogramDpResult dp =
+      SolveHistogramDp(*bundle->oracle, 12, bundle->combiner);
   for (std::size_t b = 1; b <= 12; ++b) {
-    double cost = builder->OptimalCost(b);
+    double cost = dp.OptimalCost(b);
     EXPECT_GE(cost, scale.min_cost - 1e-9);
     EXPECT_LE(cost, scale.max_cost + 1e-9);
   }
-  EXPECT_NEAR(builder->OptimalCost(1), scale.max_cost, 1e-9);
-  EXPECT_NEAR(builder->OptimalCost(12), scale.min_cost, 1e-9);
+  EXPECT_NEAR(dp.OptimalCost(1), scale.max_cost, 1e-9);
+  EXPECT_NEAR(dp.OptimalCost(12), scale.min_cost, 1e-9);
 }
 
 }  // namespace

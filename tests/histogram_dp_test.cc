@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "core/histogram_dp.h"
 #include "core/oracle_factory.h"
@@ -176,14 +175,15 @@ TEST(HistogramDp, DeterministicDataWithEnoughBucketsHasZeroError) {
   std::vector<double> freqs{5, 1, 4, 2, 8, 3};
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
-  auto builder = HistogramBuilder::CreateDeterministic(freqs, options, 6);
-  ASSERT_TRUE(builder.ok());
-  EXPECT_NEAR(builder->OptimalCost(6), 0.0, 1e-12);
+  auto bundle = MakeBucketOracle(PointMassInput(freqs), options);
+  ASSERT_TRUE(bundle.ok());
+  HistogramDpResult dp = SolveHistogramDp(*bundle->oracle, 6, bundle->combiner);
+  EXPECT_NEAR(dp.OptimalCost(6), 0.0, 1e-12);
   // And with 1 bucket, the classic SSE formula: sum (g - mean)^2.
   double mean = (5 + 1 + 4 + 2 + 8 + 3) / 6.0;
   double expect = 0.0;
   for (double g : freqs) expect += (g - mean) * (g - mean);
-  EXPECT_NEAR(builder->OptimalCost(1), expect, 1e-9);
+  EXPECT_NEAR(dp.OptimalCost(1), expect, 1e-9);
 }
 
 TEST(HistogramDp, UncertainDataKeepsResidualErrorAtFullBudget) {
@@ -193,9 +193,9 @@ TEST(HistogramDp, UncertainDataKeepsResidualErrorAtFullBudget) {
   SynopsisOptions options;
   options.metric = ErrorMetric::kSse;
   options.sse_variant = SseVariant::kFixedRepresentative;
-  auto builder = HistogramBuilder::Create(input, options, 3);
-  ASSERT_TRUE(builder.ok());
-  EXPECT_GT(builder->OptimalCost(3), 0.01);
+  auto built = testing::BuildHistogram(input, options, 3);
+  ASSERT_TRUE(built.ok());
+  EXPECT_GT(built->cost, 0.01);
 }
 
 TEST(HistogramDp, ExtractedRepresentativesAreBucketOptimal) {

@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
-#include "core/builders.h"
 #include "core/evaluate.h"
+#include "core/histogram_dp.h"
+#include "core/oracle_factory.h"
 #include "core/wavelet.h"
 #include "gen/generators.h"
 #include "io/pdata.h"
@@ -40,11 +41,13 @@ TEST_F(MovieLinkagePipeline, HistogramErrorPercentOrdering) {
   options.sanity_c = 0.5;
   const std::size_t kBuckets = 12;
 
-  auto builder = HistogramBuilder::Create(input_, options, kBuckets);
-  ASSERT_TRUE(builder.ok());
-  ErrorScale scale = ComputeErrorScale(builder->oracle(), true);
+  auto bundle = MakeBucketOracle(input_, options);
+  ASSERT_TRUE(bundle.ok());
+  HistogramDpResult dp =
+      SolveHistogramDp(*bundle->oracle, kBuckets, bundle->combiner);
+  ErrorScale scale = ComputeErrorScale(*bundle->oracle, true);
 
-  Histogram prob = builder->Extract(kBuckets);
+  Histogram prob = dp.ExtractHistogram(kBuckets);
   auto expectation = BuildExpectationHistogram(input_, options, kBuckets);
   ASSERT_TRUE(expectation.ok());
   Rng rng(55);
@@ -64,7 +67,7 @@ TEST_F(MovieLinkagePipeline, HistogramErrorPercentOrdering) {
   double pct = scale.Percent(*cost_prob);
   EXPECT_GE(pct, 0.0);
   EXPECT_LE(pct, 100.0);
-  EXPECT_NEAR(*cost_prob, builder->OptimalCost(kBuckets), 1e-8);
+  EXPECT_NEAR(*cost_prob, dp.OptimalCost(kBuckets), 1e-8);
 }
 
 TEST_F(MovieLinkagePipeline, ApproximateHistogramNearOptimal) {
@@ -72,11 +75,11 @@ TEST_F(MovieLinkagePipeline, ApproximateHistogramNearOptimal) {
   options.metric = ErrorMetric::kSse;
   options.sse_variant = SseVariant::kFixedRepresentative;
   const std::size_t kBuckets = 10;
-  auto exact = HistogramBuilder::Create(input_, options, kBuckets);
+  auto exact = testing::BuildHistogram(input_, options, kBuckets);
   auto approx = testing::BuildHistogram(input_, options, kBuckets,
                                         HistogramMethod::kApprox, 0.1);
   ASSERT_TRUE(exact.ok() && approx.ok());
-  EXPECT_LE(approx->cost, 1.1 * exact->OptimalCost(kBuckets) + 1e-9);
+  EXPECT_LE(approx->cost, 1.1 * exact->cost + 1e-9);
 }
 
 TEST_F(MovieLinkagePipeline, WaveletEnergyOrdering) {
@@ -136,28 +139,28 @@ TEST(MaybmsPipeline, TupleSseVariantsBothWork) {
   SynopsisOptions world_mean;
   world_mean.metric = ErrorMetric::kSse;
   world_mean.sse_variant = SseVariant::kWorldMean;
-  auto exact = HistogramBuilder::Create(input, world_mean, kBuckets);
+  auto exact = testing::BuildHistogram(input, world_mean, kBuckets);
   ASSERT_TRUE(exact.ok());
 
   SynopsisOptions fixed;
   fixed.metric = ErrorMetric::kSse;
   fixed.sse_variant = SseVariant::kFixedRepresentative;
-  auto fixed_builder = HistogramBuilder::Create(input, fixed, kBuckets);
-  ASSERT_TRUE(fixed_builder.ok());
+  auto fixed_result = testing::BuildHistogram(input, fixed, kBuckets);
+  ASSERT_TRUE(fixed_result.ok());
 
-  Histogram h_world = exact->Extract(kBuckets);
-  Histogram h_fixed = fixed_builder->Extract(kBuckets);
+  const Histogram& h_world = exact->histogram;
+  const Histogram& h_fixed = fixed_result->histogram;
   EXPECT_TRUE(h_world.Validate(64).ok());
   EXPECT_TRUE(h_fixed.Validate(64).ok());
 
   // Each variant is optimal under its own objective.
   auto world_cost_of_fixed = EvaluateHistogramWorldMeanSse(input, h_fixed);
   ASSERT_TRUE(world_cost_of_fixed.ok());
-  EXPECT_LE(exact->OptimalCost(kBuckets), *world_cost_of_fixed + 1e-9);
+  EXPECT_LE(exact->cost, *world_cost_of_fixed + 1e-9);
 
   auto fixed_cost_of_world = EvaluateHistogram(input, h_world, fixed);
   ASSERT_TRUE(fixed_cost_of_world.ok());
-  EXPECT_LE(fixed_builder->OptimalCost(kBuckets), *fixed_cost_of_world + 1e-9);
+  EXPECT_LE(fixed_result->cost, *fixed_cost_of_world + 1e-9);
 }
 
 TEST(MaybmsPipeline, MaxErrorHistogramsOnTupleData) {
@@ -166,13 +169,13 @@ TEST(MaybmsPipeline, MaxErrorHistogramsOnTupleData) {
   SynopsisOptions options;
   options.metric = ErrorMetric::kMare;
   options.sanity_c = 1.0;
-  auto builder = HistogramBuilder::Create(input, options, 6);
-  ASSERT_TRUE(builder.ok());
-  Histogram h = builder->Extract(6);
+  auto built = testing::BuildHistogram(input, options, 6);
+  ASSERT_TRUE(built.ok());
+  const Histogram& h = built->histogram;
   EXPECT_TRUE(h.Validate(32).ok());
   auto evaluated = EvaluateHistogram(input, h, options);
   ASSERT_TRUE(evaluated.ok());
-  EXPECT_NEAR(*evaluated, builder->OptimalCost(6), 1e-8);
+  EXPECT_NEAR(*evaluated, built->cost, 1e-8);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/builders.h"
 #include "core/wavelet.h"
 #include "gen/generators.h"
 #include "test_util.h"

@@ -122,33 +122,6 @@ void ForEachBucketization(
   rec(0, 0);
 }
 
-double TernarySearchMinContinuous(double lo, double hi,
-                                  const std::function<double(double)>& f,
-                                  int iterations) {
-  PROBSYN_CHECK(lo <= hi);
-  for (int it = 0; it < iterations && hi - lo > 0; ++it) {
-    double m1 = lo + (hi - lo) / 3.0;
-    double m2 = hi - (hi - lo) / 3.0;
-    if (f(m1) <= f(m2)) {
-      hi = m2;
-    } else {
-      lo = m1;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
-double SumStable(std::span<const double> xs) {
-  KahanSum sum;
-  for (double x : xs) sum.Add(x);
-  return sum.value();
-}
-
-double Variance(const ValuePdf& pdf) {
-  double mean = pdf.Mean();
-  return ClampTinyNegative(pdf.SecondMoment() - mean * mean);
-}
-
 double ProbEquals(const ValuePdf& pdf, double v) {
   const std::vector<ValueProb>& entries = pdf.entries();
   auto it = std::lower_bound(
@@ -158,32 +131,10 @@ double ProbEquals(const ValuePdf& pdf, double v) {
   return 0.0;
 }
 
-double ProbAtMost(const ValuePdf& pdf, double v) {
-  double total = 0.0;
-  for (const ValueProb& e : pdf.entries()) {
-    if (e.value > v) break;
-    total += e.probability;
-  }
-  return total;
-}
-
-double ProbGreater(const ValuePdf& pdf, double v) {
-  return 1.0 - ProbAtMost(pdf, v);
-}
-
 double ExpectedAbsDeviation(const ValuePdf& pdf, double a) {
   KahanSum sum;
   for (const ValueProb& e : pdf.entries()) {
     sum.Add(e.probability * std::fabs(e.value - a));
-  }
-  return sum.value();
-}
-
-double ExpectedRelDeviation(const ValuePdf& pdf, double a, double c) {
-  KahanSum sum;
-  for (const ValueProb& e : pdf.entries()) {
-    sum.Add(e.probability * RelativeWeight(e.value, c) *
-            std::fabs(e.value - a));
   }
   return sum.value();
 }

@@ -2,15 +2,13 @@
 #define PROBSYN_TESTS_REFERENCE_BRUTE_FORCE_H_
 
 // Brute-force ground truth: exhaustive possible-world enumeration, every
-// bucketization of a domain, a continuous ternary search, and per-pdf
-// moments and probabilities computed straight from the entries. The tests
-// check the library's closed forms and solvers against these. Only the
-// tests and the benches link this target (probsyn_reference); the library
-// never does.
+// bucketization of a domain, and per-pdf point probabilities and absolute
+// deviations computed straight from the entries. The tests check the
+// library's closed forms and solvers against these. Only the tests and the
+// benches link this target (probsyn_reference); the library never does.
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "model/basic.h"
@@ -57,27 +55,10 @@ void ForEachBucketization(
     std::size_t n, std::size_t num_buckets,
     const std::function<void(const std::vector<std::size_t>&)>& fn);
 
-/// Minimizes a convex function of a real variable over [lo, hi] by
-/// ternary search to (roughly) machine precision and returns the argmin.
-double TernarySearchMinContinuous(double lo, double hi,
-                                  const std::function<double(double)>& f,
-                                  int iterations = 200);
-
-/// Compensated (Kahan) sum of a span.
-double SumStable(std::span<const double> xs);
-
-/// Var[g] = E[g^2] - E[g]^2, clamped against tiny negative drift.
-double Variance(const ValuePdf& pdf);
 /// Pr[g = v]: the probability of an exact support point, 0 elsewhere.
 double ProbEquals(const ValuePdf& pdf, double v);
-/// Pr[g <= v].
-double ProbAtMost(const ValuePdf& pdf, double v);
-/// Pr[g > v].
-double ProbGreater(const ValuePdf& pdf, double v);
 /// E[|g - a|]; the per-item absolute-error integrand of section 3.3.
 double ExpectedAbsDeviation(const ValuePdf& pdf, double a);
-/// E[|g - a| / max(c, g)]; the relative-error integrand of section 3.4.
-double ExpectedRelDeviation(const ValuePdf& pdf, double a, double c);
 
 }  // namespace probsyn::reference
 

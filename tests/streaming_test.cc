@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "gen/generators.h"
 #include "model/induced.h"
@@ -53,9 +52,9 @@ TEST_P(StreamingGuaranteeTest, WithinFactorOfOfflineOptimum) {
   EXPECT_NEAR(*evaluated, result->cost, 1e-7);
 
   // And it is within (1 + eps) of the offline exact optimum.
-  auto offline = HistogramBuilder::Create(input, SseOptions(), param.buckets);
+  auto offline = testing::BuildHistogram(input, SseOptions(), param.buckets);
   ASSERT_TRUE(offline.ok());
-  double opt = offline->OptimalCost(param.buckets);
+  double opt = offline->cost;
   EXPECT_GE(result->cost, opt - 1e-9);
   EXPECT_LE(result->cost, (1.0 + param.epsilon) * opt + 1e-6)
       << "B=" << param.buckets << " eps=" << param.epsilon << " seed "
@@ -128,9 +127,9 @@ TEST(Streaming, FinishIsNonDestructiveAndRepeatable) {
   EXPECT_EQ(builder.items_seen(), 50u);
 
   // Costs never report below the offline optimum at either point.
-  auto offline = HistogramBuilder::Create(input, SseOptions(), 5);
+  auto offline = testing::BuildHistogram(input, SseOptions(), 5);
   ASSERT_TRUE(offline.ok());
-  EXPECT_GE(second->cost, offline->OptimalCost(5) - 1e-9);
+  EXPECT_GE(second->cost, offline->cost - 1e-9);
 }
 
 // The builder fed one item per PushBatch call (hoisted snapshot columns +
@@ -299,9 +298,9 @@ TEST(Streaming, MatchesPaperExampleOneBucket) {
   builder.PushBatch(input.items());
   auto result = builder.Finish();
   ASSERT_TRUE(result.ok());
-  auto offline = HistogramBuilder::Create(input, SseOptions(), 1);
+  auto offline = testing::BuildHistogram(input, SseOptions(), 1);
   ASSERT_TRUE(offline.ok());
-  EXPECT_NEAR(result->cost, offline->OptimalCost(1), 1e-12);
+  EXPECT_NEAR(result->cost, offline->cost, 1e-12);
 }
 
 }  // namespace

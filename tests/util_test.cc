@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "reference/brute_force.h"
 #include "util/envelope.h"
 #include "util/math.h"
 #include "util/prefix_sums.h"
@@ -64,11 +63,6 @@ TEST(Math, KahanSumBeatsNaiveOnCancellation) {
   KahanSum sum(1.0);
   for (int i = 0; i < 1000000; ++i) sum.Add(1e-16);
   EXPECT_NEAR(sum.value(), 1.0 + 1e-10, 1e-14);
-}
-
-TEST(Math, SumStable) {
-  std::vector<double> xs{0.1, 0.2, 0.3};
-  EXPECT_NEAR(reference::SumStable(xs), 0.6, 1e-15);
 }
 
 TEST(Math, AlmostEqual) {
@@ -162,14 +156,6 @@ TEST(Search, TernaryOnNonUniformConvexSamples) {
   auto f = [&](std::size_t l) { return std::fabs(grid[l] - 7.0); };
   std::size_t best = TernarySearchMinIndex(0, grid.size() - 1, f);
   EXPECT_EQ(best, 3u);  // 6.9 is the closest sample
-}
-
-TEST(Search, ContinuousTernary) {
-  auto f = [](double x) { return (x - 2.5) * (x - 2.5) + 1.0; };
-  double x = reference::TernarySearchMinContinuous(-10, 10, f);
-  // Value-comparison minimization of a smooth function bottoms out at
-  // ~sqrt(ulp) precision: near the minimum, f differences round away.
-  EXPECT_NEAR(x, 2.5, 1e-6);
 }
 
 TEST(Envelope, SingleLine) {

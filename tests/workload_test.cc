@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/builders.h"
 #include "core/evaluate.h"
 #include "core/histogram_dp.h"
 #include "core/oracle_factory.h"
@@ -160,12 +159,11 @@ TEST(Workload, EvaluatorAgreesWithDpCost) {
   SynopsisOptions options;
   options.metric = ErrorMetric::kSae;
   options.workload = weights;
-  auto builder = HistogramBuilder::Create(input, options, 5);
-  ASSERT_TRUE(builder.ok());
-  Histogram h = builder->Extract(5);
-  auto evaluated = EvaluateHistogram(input, h, options);
+  auto built = testing::BuildHistogram(input, options, 5);
+  ASSERT_TRUE(built.ok());
+  auto evaluated = EvaluateHistogram(input, built->histogram, options);
   ASSERT_TRUE(evaluated.ok());
-  EXPECT_NEAR(*evaluated, builder->OptimalCost(5), 1e-9);
+  EXPECT_NEAR(*evaluated, built->cost, 1e-9);
 }
 
 TEST(Workload, ZeroWeightRegionsAreFreeToMerge) {
@@ -181,20 +179,20 @@ TEST(Workload, ZeroWeightRegionsAreFreeToMerge) {
   weighted.metric = ErrorMetric::kSse;
   weighted.sse_variant = SseVariant::kFixedRepresentative;
   weighted.workload = weights;
-  auto builder = HistogramBuilder::Create(input, weighted, 4);
-  ASSERT_TRUE(builder.ok());
+  auto built = testing::BuildHistogram(input, weighted, 4);
+  ASSERT_TRUE(built.ok());
 
   ValuePdfInput prefix(std::vector<ValuePdf>(input.items().begin(),
                                              input.items().begin() + 8));
   SynopsisOptions uniform;
   uniform.metric = ErrorMetric::kSse;
   uniform.sse_variant = SseVariant::kFixedRepresentative;
-  auto prefix_builder = HistogramBuilder::Create(prefix, uniform, 4);
-  ASSERT_TRUE(prefix_builder.ok());
+  auto prefix_built = testing::BuildHistogram(prefix, uniform, 4);
+  ASSERT_TRUE(prefix_built.ok());
   // One bucket may be "wasted" covering the weightless tail, but since a
   // tail bucket is free, the weighted optimum equals the prefix optimum
   // with the same budget.
-  EXPECT_NEAR(builder->OptimalCost(4), prefix_builder->OptimalCost(4), 1e-9);
+  EXPECT_NEAR(built->cost, prefix_built->cost, 1e-9);
 }
 
 TEST(Workload, UniformWorkloadMatchesUnweighted) {
@@ -208,10 +206,10 @@ TEST(Workload, UniformWorkloadMatchesUnweighted) {
     SynopsisOptions ones = plain;
     ones.workload.assign(12, 1.0);
 
-    auto a = HistogramBuilder::Create(input, plain, 4);
-    auto b = HistogramBuilder::Create(input, ones, 4);
+    auto a = testing::BuildHistogram(input, plain, 4);
+    auto b = testing::BuildHistogram(input, ones, 4);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_NEAR(a->OptimalCost(4), b->OptimalCost(4), 1e-9)
+    EXPECT_NEAR(a->cost, b->cost, 1e-9)
         << ErrorMetricName(metric);
   }
 }
